@@ -1,7 +1,7 @@
 """csrlcheck static analyzer (DESIGN.md section 3g).
 
-A call-graph-aware architecture analyzer replacing the bare-regex
-scripts/lint.py: a real C++ tokenizer plus a lightweight declaration/call
+A call-graph-aware architecture analyzer replacing the original
+bare-regex linter: a real C++ tokenizer plus a lightweight declaration/call
 extractor feed
 
   * an include/layer graph that enforces the architecture contract

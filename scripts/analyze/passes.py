@@ -11,7 +11,7 @@ it.  The justification is mandatory so waivers stay auditable.
 
 Rules
 -----
-Line-based (ported from the original scripts/lint.py):
+Line-based (ported from the original regex linter):
   raw-new-delete, float-eq, unordered-iter, pragma-once, obs-name,
   loop-alloc, spmm-blocking — see the per-rule messages for rationale.
 
@@ -112,7 +112,7 @@ def finding(ctx, line, rule, message):
 
 
 # --------------------------------------------------------------------------
-# Legacy line-based passes (ported from scripts/lint.py)
+# Legacy line-based passes (ported from the original regex linter)
 # --------------------------------------------------------------------------
 
 EXACT_SENTINELS = {"0.0", "1.0", "0.", "1.", ".0"}

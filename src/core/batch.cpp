@@ -121,11 +121,8 @@ std::vector<std::vector<double>> Checker::until_grid_sets(
 
   const auto engine = make_engine(options_);
   const std::vector<std::vector<double>> h =
-      options_.batch
-          ? engine->joint_probability_all_starts_grid(reduction.model, times,
-                                                      rewards, target)
-          : joint_grid_reference(*engine, reduction.model, times, rewards,
-                                 target);
+      engine->joint_probability_all_starts_grid(reduction.model, times,
+                                                rewards, target);
 
   const std::size_t n = model_->num_states();
   std::vector<std::vector<double>> grid(h.size());

@@ -6,11 +6,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/validate.hpp"
 #include "matrix/simd.hpp"
 #include "matrix/spmm.hpp"
 #include "obs/obs.hpp"
-#include "util/contracts.hpp"
 #include "util/error.hpp"
 #include "util/workspace.hpp"
 
@@ -50,279 +48,25 @@ std::string DiscretisationEngine::name() const {
   return "discretisation-d=" + std::to_string(step_);
 }
 
-JointDistribution DiscretisationEngine::joint_distribution(const Mrm& model,
-                                                           double t,
-                                                           double r) const {
-  JointDistribution result;
-  if (joint_distribution_trivial_case(model, t, r, result)) return result;
-
-  CSRL_SPAN("p3/discretisation/joint_distribution");
-  const std::size_t n = model.num_states();
-  const double d = step_;
-
-  // Integer reward rates and grid-aligned horizon/bound, as the paper
-  // requires.
-  std::vector<std::size_t> rho(n);
-  for (std::size_t s = 0; s < n; ++s)
-    rho[s] = as_natural(model.reward(s), 1e-9, "every reward rate");
-  const std::size_t total_steps = as_natural(t / d, 1e-6, "t/d");
-  const std::size_t reward_cells = as_natural(r / d, 1e-6, "r/d");
-  if (total_steps == 0)
-    throw ModelError("DiscretisationEngine: t must be at least one step d");
-
-  for (std::size_t s = 0; s < n; ++s)
-    if (model.chain().exit_rate(s) * d >= 1.0)
-      throw ModelError(
-          "DiscretisationEngine: step too coarse, E(s)*d must stay below 1 "
-          "(state " + std::to_string(s) + ")");
-
-  // F is stored row-major as F[s * width + k]; k ranges over 0..R.  Reward
-  // indices beyond R can never come back under the bound (rewards are
-  // non-negative), so the columns above R need not be tracked at all.
-  const std::size_t width = reward_cells + 1;
-  CSRL_GAUGE("p3/discretisation/time_steps", static_cast<double>(total_steps));
-  CSRL_GAUGE("p3/discretisation/reward_cells", static_cast<double>(width));
-  std::vector<double> current(n * width, 0.0);
-  std::vector<double> next(n * width, 0.0);
-  auto cell = [width](std::vector<double>& f, std::size_t s, std::size_t k)
-      -> double& { return f[s * width + k]; };
-
-  // First iterate F^1: one step of duration d from the initial
-  // distribution; state s0 has earned reward index rho(s0).
-  for (std::size_t s = 0; s < n; ++s) {
-    const double mass = model.initial_distribution()[s];
-    if (mass == 0.0) continue;
-    if (rho[s] <= reward_cells) cell(current, s, rho[s]) += mass / d;
-  }
-
-  // Incoming transitions drive the second summand; iterate over the
-  // transposed rate matrix so each new cell gathers its donors.  With
-  // impulse rewards (the Section-6 extension, following the approach of
-  // the later impulse-reward work) a firing additionally displaces the
-  // reward index by iota/d, which must therefore sit on the grid.
-  const CsrMatrix incoming = model.rates().transposed();
-  struct Donor {
-    std::size_t state;
-    double weight;      // R(donor, s) * d
-    std::size_t shift;  // rho(donor) + iota(donor, s)/d
-  };
-  std::vector<std::vector<Donor>> donors(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    for (const auto& e : incoming.row(s)) {
-      std::size_t shift = rho[e.col];
-      if (model.has_impulse_rewards()) {
-        const double iota = model.impulse(e.col, s);
-        if (iota > 0.0)
-          shift += as_natural(iota / d, 1e-6, "every impulse divided by d");
-      }
-      donors[s].push_back({e.col, e.value * d, shift});
-    }
-  }
-
-  // The sweep gathers into next[s * width ..] from current[] only, so the
-  // states partition into independent chunks; per-state arithmetic is
-  // unchanged, hence results are bit-identical at any thread count.  The
-  // std::fill is unnecessary in the parallel form (every cell of next is
-  // assigned before it is read) but each chunk clears its own slice to
-  // keep the gather loop free of branches.
-  ThreadPool& workers = pool();
-  const std::size_t grain = sweep_grain(width);
-  for (std::size_t j = 1; j < total_steps; ++j) {
-    CSRL_COUNT("p3/discretisation/sweeps", 1);
-    CSRL_HIST_SCOPE("latency/p3_sweep");
-    workers.parallel_for(0, n, grain, [&](std::size_t lo, std::size_t hi) {
-      std::fill(next.begin() + static_cast<std::ptrdiff_t>(lo * width),
-                next.begin() + static_cast<std::ptrdiff_t>(hi * width), 0.0);
-      for (std::size_t s = lo; s < hi; ++s) {
-        const double stay = 1.0 - model.chain().exit_rate(s) * d;
-        const std::size_t shift = rho[s];
-        for (std::size_t k = shift; k <= reward_cells; ++k)
-          cell(next, s, k) = cell(current, s, k - shift) * stay;
-        for (const Donor& donor : donors[s]) {
-          for (std::size_t k = donor.shift; k <= reward_cells; ++k)
-            cell(next, s, k) +=
-                cell(current, donor.state, k - donor.shift) * donor.weight;
-        }
-      }
-    });
-    current.swap(next);
-  }
-
-  result.per_state.assign(n, 0.0);
-  workers.parallel_for(0, n, grain, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t s = lo; s < hi; ++s) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k <= reward_cells; ++k) acc += cell(current, s, k);
-      result.per_state[s] = acc * d;
-    }
-  });
-  result.steps = total_steps;
+double DiscretisationEngine::monotone_slack(
+    const Mrm& model, std::span<const double> times) const {
   // The Tijms-Veldman error is O(d) with a model-dependent constant; the
-  // slack below over-approximates it for the monotonicity cross-check (a
-  // halved r that falls off the d-grid makes the recompute throw
-  // ModelError, which validate_joint_result treats as "check skipped").
-  if (CSRL_CONTRACTS_ACTIVE())
-    validate_joint_result(
-        name(), t, r, result.per_state,
-        2.0 * d * (1.0 + model.chain().max_exit_rate()) * std::max(1.0, t),
-        [&](double rr) { return joint_distribution(model, t, rr).per_state; });
-  return result;
+  // slack over-approximates it for the reward-monotonicity checks (halved
+  // bounds that fall off the d-grid make the paranoid recompute throw
+  // ModelError, which validate_joint_grid treats as "check skipped").
+  double t_max = 0.0;
+  for (double t : times) t_max = std::max(t_max, t);
+  return 2.0 * step_ * (1.0 + model.chain().max_exit_rate()) *
+         std::max(1.0, t_max);
 }
 
 std::vector<JointDistribution> DiscretisationEngine::joint_distribution_grid(
     const Mrm& model, std::span<const double> times,
     std::span<const double> rewards) const {
-  Workspace workspace;
-  return joint_distribution_grid_impl(model, times, rewards, &workspace);
-}
-
-std::vector<JointDistribution> DiscretisationEngine::joint_distribution_grid_impl(
-    const Mrm& model, std::span<const double> times,
-    std::span<const double> rewards, Workspace* workspace) const {
-  const std::size_t num_rewards = rewards.size();
-  std::vector<JointDistribution> grid(times.size() * num_rewards);
-  struct Live {
-    std::size_t slot;
-    std::size_t total_steps;
-    std::size_t reward_cells;
-  };
-  std::vector<Live> live;
-  const double d = step_;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    for (std::size_t j = 0; j < num_rewards; ++j) {
-      if (joint_distribution_trivial_case(model, times[i], rewards[j],
-                                          grid[i * num_rewards + j]))
-        continue;
-      live.push_back({i * num_rewards + j,
-                      as_natural(times[i] / d, 1e-6, "t/d"),
-                      as_natural(rewards[j] / d, 1e-6, "r/d")});
-      if (live.back().total_steps == 0)
-        throw ModelError("DiscretisationEngine: t must be at least one step d");
-    }
-  }
-  if (live.empty()) return grid;
-
-  CSRL_SPAN("p3/discretisation/joint_distribution_grid");
-  const std::size_t n = model.num_states();
-  std::vector<std::size_t> rho(n);
-  for (std::size_t s = 0; s < n; ++s)
-    rho[s] = as_natural(model.reward(s), 1e-9, "every reward rate");
-  for (std::size_t s = 0; s < n; ++s)
-    if (model.chain().exit_rate(s) * d >= 1.0)
-      throw ModelError(
-          "DiscretisationEngine: step too coarse, E(s)*d must stay below 1 "
-          "(state " + std::to_string(s) + ")");
-
-  std::size_t max_steps = 0;
-  std::size_t max_cells = 0;
-  for (const Live& pt : live) {
-    max_steps = std::max(max_steps, pt.total_steps);
-    max_cells = std::max(max_cells, pt.reward_cells);
-  }
-
-  // One F array wide enough for the largest reward bound: lower columns
-  // are bit-identical to a narrower run (see the header's argument).  The
-  // two sweep arrays lease arena storage, so the per-start-state caller's
-  // repeated runs reuse one pair of buffers.
-  const std::size_t width = max_cells + 1;
-  CSRL_GAUGE("p3/discretisation/time_steps", static_cast<double>(max_steps));
-  CSRL_GAUGE("p3/discretisation/reward_cells", static_cast<double>(width));
-  Workspace::LoopGuard guard(workspace);
-  Workspace::Lease current_lease(workspace, n * width);
-  Workspace::Lease next_lease(workspace, n * width);
-  std::vector<double>& current = current_lease.get();
-  std::vector<double>& next = next_lease.get();
-  current.assign(n * width, 0.0);
-  next.assign(n * width, 0.0);
-  auto cell = [width](std::vector<double>& f, std::size_t s, std::size_t k)
-      -> double& { return f[s * width + k]; };
-
-  for (std::size_t s = 0; s < n; ++s) {
-    const double mass = model.initial_distribution()[s];
-    if (mass == 0.0) continue;
-    if (rho[s] <= max_cells) cell(current, s, rho[s]) += mass / d;
-  }
-
-  const CsrMatrix incoming = model.rates().transposed();
-  struct Donor {
-    std::size_t state;
-    double weight;
-    std::size_t shift;
-  };
-  std::vector<std::vector<Donor>> donors(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    for (const auto& e : incoming.row(s)) {
-      std::size_t shift = rho[e.col];
-      if (model.has_impulse_rewards()) {
-        const double iota = model.impulse(e.col, s);
-        if (iota > 0.0)
-          shift += as_natural(iota / d, 1e-6, "every impulse divided by d");
-      }
-      donors[s].push_back({e.col, e.value * d, shift});
-    }
-  }
-
-  ThreadPool& workers = pool();
-  const std::size_t grain = sweep_grain(width);
-
-  // Harvest every grid point whose own step count was just reached: the
-  // fold reads columns 0..reward_cells of the shared array in the same
-  // ascending order as the single-point run.
-  const auto harvest = [&](std::size_t steps_done) {
-    for (const Live& pt : live) {
-      if (pt.total_steps != steps_done) continue;
-      JointDistribution& out = grid[pt.slot];
-      out.per_state.assign(n, 0.0);
-      workers.parallel_for(0, n, grain, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t s = lo; s < hi; ++s) {
-          double acc = 0.0;
-          for (std::size_t k = 0; k <= pt.reward_cells; ++k)
-            acc += cell(current, s, k);
-          out.per_state[s] = acc * d;
-        }
-      });
-      out.steps = pt.total_steps;
-    }
-  };
-
-  harvest(1);
-  for (std::size_t j = 1; j < max_steps; ++j) {
-    CSRL_COUNT("p3/discretisation/sweeps", 1);
-    CSRL_HIST_SCOPE("latency/p3_sweep");
-    workers.parallel_for(0, n, grain, [&](std::size_t lo, std::size_t hi) {
-      std::fill(next.begin() + static_cast<std::ptrdiff_t>(lo * width),
-                next.begin() + static_cast<std::ptrdiff_t>(hi * width), 0.0);
-      for (std::size_t s = lo; s < hi; ++s) {
-        const double stay = 1.0 - model.chain().exit_rate(s) * d;
-        const std::size_t shift = rho[s];
-        for (std::size_t k = shift; k <= max_cells; ++k)
-          cell(next, s, k) = cell(current, s, k - shift) * stay;
-        for (const Donor& donor : donors[s]) {
-          for (std::size_t k = donor.shift; k <= max_cells; ++k)
-            cell(next, s, k) +=
-                cell(current, donor.state, k - donor.shift) * donor.weight;
-        }
-      }
-    });
-    current.swap(next);
-    harvest(j + 1);
-  }
-  CSRL_COUNT("p3/discretisation/allocs_in_loop", guard.heap_allocations());
-
-  CSRL_CONTRACT(
-      [&] {
-        std::vector<std::vector<double>> view;
-        view.reserve(grid.size());
-        for (const JointDistribution& g : grid) view.push_back(g.per_state);
-        double t_max = 0.0;
-        for (double t : times) t_max = std::max(t_max, t);
-        return joint_grid_monotone_in_reward(
-            view, times.size(), rewards,
-            2.0 * d * (1.0 + model.chain().max_exit_rate()) *
-                std::max(1.0, t_max));
-      }(),
-      "DiscretisationEngine: grid results are not monotone in the reward "
-      "bound");
+  std::vector<JointDistribution> grid = std::move(
+      joint_distribution_grid_block({&model, 1}, times, rewards, nullptr)
+          .front());
+  validate_grid(model, times, rewards, grid, monotone_slack(model, times));
   return grid;
 }
 
@@ -336,13 +80,15 @@ DiscretisationEngine::joint_distribution_grid_block(
         "DiscretisationEngine: lane count must lie in [1, kMaxRhsBlock]");
   const Mrm& shape = models.front();
   const std::size_t num_rewards = rewards.size();
-  std::vector<std::vector<JointDistribution>> result(
-      lanes, std::vector<JointDistribution>(times.size() * num_rewards));
+  std::vector<std::vector<JointDistribution>> result(lanes);
 
   // Triviality is decided by (t, r) and the shared rates/rewards alone
   // (engine.cpp), so the live set is lane-independent; only the trivial
   // *results* differ per lane (each consults its own initial
   // distribution).
+  std::vector<std::size_t> live_slots;
+  for (std::size_t b = 0; b < lanes; ++b)
+    live_slots = peel_trivial_cells(models[b], times, rewards, result[b]);
   struct Live {
     std::size_t slot;
     std::size_t total_steps;
@@ -350,21 +96,13 @@ DiscretisationEngine::joint_distribution_grid_block(
   };
   std::vector<Live> live;
   const double d = step_;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    for (std::size_t j = 0; j < num_rewards; ++j) {
-      const std::size_t slot = i * num_rewards + j;
-      if (joint_distribution_trivial_case(models[0], times[i], rewards[j],
-                                          result[0][slot])) {
-        for (std::size_t b = 1; b < lanes; ++b)
-          joint_distribution_trivial_case(models[b], times[i], rewards[j],
-                                          result[b][slot]);
-        continue;
-      }
-      live.push_back({slot, as_natural(times[i] / d, 1e-6, "t/d"),
-                      as_natural(rewards[j] / d, 1e-6, "r/d")});
-      if (live.back().total_steps == 0)
-        throw ModelError("DiscretisationEngine: t must be at least one step d");
-    }
+  for (std::size_t slot : live_slots) {
+    const double t = times[slot / num_rewards];
+    const double r = rewards[slot % num_rewards];
+    live.push_back(
+        {slot, as_natural(t / d, 1e-6, "t/d"), as_natural(r / d, 1e-6, "r/d")});
+    if (live.back().total_steps == 0)
+      throw ModelError("DiscretisationEngine: t must be at least one step d");
   }
   if (live.empty()) return result;
 
@@ -389,7 +127,9 @@ DiscretisationEngine::joint_distribution_grid_block(
   // One lane-interleaved pair of F arrays: lane b's cell (s, k) lives at
   // (s * width + k) * lanes + b, so the lane loops below are contiguous
   // (and SIMD-safe: lanes never mix, each performs its own single-start
-  // arithmetic in the same order).
+  // arithmetic in the same order).  Reward indices above the widest bound
+  // can never come back under it (rewards are non-negative), so those
+  // columns are not tracked at all.
   const std::size_t width = max_cells + 1;
   CSRL_GAUGE("p3/discretisation/time_steps", static_cast<double>(max_steps));
   CSRL_GAUGE("p3/discretisation/reward_cells", static_cast<double>(width));
@@ -401,6 +141,8 @@ DiscretisationEngine::joint_distribution_grid_block(
   current.assign(n * width * lanes, 0.0);
   next.assign(n * width * lanes, 0.0);
 
+  // F^1: one step of duration d from each lane's initial distribution;
+  // state s0 has earned reward index rho(s0).
   for (std::size_t b = 0; b < lanes; ++b) {
     const std::vector<double>& initial = models[b].initial_distribution();
     for (std::size_t s = 0; s < n; ++s) {
@@ -411,11 +153,16 @@ DiscretisationEngine::joint_distribution_grid_block(
     }
   }
 
+  // Incoming transitions drive the second summand; iterate over the
+  // transposed rate matrix so each new cell gathers its donors.  With
+  // impulse rewards (the Section-6 extension) a firing additionally
+  // displaces the reward index by iota/d, which must therefore sit on the
+  // grid.
   const CsrMatrix incoming = shape.rates().transposed();
   struct Donor {
     std::size_t state;
-    double weight;
-    std::size_t shift;
+    double weight;      // R(donor, s) * d
+    std::size_t shift;  // rho(donor) + iota(donor, s)/d
   };
   std::vector<std::vector<Donor>> donors(n);
   for (std::size_t s = 0; s < n; ++s) {
@@ -457,6 +204,10 @@ DiscretisationEngine::joint_distribution_grid_block(
     }
   };
 
+  // The sweep gathers into next[s ..] from current[] only, so the states
+  // partition into independent chunks with unchanged per-state arithmetic:
+  // results are bit-identical at any thread count.  Each chunk clears its
+  // own slice of next to keep the gather loop free of branches.
   harvest(1);
   for (std::size_t j = 1; j < max_steps; ++j) {
     CSRL_COUNT("p3/discretisation/sweeps", 1);
@@ -491,26 +242,6 @@ DiscretisationEngine::joint_distribution_grid_block(
     harvest(j + 1);
   }
   CSRL_COUNT("p3/discretisation/allocs_in_loop", guard.heap_allocations());
-
-  CSRL_CONTRACT(
-      [&] {
-        double t_max = 0.0;
-        for (double t : times) t_max = std::max(t_max, t);
-        for (std::size_t b = 0; b < lanes; ++b) {
-          std::vector<std::vector<double>> view;
-          view.reserve(result[b].size());
-          for (const JointDistribution& g : result[b])
-            view.push_back(g.per_state);
-          if (!joint_grid_monotone_in_reward(
-                  view, times.size(), rewards,
-                  2.0 * d * (1.0 + shape.chain().max_exit_rate()) *
-                      std::max(1.0, t_max)))
-            return false;
-        }
-        return true;
-      }(),
-      "DiscretisationEngine: blocked grid results are not monotone in the "
-      "reward bound");
   return result;
 }
 
@@ -524,43 +255,31 @@ DiscretisationEngine::joint_probability_all_starts_grid(
   CSRL_SPAN("p3/discretisation/all_starts_grid");
   std::vector<std::vector<double>> grid(times.size() * rewards.size(),
                                         std::vector<double>(n, 0.0));
-  // One arena across the per-start-state runs: every run sweeps the same
-  // n-by-width F arrays, so only the first one allocates them.
+  // Each group of up to rhs_block_ start states shares one lane-
+  // interleaved sweep (joint_distribution_grid_block), bitwise identical
+  // per lane to a one-start run; one arena serves every group, so only the
+  // first one allocates the sweep arrays.
   Workspace start_workspace;
-  if (rhs_block_ > 1 && n > 1) {
-    // Blocked: each group of up to rhs_block_ start states shares one
-    // lane-interleaved sweep (joint_distribution_grid_block), bitwise
-    // identical per lane to the one-start-per-run loop below.
-    std::vector<Mrm> group;
-    group.reserve(std::min(rhs_block_, n));
-    for (std::size_t s0 = 0; s0 < n; s0 += rhs_block_) {
-      const std::size_t lanes = std::min(rhs_block_, n - s0);
-      group.clear();
-      for (std::size_t b = 0; b < lanes; ++b) {
-        Mrm from_s(Ctmc(model.rates()), model.rewards(), model.labelling(),
-                   s0 + b);
-        if (model.has_impulse_rewards())
-          from_s = from_s.with_impulses(model.impulse_rewards());
-        group.push_back(std::move(from_s));
-      }
-      const std::vector<std::vector<JointDistribution>> per_lane =
-          joint_distribution_grid_block(group, times, rewards,
-                                        &start_workspace);
-      for (std::size_t b = 0; b < lanes; ++b)
-        for (std::size_t g = 0; g < grid.size(); ++g)
-          grid[g][s0 + b] = per_lane[b][g].probability_in(target);
+  std::vector<Mrm> group;
+  group.reserve(std::min(rhs_block_, n));
+  for (std::size_t s0 = 0; s0 < n; s0 += rhs_block_) {
+    const std::size_t lanes = std::min(rhs_block_, n - s0);
+    group.clear();
+    for (std::size_t b = 0; b < lanes; ++b) {
+      Mrm from_s(Ctmc(model.rates()), model.rewards(), model.labelling(),
+                 s0 + b);
+      if (model.has_impulse_rewards())
+        from_s = from_s.with_impulses(model.impulse_rewards());
+      group.push_back(std::move(from_s));
     }
-    return grid;
+    const std::vector<std::vector<JointDistribution>> per_lane =
+        joint_distribution_grid_block(group, times, rewards, &start_workspace);
+    for (std::size_t b = 0; b < lanes; ++b)
+      for (std::size_t g = 0; g < grid.size(); ++g)
+        grid[g][s0 + b] = per_lane[b][g].probability_in(target);
   }
-  for (std::size_t s = 0; s < n; ++s) {
-    Mrm from_s(Ctmc(model.rates()), model.rewards(), model.labelling(), s);
-    if (model.has_impulse_rewards())
-      from_s = from_s.with_impulses(model.impulse_rewards());
-    const std::vector<JointDistribution> per_start =
-        joint_distribution_grid_impl(from_s, times, rewards, &start_workspace);
-    for (std::size_t g = 0; g < grid.size(); ++g)
-      grid[g][s] = per_start[g].probability_in(target);
-  }
+  validate_grid(model, times, rewards, target, grid,
+                monotone_slack(model, times));
   return grid;
 }
 
@@ -634,7 +353,8 @@ double DiscretisationEngine::interval_until(const Mrm& model,
   }
   classify(current, 0);
 
-  // Propagation parallelises exactly like joint_distribution's sweep (each
+  // Propagation parallelises exactly like joint_distribution_grid_block's
+  // sweep (each
   // state's slice of `next` has one writer).  The classify pass stays
   // serial: it folds `success` in a fixed (s, k) order, and keeping that
   // fold sequential preserves bit-identical answers at every thread count.

@@ -52,9 +52,6 @@ class DiscretisationEngine : public JointDistributionEngine {
                                 std::shared_ptr<ThreadPool> pool = nullptr,
                                 std::size_t rhs_block = 0);
 
-  JointDistribution joint_distribution(const Mrm& model, double t,
-                                       double r) const override;
-
   /// General-window until (the paper's Section-6 outlook: "time- and
   /// reward intervals of a more general nature"): the probability, from
   /// the model's initial distribution, of
@@ -68,17 +65,12 @@ class DiscretisationEngine : public JointDistributionEngine {
   /// (Psi & Phi)-states is harvested as soon as both windows are open,
   /// and mass whose reward exceeds r2 (or whose clock exceeds t2) can
   /// never qualify again because both coordinates are monotone.
-  /// Error O(d), like joint_distribution.  Impulse rewards supported.
+  /// Error O(d), like the joint distribution.  Impulse rewards supported.
   /// Cross-validated against the Monte-Carlo simulator, which implements
   /// the same semantics by an unrelated method.
   double interval_until(const Mrm& model, const StateSet& phi,
                         const StateSet& psi, Interval time,
                         Interval reward) const;
-
-  // joint_probability_all_starts is inherited: the scheme propagates a
-  // density forward from one initial distribution, so the per-start-state
-  // form genuinely costs one run per state.  The paper (like this engine)
-  // evaluates single-initial-state queries only.
 
   /// Batched lattice evaluation.  Column k of F^{j+1} depends only on
   /// columns <= k of F^j (reward shifts are non-negative), so one sweep
@@ -90,8 +82,11 @@ class DiscretisationEngine : public JointDistributionEngine {
       const Mrm& model, std::span<const double> times,
       std::span<const double> rewards) const override;
 
-  /// Grid form of the per-start-state shape: one joint_distribution_grid
-  /// run per start state instead of one run per start state *per point*.
+  /// Per-start-state form.  The scheme propagates a density forward from
+  /// one initial distribution, so every start state needs its own F
+  /// recursion; groups of up to rhs_block start states share one
+  /// lane-interleaved sweep.  The paper (like the forward form) evaluates
+  /// single-initial-state queries only.
   std::vector<std::vector<double>> joint_probability_all_starts_grid(
       const Mrm& model, std::span<const double> times,
       std::span<const double> rewards, const StateSet& target) const override;
@@ -101,27 +96,23 @@ class DiscretisationEngine : public JointDistributionEngine {
   double step() const { return step_; }
 
  private:
-  /// Body of joint_distribution_grid with the F arrays leased from
-  /// `workspace` (nullptr: plain vectors).  joint_probability_all_starts_grid
-  /// threads one arena through its per-start-state calls so only the first
-  /// run allocates the two n-by-width sweep arrays.
-  std::vector<JointDistribution> joint_distribution_grid_impl(
-      const Mrm& model, std::span<const double> times,
-      std::span<const double> rewards, Workspace* workspace) const;
-
-  /// Blocked multi-start form of joint_distribution_grid_impl.  All
-  /// `models` share rates, rewards and labelling and differ only in their
-  /// initial distribution (the per-start-state construction of
-  /// joint_probability_all_starts_grid); one sweep carries models.size()
+  /// The Tijms-Veldman sweep.  All `models` share rates, rewards and
+  /// labelling and differ only in their initial distribution (one lane per
+  /// start state in joint_probability_all_starts_grid, a single lane in
+  /// joint_distribution_grid); one sweep carries models.size()
   /// lane-interleaved copies of the F recursion (F[(s * width + k) * L + b]
   /// is lane b's cell), so the model-dependent factors stream once per
   /// step instead of once per start.  Per lane the recursion performs the
-  /// identical per-cell arithmetic of its own single-start run, so
-  /// result[b] is bitwise equal to joint_distribution_grid_impl(models[b],
-  /// ...).  models.size() must lie in [1, kMaxRhsBlock].
+  /// identical per-cell arithmetic of a one-lane run, so result[b] does
+  /// not depend on which lanes share the sweep.  The F arrays are leased
+  /// from `workspace` (nullptr: plain vectors); models.size() must lie in
+  /// [1, kMaxRhsBlock].
   std::vector<std::vector<JointDistribution>> joint_distribution_grid_block(
       std::span<const Mrm> models, std::span<const double> times,
       std::span<const double> rewards, Workspace* workspace) const;
+
+  /// Reward-monotonicity slack of the grid postcondition.
+  double monotone_slack(const Mrm& model, std::span<const double> times) const;
 
   double step_;
   std::size_t rhs_block_;  // resolved effective width, in [1, kMaxRhsBlock]

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/validate.hpp"
 #include "ctmc/uniformisation.hpp"
 #include "obs/obs.hpp"
+#include "util/contracts.hpp"
 #include "util/error.hpp"
 
 namespace csrl {
@@ -19,32 +21,51 @@ double JointDistribution::probability_in(const StateSet& states) const {
   return acc;
 }
 
+JointDistribution JointDistributionEngine::joint_distribution(const Mrm& model,
+                                                              double t,
+                                                              double r) const {
+  const double times[1] = {t};
+  const double rewards[1] = {r};
+  return std::move(joint_distribution_grid(model, times, rewards).front());
+}
+
 std::vector<double> JointDistributionEngine::joint_probability_all_starts(
     const Mrm& model, double t, double r, const StateSet& target) const {
-  const std::size_t n = model.num_states();
-  if (target.size() != n)
-    throw ModelError("joint_probability_all_starts: universe mismatch");
-  std::vector<double> result(n, 0.0);
-  for (std::size_t s = 0; s < n; ++s) {
-    Mrm from_s(Ctmc(model.rates()), model.rewards(), model.labelling(), s);
-    if (model.has_impulse_rewards())
-      from_s = from_s.with_impulses(model.impulse_rewards());
-    result[s] = joint_distribution(from_s, t, r).probability_in(target);
-  }
-  return result;
+  const double times[1] = {t};
+  const double rewards[1] = {r};
+  return std::move(
+      joint_probability_all_starts_grid(model, times, rewards, target)
+          .front());
 }
 
-std::vector<std::vector<double>>
-JointDistributionEngine::joint_probability_all_starts_grid(
+void JointDistributionEngine::validate_grid(
     const Mrm& model, std::span<const double> times,
-    std::span<const double> rewards, const StateSet& target) const {
-  return joint_grid_reference(*this, model, times, rewards, target);
+    std::span<const double> rewards,
+    const std::vector<JointDistribution>& grid, double slack) const {
+  if (!CSRL_CONTRACTS_ACTIVE()) return;
+  const auto per_state = [](const std::vector<JointDistribution>& cells) {
+    std::vector<std::vector<double>> view;
+    view.reserve(cells.size());
+    for (const JointDistribution& cell : cells) view.push_back(cell.per_state);
+    return view;
+  };
+  validate_joint_grid(name(), times, rewards, per_state(grid), slack,
+                      [&](std::span<const double> rr) {
+                        return per_state(
+                            joint_distribution_grid(model, times, rr));
+                      });
 }
 
-std::vector<JointDistribution> JointDistributionEngine::joint_distribution_grid(
+void JointDistributionEngine::validate_grid(
     const Mrm& model, std::span<const double> times,
-    std::span<const double> rewards) const {
-  return joint_distribution_grid_reference(*this, model, times, rewards);
+    std::span<const double> rewards, const StateSet& target,
+    const std::vector<std::vector<double>>& grid, double slack) const {
+  if (!CSRL_CONTRACTS_ACTIVE()) return;
+  validate_joint_grid(name() + " all-starts", times, rewards, grid, slack,
+                      [&](std::span<const double> rr) {
+                        return joint_probability_all_starts_grid(model, times,
+                                                                 rr, target);
+                      });
 }
 
 std::vector<std::vector<double>> joint_grid_reference(
@@ -70,6 +91,10 @@ std::vector<JointDistribution> joint_distribution_grid_reference(
   return grid;
 }
 
+namespace {
+
+/// The trivial cases of Pr{Y_t <= r, X_t = j} from the initial
+/// distribution; returns true and fills `out` if (t, r) is one.
 bool joint_distribution_trivial_case(const Mrm& model, double t, double r,
                                      JointDistribution& out) {
   if (!(t >= 0.0) || !std::isfinite(t))
@@ -130,6 +155,8 @@ bool joint_distribution_trivial_case(const Mrm& model, double t, double r,
   return false;
 }
 
+/// The same trivial cases in the all-start-states shape: out[s] =
+/// Pr_s{Y_t <= r, X_t in target}.
 bool joint_all_starts_trivial_case(const Mrm& model, double t, double r,
                                    const StateSet& target,
                                    std::vector<double>& out) {
@@ -173,6 +200,34 @@ bool joint_all_starts_trivial_case(const Mrm& model, double t, double r,
   }
 
   return false;
+}
+
+}  // namespace
+
+std::vector<std::size_t> peel_trivial_cells(
+    const Mrm& model, std::span<const double> times,
+    std::span<const double> rewards, std::vector<JointDistribution>& grid) {
+  grid.assign(times.size() * rewards.size(), {});
+  std::vector<std::size_t> live;
+  for (std::size_t g = 0; g < grid.size(); ++g)
+    if (!joint_distribution_trivial_case(model, times[g / rewards.size()],
+                                         rewards[g % rewards.size()], grid[g]))
+      live.push_back(g);
+  return live;
+}
+
+std::vector<std::size_t> peel_trivial_cells(
+    const Mrm& model, std::span<const double> times,
+    std::span<const double> rewards, const StateSet& target,
+    std::vector<std::vector<double>>& grid) {
+  grid.assign(times.size() * rewards.size(), {});
+  std::vector<std::size_t> live;
+  for (std::size_t g = 0; g < grid.size(); ++g)
+    if (!joint_all_starts_trivial_case(model, times[g / rewards.size()],
+                                       rewards[g % rewards.size()], target,
+                                       grid[g]))
+      live.push_back(g);
+  return live;
 }
 
 }  // namespace csrl

@@ -42,40 +42,40 @@ struct JointDistribution {
 };
 
 /// A procedure computing the joint state/accumulated-reward distribution.
+///
+/// The contract is grid-shaped: an engine implements the two lattice
+/// methods below, each evaluating every pair (times[i], rewards[j]) of the
+/// bound grid in one call and returning grid-point major results
+/// (index i * rewards.size() + j).  A single (t, r) query is the 1 x 1
+/// lattice, so the point forms are thin non-virtual wrappers and a point
+/// value can never drift from the corresponding grid cell.  Every grid
+/// method checks its result against validate_joint_grid (core/validate).
 class JointDistributionEngine {
  public:
   virtual ~JointDistributionEngine() = default;
 
-  /// Pr{Y_t <= r, X_t = j} for all j, starting from the model's initial
-  /// distribution.  Requires t >= 0 and r >= 0.
-  virtual JointDistribution joint_distribution(const Mrm& model, double t,
-                                               double r) const = 0;
-
-  /// For every start state s, Pr_s{Y_t <= r, X_t in target}.  This is the
-  /// shape Sat-set computation needs.  The default implementation runs
-  /// joint_distribution() once per state with a point-mass initial
-  /// distribution; engines with a cheaper all-states formulation override
-  /// it.
-  virtual std::vector<double> joint_probability_all_starts(
-      const Mrm& model, double t, double r, const StateSet& target) const;
-
-  /// Grid form of joint_probability_all_starts: evaluates every pair
-  /// (times[i], rewards[j]) of the bound grid in one call and returns the
-  /// vectors grid-point major,
-  ///   result[i * rewards.size() + j][s] = Pr_s{Y_{t_i} <= r_j, X_{t_i} in target}.
-  /// The default implementation loops the point call; engines whose
-  /// recursions yield smaller bounds as by-products override it to amortise
-  /// work across the grid, under the contract that every returned vector is
-  /// BITWISE identical to the corresponding point call.
-  virtual std::vector<std::vector<double>> joint_probability_all_starts_grid(
-      const Mrm& model, std::span<const double> times,
-      std::span<const double> rewards, const StateSet& target) const;
-
-  /// Grid form of joint_distribution over the same (times x rewards)
-  /// lattice, grid-point major; same bitwise contract as above.
+  /// Forward form, from the model's initial distribution:
+  ///   result[i * rewards.size() + j].per_state[s]
+  ///       = Pr{Y_{t_i} <= r_j, X_{t_i} = s}.
+  /// Every bound must be finite and >= 0.
   virtual std::vector<JointDistribution> joint_distribution_grid(
       const Mrm& model, std::span<const double> times,
-      std::span<const double> rewards) const;
+      std::span<const double> rewards) const = 0;
+
+  /// All-start-states form, the shape Sat-set computation needs:
+  ///   result[i * rewards.size() + j][s]
+  ///       = Pr_s{Y_{t_i} <= r_j, X_{t_i} in target}.
+  virtual std::vector<std::vector<double>> joint_probability_all_starts_grid(
+      const Mrm& model, std::span<const double> times,
+      std::span<const double> rewards, const StateSet& target) const = 0;
+
+  /// The only cell of the 1 x 1 forward grid {t} x {r}.
+  JointDistribution joint_distribution(const Mrm& model, double t,
+                                       double r) const;
+
+  /// The only cell of the 1 x 1 all-starts grid {t} x {r}.
+  std::vector<double> joint_probability_all_starts(
+      const Mrm& model, double t, double r, const StateSet& target) const;
 
   /// Short human-readable name ("sericola", "erlang-256", ...).
   virtual std::string name() const = 0;
@@ -92,28 +92,42 @@ class JointDistributionEngine {
   explicit JointDistributionEngine(std::shared_ptr<ThreadPool> pool)
       : pool_(std::move(pool)) {}
 
+  /// The grid postcondition: validate_joint_grid on a lattice one of the
+  /// two grid methods just computed, with `slack` absorbing the engine's
+  /// approximation error in the reward-monotonicity checks.  The paranoid
+  /// recomputes call back into the same grid method.  Free while
+  /// contracts are off.
+  void validate_grid(const Mrm& model, std::span<const double> times,
+                     std::span<const double> rewards,
+                     const std::vector<JointDistribution>& grid,
+                     double slack) const;
+  void validate_grid(const Mrm& model, std::span<const double> times,
+                     std::span<const double> rewards, const StateSet& target,
+                     const std::vector<std::vector<double>>& grid,
+                     double slack) const;
+
  private:
   std::shared_ptr<ThreadPool> pool_;
 };
 
-/// Shared preprocessing used by every engine: handles the trivial cases
-/// t == 0 (distribution is the initial one), r large enough that the
-/// reward bound cannot bind (plain transient analysis applies), and r == 0
-/// (exact via transient analysis with positive-reward states frozen).
-/// Returns true and fills `out` if the case was trivial.
-bool joint_distribution_trivial_case(const Mrm& model, double t, double r,
-                                     JointDistribution& out);
+/// The lattice-shaped peel every grid method starts with.  Sizes `grid`
+/// to times.size() x rewards.size() cells (grid-point major) and fills
+/// every trivial cell exactly: t == 0 (no reward accumulated yet), r large
+/// enough that the reward bound cannot bind (plain transient analysis),
+/// and r == 0 (transient analysis with positive-reward states frozen).
+/// Returns the slots i * rewards.size() + j of the remaining (live)
+/// cells, ascending.  Throws ModelError on a negative or non-finite bound.
+std::vector<std::size_t> peel_trivial_cells(
+    const Mrm& model, std::span<const double> times,
+    std::span<const double> rewards, std::vector<JointDistribution>& grid);
+std::vector<std::size_t> peel_trivial_cells(
+    const Mrm& model, std::span<const double> times,
+    std::span<const double> rewards, const StateSet& target,
+    std::vector<std::vector<double>>& grid);
 
-/// The same trivial cases in the all-start-states shape: fills out[s] with
-/// Pr_s{Y_t <= r, X_t in target} when t, r make the problem degenerate.
-bool joint_all_starts_trivial_case(const Mrm& model, double t, double r,
-                                   const StateSet& target,
-                                   std::vector<double>& out);
-
-/// Point-by-point grid references: literally loop the single-point entry
-/// points over the lattice, grid-point major.  These are what the virtual
-/// grid methods default to, and what the differential tests and the bench
-/// SpMV comparisons diff the batched overrides against.
+/// Point-by-point grid references: loop the 1 x 1 wrappers over the
+/// lattice, grid-point major.  The differential tests and the bench SpMV
+/// comparisons diff the engines' multi-point lattices against these.
 std::vector<std::vector<double>> joint_grid_reference(
     const JointDistributionEngine& engine, const Mrm& model,
     std::span<const double> times, std::span<const double> rewards,

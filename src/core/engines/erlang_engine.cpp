@@ -5,10 +5,8 @@
 #include <string>
 #include <utility>
 
-#include "core/validate.hpp"
 #include "ctmc/foxglynn.hpp"
 #include "obs/obs.hpp"
-#include "util/contracts.hpp"
 #include "util/error.hpp"
 #include "util/workspace.hpp"
 
@@ -70,210 +68,127 @@ Ctmc ErlangEngine::expand(const Mrm& model, double r) const {
   return Ctmc(rates.build());
 }
 
-JointDistribution ErlangEngine::joint_distribution(const Mrm& model, double t,
-                                                   double r) const {
-  JointDistribution result;
-  if (joint_distribution_trivial_case(model, t, r, result)) return result;
-
-  CSRL_SPAN("p3/erlang/joint_distribution");
-  const std::size_t n = model.num_states();
-  const std::size_t k = phases_;
-  const Ctmc expanded = expand(model, r);
-
-  std::vector<double> initial(expanded.num_states(), 0.0);
-  for (std::size_t s = 0; s < n; ++s)
-    initial[s * k] = model.initial_distribution()[s];
-
-  // The Erlang engine's sweep unit is one transient solve on the
-  // phase-expanded chain (its inner steps land in
-  // latency/uniformisation_step like every uniformisation run).
-  const std::vector<double> pi = [&] {
-    CSRL_HIST_SCOPE("latency/p3_sweep");
-    return transient_distribution(expanded, initial, t, transient_);
-  }();
-
-  // Per-state mixture over the k phase copies: state s owns the slice
-  // pi[s*k .. (s+1)*k), so the fold parallelises over states with the
-  // per-state summation order unchanged (bit-identical at any thread
-  // count).  The heavy lifting above — uniformisation on the expanded
-  // chain — already ran on the pool through the parallel SpMV kernels.
-  result.per_state.assign(n, 0.0);
-  pool().parallel_for(
-      0, n, std::max<std::size_t>(1, (std::size_t{1} << 13) / k),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t s = lo; s < hi; ++s) {
-          double acc = 0.0;
-          for (std::size_t i = 0; i < k; ++i) acc += pi[s * k + i];
-          result.per_state[s] = acc;
-        }
-      });
-  result.steps =
-      poisson_weights(expanded.max_exit_rate() * t, transient_.epsilon).right;
+double ErlangEngine::monotone_slack() const {
   // The pseudo-Erlang error is O(1/k), degrading to O(1/sqrt(k)) at atoms
   // of Y_t (README); the monotonicity slack covers the latter.
-  if (CSRL_CONTRACTS_ACTIVE())
-    validate_joint_result(
-        name(), t, r, result.per_state,
-        4.0 / std::sqrt(static_cast<double>(phases_)) + 1e-9,
-        [&](double rr) { return joint_distribution(model, t, rr).per_state; });
-  return result;
+  return 4.0 / std::sqrt(static_cast<double>(phases_)) + 1e-9;
 }
 
-std::vector<double> ErlangEngine::joint_probability_all_starts(
-    const Mrm& model, double t, double r, const StateSet& target) const {
-  std::vector<double> result;
-  if (joint_all_starts_trivial_case(model, t, r, target, result)) return result;
-
-  CSRL_SPAN("p3/erlang/all_starts");
-  const std::size_t n = model.num_states();
-  const std::size_t k = phases_;
-  const Ctmc expanded = expand(model, r);
-
-  // Terminal set: any phase copy of a target state (the budget may be
-  // partially consumed as long as it never ran out).
-  StateSet expanded_target(expanded.num_states());
-  for (std::size_t s : target.members())
-    for (std::size_t i = 0; i < k; ++i) expanded_target.insert(s * k + i);
-
-  const std::vector<double> u =
-      transient_reach(expanded, expanded_target, t, transient_);
-
-  // A fresh start state has consumed no budget: phase 0.
-  result.assign(n, 0.0);
-  for (std::size_t s = 0; s < n; ++s) result[s] = u[s * k];
-  if (CSRL_CONTRACTS_ACTIVE())
-    validate_joint_result(
-        name() + " all-starts", t, r, result,
-        4.0 / std::sqrt(static_cast<double>(phases_)) + 1e-9,
-        [&](double rr) {
-          return joint_probability_all_starts(model, t, rr, target);
-        });
-  return result;
+template <typename Column>
+void ErlangEngine::for_each_live_column(const Mrm& model,
+                                        std::span<const double> times,
+                                        std::span<const double> rewards,
+                                        std::span<const std::size_t> live,
+                                        Column&& column) const {
+  // The expanded chain has the same size for every reward column, so one
+  // arena serves every batched transient run of the sweep: the first
+  // column warms it, the rest iterate without heap traffic.  The
+  // transient options' rhs_block rides along: each column's batched run
+  // carries all of its live horizons as one interleaved accumulator block
+  // per matrix pass (ctmc/uniformisation.cpp), so a column costs about
+  // one SpMV stream regardless of how many horizons share it.  (Columns
+  // cannot be blocked with each other — every reward bound expands to a
+  // different chain.)
+  Workspace grid_workspace;
+  TransientOptions transient = transient_;
+  if (transient.workspace == nullptr) transient.workspace = &grid_workspace;
+  const std::size_t num_rewards = rewards.size();
+  std::vector<std::vector<std::size_t>> columns(num_rewards);
+  for (std::size_t slot : live) columns[slot % num_rewards].push_back(slot);
+  for (std::size_t j = 0; j < num_rewards; ++j) {
+    if (columns[j].empty()) continue;
+    std::vector<double> horizon;
+    horizon.reserve(columns[j].size());
+    for (std::size_t slot : columns[j])
+      horizon.push_back(times[slot / num_rewards]);
+    column(expand(model, rewards[j]), std::span<const std::size_t>(columns[j]),
+           std::span<const double>(horizon), transient);
+  }
 }
 
 std::vector<std::vector<double>> ErlangEngine::joint_probability_all_starts_grid(
     const Mrm& model, std::span<const double> times,
     std::span<const double> rewards, const StateSet& target) const {
-  const std::size_t num_rewards = rewards.size();
-  std::vector<std::vector<double>> grid(times.size() * num_rewards);
-  std::vector<std::vector<std::size_t>> live_times(num_rewards);
-  bool any_live = false;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    for (std::size_t j = 0; j < num_rewards; ++j) {
-      std::vector<double> trivial;
-      if (joint_all_starts_trivial_case(model, times[i], rewards[j], target,
-                                        trivial)) {
-        grid[i * num_rewards + j] = std::move(trivial);
-      } else {
-        live_times[j].push_back(i);
-        any_live = true;
-      }
-    }
+  std::vector<std::vector<double>> grid;
+  const std::vector<std::size_t> live =
+      peel_trivial_cells(model, times, rewards, target, grid);
+  if (!live.empty()) {
+    CSRL_SPAN("p3/erlang/all_starts_grid");
+    const std::size_t n = model.num_states();
+    const std::size_t k = phases_;
+    for_each_live_column(
+        model, times, rewards, live,
+        [&](const Ctmc& expanded, std::span<const std::size_t> slots,
+            std::span<const double> horizon,
+            const TransientOptions& transient) {
+          // Terminal set: any phase copy of a target state (the budget may
+          // be partially consumed as long as it never ran out).
+          StateSet expanded_target(expanded.num_states());
+          for (std::size_t s : target.members())
+            for (std::size_t i = 0; i < k; ++i)
+              expanded_target.insert(s * k + i);
+          const std::vector<std::vector<double>> us = transient_reach_batch(
+              expanded, expanded_target, horizon, transient);
+          // A fresh start state has consumed no budget: phase 0.
+          for (std::size_t pos = 0; pos < slots.size(); ++pos) {
+            std::vector<double>& out = grid[slots[pos]];
+            out.assign(n, 0.0);
+            for (std::size_t s = 0; s < n; ++s) out[s] = us[pos][s * k];
+          }
+        });
   }
-  if (!any_live) return grid;
-
-  CSRL_SPAN("p3/erlang/all_starts_grid");
-  const std::size_t n = model.num_states();
-  const std::size_t k = phases_;
-  // The expanded chain has the same size for every reward column, so one
-  // arena serves every batched transient run of the sweep: the first
-  // column warms it, the rest iterate without heap traffic.  The
-  // transient options' rhs_block rides along: each column's batched run
-  // carries all of its live horizons as one interleaved accumulator
-  // block per matrix pass (ctmc/uniformisation.cpp), so a column costs
-  // about one SpMV stream regardless of how many horizons share it.
-  // (Columns cannot be blocked with each other — every reward bound
-  // expands to a different chain.)
-  Workspace grid_workspace;
-  TransientOptions transient = transient_;
-  if (transient.workspace == nullptr) transient.workspace = &grid_workspace;
-  for (std::size_t j = 0; j < num_rewards; ++j) {
-    if (live_times[j].empty()) continue;
-    const Ctmc expanded = expand(model, rewards[j]);
-    StateSet expanded_target(expanded.num_states());
-    for (std::size_t s : target.members())
-      for (std::size_t i = 0; i < k; ++i) expanded_target.insert(s * k + i);
-
-    std::vector<double> horizon;
-    horizon.reserve(live_times[j].size());
-    for (std::size_t i : live_times[j]) horizon.push_back(times[i]);
-    const std::vector<std::vector<double>> us =
-        transient_reach_batch(expanded, expanded_target, horizon, transient);
-
-    for (std::size_t pos = 0; pos < live_times[j].size(); ++pos) {
-      std::vector<double>& out = grid[live_times[j][pos] * num_rewards + j];
-      out.assign(n, 0.0);
-      for (std::size_t s = 0; s < n; ++s) out[s] = us[pos][s * k];
-    }
-  }
-
-  CSRL_CONTRACT(
-      joint_grid_monotone_in_reward(
-          grid, times.size(), rewards,
-          4.0 / std::sqrt(static_cast<double>(phases_)) + 1e-9),
-      "ErlangEngine: grid results are not monotone in the reward bound");
+  validate_grid(model, times, rewards, target, grid, monotone_slack());
   return grid;
 }
 
 std::vector<JointDistribution> ErlangEngine::joint_distribution_grid(
     const Mrm& model, std::span<const double> times,
     std::span<const double> rewards) const {
-  const std::size_t num_rewards = rewards.size();
-  std::vector<JointDistribution> grid(times.size() * num_rewards);
-  std::vector<std::vector<std::size_t>> live_times(num_rewards);
-  bool any_live = false;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    for (std::size_t j = 0; j < num_rewards; ++j) {
-      if (joint_distribution_trivial_case(model, times[i], rewards[j],
-                                          grid[i * num_rewards + j]))
-        continue;
-      live_times[j].push_back(i);
-      any_live = true;
-    }
+  std::vector<JointDistribution> grid;
+  const std::vector<std::size_t> live =
+      peel_trivial_cells(model, times, rewards, grid);
+  if (!live.empty()) {
+    CSRL_SPAN("p3/erlang/joint_distribution_grid");
+    const std::size_t n = model.num_states();
+    const std::size_t k = phases_;
+    for_each_live_column(
+        model, times, rewards, live,
+        [&](const Ctmc& expanded, std::span<const std::size_t> slots,
+            std::span<const double> horizon,
+            const TransientOptions& transient) {
+          std::vector<double> initial(expanded.num_states(), 0.0);
+          for (std::size_t s = 0; s < n; ++s)
+            initial[s * k] = model.initial_distribution()[s];
+          // The sweep unit is one transient solve on the expanded chain.
+          const std::vector<std::vector<double>> pis = [&] {
+            CSRL_HIST_SCOPE("latency/p3_sweep");
+            return transient_distribution_batch(expanded, initial, horizon,
+                                                transient);
+          }();
+          // Per-state mixture over the k phase copies: state s owns the
+          // slice pi[s*k .. (s+1)*k), so the fold parallelises over states
+          // with the per-state summation order unchanged.
+          for (std::size_t pos = 0; pos < slots.size(); ++pos) {
+            const std::vector<double>& pi = pis[pos];
+            JointDistribution& out = grid[slots[pos]];
+            out.per_state.assign(n, 0.0);
+            pool().parallel_for(
+                0, n, std::max<std::size_t>(1, (std::size_t{1} << 13) / k),
+                [&](std::size_t lo, std::size_t hi) {
+                  for (std::size_t s = lo; s < hi; ++s) {
+                    double acc = 0.0;
+                    for (std::size_t i = 0; i < k; ++i) acc += pi[s * k + i];
+                    out.per_state[s] = acc;
+                  }
+                });
+            out.steps = poisson_weights(
+                            expanded.max_exit_rate() * horizon[pos],
+                            transient_.epsilon)
+                            .right;
+          }
+        });
   }
-  if (!any_live) return grid;
-
-  CSRL_SPAN("p3/erlang/joint_distribution_grid");
-  const std::size_t n = model.num_states();
-  const std::size_t k = phases_;
-  Workspace grid_workspace;
-  TransientOptions transient = transient_;
-  if (transient.workspace == nullptr) transient.workspace = &grid_workspace;
-  for (std::size_t j = 0; j < num_rewards; ++j) {
-    if (live_times[j].empty()) continue;
-    const Ctmc expanded = expand(model, rewards[j]);
-
-    std::vector<double> initial(expanded.num_states(), 0.0);
-    for (std::size_t s = 0; s < n; ++s)
-      initial[s * k] = model.initial_distribution()[s];
-
-    std::vector<double> horizon;
-    horizon.reserve(live_times[j].size());
-    for (std::size_t i : live_times[j]) horizon.push_back(times[i]);
-    const std::vector<std::vector<double>> pis = [&] {
-      CSRL_HIST_SCOPE("latency/p3_sweep");
-      return transient_distribution_batch(expanded, initial, horizon,
-                                          transient);
-    }();
-
-    for (std::size_t pos = 0; pos < live_times[j].size(); ++pos) {
-      const std::vector<double>& pi = pis[pos];
-      JointDistribution& out = grid[live_times[j][pos] * num_rewards + j];
-      out.per_state.assign(n, 0.0);
-      pool().parallel_for(
-          0, n, std::max<std::size_t>(1, (std::size_t{1} << 13) / k),
-          [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t s = lo; s < hi; ++s) {
-              double acc = 0.0;
-              for (std::size_t i = 0; i < k; ++i) acc += pi[s * k + i];
-              out.per_state[s] = acc;
-            }
-          });
-      out.steps = poisson_weights(expanded.max_exit_rate() * horizon[pos],
-                                  transient_.epsilon)
-                      .right;
-    }
-  }
+  validate_grid(model, times, rewards, grid, monotone_slack());
   return grid;
 }
 

@@ -33,13 +33,6 @@ class ErlangEngine : public JointDistributionEngine {
   explicit ErlangEngine(std::size_t phases, TransientOptions transient = {},
                         std::shared_ptr<ThreadPool> pool = nullptr);
 
-  JointDistribution joint_distribution(const Mrm& model, double t,
-                                       double r) const override;
-
-  std::vector<double> joint_probability_all_starts(
-      const Mrm& model, double t, double r,
-      const StateSet& target) const override;
-
   /// Batched lattice evaluation.  The expanded chain depends only on the
   /// reward bound, so each reward column shares one expansion, and the
   /// column's time axis rides one batched uniformisation run (a single
@@ -61,6 +54,20 @@ class ErlangEngine : public JointDistributionEngine {
   /// Expanded chain over states (s, i) |-> s * phases_ + i, with the
   /// "bound exceeded" sink at index num_states * phases_.
   Ctmc expand(const Mrm& model, double r) const;
+
+  /// Shared skeleton of both grid methods: one expansion and one batched
+  /// transient run per reward column.  For every column j with live
+  /// lattice slots (`live`, ascending), calls
+  ///   column(expanded chain for rewards[j], the column's live slots,
+  ///          their horizons, transient options with a shared arena).
+  template <typename Column>
+  void for_each_live_column(const Mrm& model, std::span<const double> times,
+                            std::span<const double> rewards,
+                            std::span<const std::size_t> live,
+                            Column&& column) const;
+
+  /// Reward-monotonicity slack of the grid postcondition.
+  double monotone_slack() const;
 
   std::size_t phases_;
   TransientOptions transient_;

@@ -6,12 +6,10 @@
 #include <cstdint>
 #include <utility>
 
-#include "core/validate.hpp"
 #include "ctmc/foxglynn.hpp"
 #include "matrix/spmm.hpp"
 #include "matrix/vector_ops.hpp"
 #include "obs/obs.hpp"
-#include "util/contracts.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
 #include "util/workspace.hpp"
@@ -86,6 +84,18 @@ class LevelStore {
   std::size_t num_states_;
   double* data_ = nullptr;
 };
+
+/// The (t, r) bounds of the given lattice slots.
+std::vector<std::pair<double, double>> live_points(
+    std::span<const double> times, std::span<const double> rewards,
+    std::span<const std::size_t> slots) {
+  std::vector<std::pair<double, double>> points;
+  points.reserve(slots.size());
+  for (std::size_t slot : slots)
+    points.emplace_back(times[slot / rewards.size()],
+                        rewards[slot % rewards.size()]);
+  return points;
+}
 
 }  // namespace
 
@@ -365,128 +375,58 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
   return results;
 }
 
-std::vector<double> SericolaEngine::joint_probability_all_starts(
-    const Mrm& model, double t, double r, const StateSet& target) const {
-  std::vector<double> trivial;
-  if (joint_all_starts_trivial_case(model, t, r, target, trivial))
-    return trivial;
-
-  CSRL_SPAN("p3/sericola/all_starts");
-
-  const std::pair<double, double> point[1] = {{t, r}};
-  std::vector<double> result =
-      std::move(all_starts_points(model, point, target, nullptr)[0]);
-  if (CSRL_CONTRACTS_ACTIVE())
-    validate_joint_result(
-        name() + " all-starts", t, r, result, 2.0 * epsilon_ + 1e-12,
-        [&](double rr) {
-          return joint_probability_all_starts(model, t, rr, target);
-        });
-  return result;
-}
-
 std::vector<std::vector<double>> SericolaEngine::joint_probability_all_starts_grid(
     const Mrm& model, std::span<const double> times,
     std::span<const double> rewards, const StateSet& target) const {
-  const std::size_t num_rewards = rewards.size();
-  std::vector<std::vector<double>> grid(times.size() * num_rewards);
-  std::vector<std::pair<double, double>> live;
-  std::vector<std::size_t> live_slot;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    for (std::size_t j = 0; j < num_rewards; ++j) {
-      std::vector<double> trivial;
-      if (joint_all_starts_trivial_case(model, times[i], rewards[j], target,
-                                        trivial)) {
-        grid[i * num_rewards + j] = std::move(trivial);
-      } else {
-        live.emplace_back(times[i], rewards[j]);
-        live_slot.push_back(i * num_rewards + j);
-      }
-    }
+  std::vector<std::vector<double>> grid;
+  const std::vector<std::size_t> live_slot =
+      peel_trivial_cells(model, times, rewards, target, grid);
+  if (!live_slot.empty()) {
+    CSRL_SPAN("p3/sericola/all_starts_grid");
+    // One recursion serves the whole lattice, so an arena would have no
+    // second call to warm: plain vectors.
+    std::vector<std::vector<double>> computed = all_starts_points(
+        model, live_points(times, rewards, live_slot), target, nullptr);
+    for (std::size_t k = 0; k < live_slot.size(); ++k)
+      grid[live_slot[k]] = std::move(computed[k]);
   }
-  if (live.empty()) return grid;
-
-  CSRL_SPAN("p3/sericola/all_starts_grid");
-  Workspace grid_workspace;
-  std::vector<std::vector<double>> computed =
-      all_starts_points(model, live, target, &grid_workspace);
-  for (std::size_t k = 0; k < live.size(); ++k)
-    grid[live_slot[k]] = std::move(computed[k]);
-
-  CSRL_CONTRACT(
-      joint_grid_monotone_in_reward(grid, times.size(), rewards,
-                                    2.0 * epsilon_ + 1e-12),
-      "SericolaEngine: grid results are not monotone in the reward bound");
+  validate_grid(model, times, rewards, target, grid, 2.0 * epsilon_ + 1e-12);
   return grid;
 }
 
 std::vector<JointDistribution> SericolaEngine::joint_distribution_grid(
     const Mrm& model, std::span<const double> times,
     std::span<const double> rewards) const {
-  const std::size_t num_rewards = rewards.size();
-  std::vector<JointDistribution> grid(times.size() * num_rewards);
-  std::vector<std::pair<double, double>> live;
-  std::vector<std::size_t> live_slot;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    for (std::size_t j = 0; j < num_rewards; ++j) {
-      if (joint_distribution_trivial_case(model, times[i], rewards[j],
-                                          grid[i * num_rewards + j]))
-        continue;
-      live.emplace_back(times[i], rewards[j]);
-      live_slot.push_back(i * num_rewards + j);
+  std::vector<JointDistribution> grid;
+  const std::vector<std::size_t> live_slot =
+      peel_trivial_cells(model, times, rewards, grid);
+  if (!live_slot.empty()) {
+    const std::vector<std::pair<double, double>> live =
+        live_points(times, rewards, live_slot);
+    CSRL_SPAN("p3/sericola/joint_distribution_grid");
+    const std::size_t n = model.num_states();
+    for (std::size_t k = 0; k < live.size(); ++k) {
+      grid[live_slot[k]].per_state.assign(n, 0.0);
+      grid[live_slot[k]].steps = truncation_depth(model, live[k].first);
+    }
+    // One multi-point pass per final state j (cumulatively the cost of the
+    // paper-faithful matrix recursion); the initial distribution then
+    // picks out the required mixture of start states.  One arena spans the
+    // n passes: the first pass warms it and the remaining n-1 run without
+    // heap traffic.
+    Workspace grid_workspace;
+    for (std::size_t j = 0; j < n; ++j) {
+      StateSet single(n);
+      single.insert(j);
+      const std::vector<std::vector<double>> cols =
+          all_starts_points(model, live, single, &grid_workspace);
+      for (std::size_t k = 0; k < live.size(); ++k)
+        grid[live_slot[k]].per_state[j] =
+            dot(model.initial_distribution(), cols[k]);
     }
   }
-  if (live.empty()) return grid;
-
-  CSRL_SPAN("p3/sericola/joint_distribution_grid");
-
-  const std::size_t n = model.num_states();
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    grid[live_slot[k]].per_state.assign(n, 0.0);
-    grid[live_slot[k]].steps = truncation_depth(model, live[k].first);
-  }
-  // One multi-point pass per final state j; the initial distribution then
-  // picks out the required mixture of start states, exactly as the
-  // single-point form does.  One arena spans the n passes: the first pass
-  // warms it and the remaining n-1 run without heap traffic.
-  Workspace grid_workspace;
-  for (std::size_t j = 0; j < n; ++j) {
-    StateSet single(n);
-    single.insert(j);
-    const std::vector<std::vector<double>> cols =
-        all_starts_points(model, live, single, &grid_workspace);
-    for (std::size_t k = 0; k < live.size(); ++k)
-      grid[live_slot[k]].per_state[j] =
-          dot(model.initial_distribution(), cols[k]);
-  }
+  validate_grid(model, times, rewards, grid, 2.0 * epsilon_ + 1e-12);
   return grid;
-}
-
-JointDistribution SericolaEngine::joint_distribution(const Mrm& model, double t,
-                                                     double r) const {
-  JointDistribution result;
-  if (joint_distribution_trivial_case(model, t, r, result)) return result;
-
-  CSRL_SPAN("p3/sericola/joint_distribution");
-
-  // One vector pass per final state j (cumulatively the cost of the
-  // paper-faithful matrix recursion); the initial distribution then picks
-  // out the required mixture of start states.
-  const std::size_t n = model.num_states();
-  result.per_state.assign(n, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    StateSet single(n);
-    single.insert(j);
-    const std::vector<double> h_col =
-        joint_probability_all_starts(model, t, r, single);
-    result.per_state[j] = dot(model.initial_distribution(), h_col);
-  }
-  result.steps = truncation_depth(model, t);
-  if (CSRL_CONTRACTS_ACTIVE())
-    validate_joint_result(
-        name(), t, r, result.per_state, 2.0 * epsilon_ + 1e-12,
-        [&](double rr) { return joint_distribution(model, t, rr).per_state; });
-  return result;
 }
 
 }  // namespace csrl

@@ -26,7 +26,7 @@
 // Pr_i{Y_t > r, X_t in target} for *all* start states i in one pass and
 // dropping the complexity from O(N^2 m |S|^3) time / O(m N |S|^2) space to
 // O(N^2 m nnz) time / O(m N |S|) space.  Results are bit-for-bit the same
-// linear algebra.  The per-final-state form joint_distribution() runs the
+// linear algebra.  The forward form joint_distribution_grid() runs the
 // vector pass once per basis vector, which reproduces the paper-faithful
 // matrix cost and is used by tests as a cross-check.
 //
@@ -54,13 +54,6 @@ class SericolaEngine : public JointDistributionEngine {
   explicit SericolaEngine(double epsilon = 1e-9,
                           std::shared_ptr<ThreadPool> pool = nullptr,
                           std::size_t rhs_block = 0);
-
-  JointDistribution joint_distribution(const Mrm& model, double t,
-                                       double r) const override;
-
-  std::vector<double> joint_probability_all_starts(
-      const Mrm& model, double t, double r,
-      const StateSet& target) const override;
 
   /// Batched lattice evaluation.  The c(h, n, k) recursion depends on
   /// neither t nor r, so one coefficient pass to the deepest truncation

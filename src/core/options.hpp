@@ -56,12 +56,6 @@ struct CheckOptions {
   /// checkers; otherwise each Checker owns a private one.
   bool cache_sat_sets = true;
 
-  /// Route grid queries (Checker::until_grid) through the engines' batched
-  /// lattice entry points.  Off means one single-point engine run per grid
-  /// point — bitwise the same values, only slower; the differential tests
-  /// flip this to diff the two paths.
-  bool batch = true;
-
   /// Runtime numerical contract level (util/contracts.hpp): kOff, kBasic
   /// (cheap structural/row-sum/bounds checks at the places that establish
   /// them), kParanoid (+ engine re-runs checking monotonicity in r and

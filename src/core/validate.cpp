@@ -15,7 +15,7 @@ namespace {
 
 std::string fmt(double v) { return std::to_string(v); }
 
-/// Set while validate_joint_result re-runs an engine through its
+/// Set while validate_joint_grid re-runs an engine through its
 /// recompute hook, so the nested run's own postcondition does not
 /// recurse forever.
 thread_local bool tls_in_recompute = false;
@@ -199,65 +199,75 @@ void Validator::dual_inverse(const Mrm& original, const Mrm& dualized,
   }
 }
 
-void validate_joint_result(
-    const std::string& engine_name, double t, double r,
-    std::span<const double> result, double monotone_slack,
-    const std::function<std::vector<double>(double)>& recompute_at_r) {
-  const Validator v(engine_name + " joint distribution (t=" + fmt(t) +
-                    ", r=" + fmt(r) + ")");
+void validate_joint_grid(
+    const std::string& engine_name, std::span<const double> times,
+    std::span<const double> rewards,
+    std::span<const std::vector<double>> grid, double monotone_slack,
+    const std::function<std::vector<std::vector<double>>(
+        std::span<const double>)>& recompute_at_rewards) {
+  const std::size_t num_rewards = rewards.size();
+  const auto cell_validator = [&](std::size_t g) {
+    return Validator(engine_name + " joint distribution (t=" +
+                     fmt(times[g / num_rewards]) +
+                     ", r=" + fmt(rewards[g % num_rewards]) + ")");
+  };
+  if (grid.size() != times.size() * num_rewards)
+    throw ContractViolation(engine_name + " joint grid: " +
+                            std::to_string(grid.size()) + " cells for a " +
+                            std::to_string(times.size()) + " x " +
+                            std::to_string(num_rewards) + " lattice");
+
   // The engines' a-priori error bounds are per-entry, so a result may
   // legitimately poke above 1 by the truncation epsilon; 1e-6 covers
   // every configuration the options expose.
-  v.probability_vector(result, 1e-6);
+  for (std::size_t g = 0; g < grid.size(); ++g)
+    cell_validator(g).probability_vector(grid[g], 1e-6);
 
-  if (!validation::paranoid() || tls_in_recompute || !recompute_at_r) return;
+  // Within each time row a smaller r can only shrink Pr{Y_t <= r, ...};
+  // every reward pair is compared, so unsorted axes are fine.
+  for (std::size_t i = 0; i < times.size(); ++i)
+    for (std::size_t a = 0; a < num_rewards; ++a)
+      for (std::size_t b = 0; b < num_rewards; ++b)
+        if (rewards[a] <= rewards[b])
+          cell_validator(i * num_rewards + b)
+              .monotone_nondecreasing(grid[i * num_rewards + a],
+                                      grid[i * num_rewards + b],
+                                      monotone_slack);
+
+  if (!validation::paranoid() || tls_in_recompute || !recompute_at_rewards)
+    return;
   tls_in_recompute = true;
   struct Reset {
     ~Reset() { tls_in_recompute = false; }
   } reset;
 
-  // 1-thread vs N-thread agreement: the same computation with every
+  // 1-thread vs N-thread agreement: the same lattice with every
   // parallel_for forced inline must match bit for bit.
   {
     ForceSerialGuard serial;
-    const std::vector<double> serial_result = recompute_at_r(r);
-    v.bitwise_equal(serial_result, result);
+    const std::vector<std::vector<double>> serial_grid =
+        recompute_at_rewards(rewards);
+    for (std::size_t g = 0; g < grid.size(); ++g)
+      cell_validator(g).bitwise_equal(serial_grid.at(g), grid[g]);
   }
 
-  // Monotonicity in r.  A halved bound some engines cannot represent
-  // (e.g. off the discretisation grid) is a skipped check, not a
-  // violation — ModelError is precondition vocabulary, not contract
-  // vocabulary.
-  if (r > 0.0) {
-    try {
-      const std::vector<double> at_half = recompute_at_r(r * 0.5);
-      v.monotone_nondecreasing(at_half, result, monotone_slack);
-    } catch (const ContractViolation&) {
-      throw;
-    } catch (const ModelError&) {
-      // Halved bound rejected by the engine's preconditions; skip.
-    }
+  // Monotonicity across the halved lattice.  Halved bounds some engines
+  // cannot represent (e.g. off the discretisation grid) are a skipped
+  // check, not a violation — ModelError is precondition vocabulary, not
+  // contract vocabulary.
+  std::vector<double> halved(rewards.begin(), rewards.end());
+  for (double& r : halved) r *= 0.5;
+  try {
+    const std::vector<std::vector<double>> at_half =
+        recompute_at_rewards(halved);
+    for (std::size_t g = 0; g < grid.size(); ++g)
+      cell_validator(g).monotone_nondecreasing(at_half.at(g), grid[g],
+                                               monotone_slack);
+  } catch (const ContractViolation&) {
+    throw;
+  } catch (const ModelError&) {
+    // Halved bounds rejected by the engine's preconditions; skip.
   }
-}
-
-bool joint_grid_monotone_in_reward(
-    const std::vector<std::vector<double>>& grid, std::size_t num_times,
-    std::span<const double> rewards, double slack) {
-  const std::size_t num_rewards = rewards.size();
-  if (grid.size() != num_times * num_rewards) return false;
-  for (std::size_t i = 0; i < num_times; ++i) {
-    for (std::size_t a = 0; a < num_rewards; ++a) {
-      for (std::size_t b = 0; b < num_rewards; ++b) {
-        if (!(rewards[a] <= rewards[b])) continue;
-        const std::vector<double>& lo = grid[i * num_rewards + a];
-        const std::vector<double>& hi = grid[i * num_rewards + b];
-        if (lo.size() != hi.size()) return false;
-        for (std::size_t s = 0; s < lo.size(); ++s)
-          if (lo[s] > hi[s] + slack) return false;
-      }
-    }
-  }
-  return true;
 }
 
 }  // namespace csrl

@@ -11,11 +11,12 @@
 // with validation off pay one predicted branch, and builds configured
 // with -DCSRL_CONTRACTS=OFF pay nothing.
 //
-// validate_joint_result is the shared P3-engine postcondition: results
-// are probabilities, and — at the paranoid level, via the engine-supplied
-// recompute hook — the distribution is monotone non-decreasing in the
-// reward bound r and bit-identical when recomputed with every
-// parallel_for forced serial (the 1-thread vs N-thread agreement hook).
+// validate_joint_grid is the shared P3-engine postcondition over a result
+// lattice: every cell is a probability vector and non-decreasing in the
+// reward bound r, and — at the paranoid level, via the engine-supplied
+// recompute hook — the lattice is bit-identical when recomputed with every
+// parallel_for forced serial (the 1-thread vs N-thread agreement hook) and
+// dominates the lattice recomputed at halved reward bounds.
 #pragma once
 
 #include <functional>
@@ -82,27 +83,21 @@ class Validator {
   std::string subject_;
 };
 
-/// Shared P3-engine postcondition (see file comment).  `recompute_at_r`
-/// re-runs the same computation at a different reward bound; engines pass
-/// it so the paranoid level can check monotonicity in r (with
-/// `monotone_slack` absorbing the engine's approximation error) and
-/// serial/parallel agreement.  Recursion through the hook is cut off with
-/// a thread-local reentrancy guard, and a recompute that rejects the
-/// halved bound (e.g. the discretisation grid refusing an off-grid r) is
-/// skipped, not reported.
-void validate_joint_result(
-    const std::string& engine_name, double t, double r,
-    std::span<const double> result, double monotone_slack,
-    const std::function<std::vector<double>(double)>& recompute_at_r);
-
-/// Cheap structural postcondition for the batched grid entry points:
-/// within each time row of a grid-point-major result lattice, Pr{Y_t <= r}
-/// must be non-decreasing in the reward bound (up to `slack` absorbing the
-/// engine's approximation error).  Compares every reward pair, so unsorted
-/// reward axes are fine.  Returns false instead of throwing so call sites
-/// can gate it with CSRL_CONTRACT.
-bool joint_grid_monotone_in_reward(
-    const std::vector<std::vector<double>>& grid, std::size_t num_times,
-    std::span<const double> rewards, double slack);
+/// Shared P3-engine postcondition (see file comment) for a grid-point-major
+/// lattice, grid[i * rewards.size() + j] holding the (times[i],
+/// rewards[j]) cell.  `monotone_slack` absorbs the engine's approximation
+/// error in both reward-monotonicity checks; the reward axis may be
+/// unsorted.  `recompute_at_rewards` re-runs the same computation over
+/// `times` x the given reward axis; the paranoid level calls it with the
+/// original axis under ForceSerialGuard and with every bound halved.
+/// Recursion through the hook is cut off with a thread-local reentrancy
+/// guard, and a recompute that rejects the halved bounds (e.g. the
+/// discretisation grid refusing an off-grid r) is skipped, not reported.
+void validate_joint_grid(
+    const std::string& engine_name, std::span<const double> times,
+    std::span<const double> rewards,
+    std::span<const std::vector<double>> grid, double monotone_slack,
+    const std::function<std::vector<std::vector<double>>(
+        std::span<const double>)>& recompute_at_rewards);
 
 }  // namespace csrl

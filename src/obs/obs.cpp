@@ -80,8 +80,14 @@ struct Registry {
   // coordinating thread: no lock on the write or the snapshot read.
   std::array<std::atomic<double>, kMaxMetrics> gauges{};
 
+  // Intentionally immortal: the process-wide ThreadPool is a
+  // namespace-scope object whose workers keep recording until it is torn
+  // down, and static destruction order would otherwise destroy this
+  // registry first (a use-after-free at exit under CSRL_TRACE=1).  Leaking
+  // it lets every late recorder find live shards.
   static Registry& instance() {
-    static Registry r;
+    // lint:allow raw-new-delete (immortal singleton, see above)
+    static Registry& r = *new Registry;
     return r;
   }
 };

@@ -6,14 +6,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "core/checker.hpp"
 #include "core/validate.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/foxglynn.hpp"
+#include "logic/parser.hpp"
 #include "matrix/csr.hpp"
+#include "models/synthetic.hpp"
 #include "mrm/transform.hpp"
+#include "obs/obs.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
 
@@ -224,46 +231,143 @@ TEST(InSituContracts, UniformisedDtmcAndDualSilentOnValidModel) {
   EXPECT_NO_THROW(poisson_weights(2048.0, 1e-12));
 }
 
+// validate_joint_grid runs on grid-point-major lattices; every
+// JointResultContract case runs on the 1 x 1 lattice {1} x {2} and on the
+// 2 x 2 lattice {1, 2} x {1, 2}.
+using Grid = std::vector<std::vector<double>>;
+
+struct Lattice {
+  std::vector<double> times;
+  std::vector<double> rewards;
+};
+
+const Lattice kLattices[] = {{{1.0}, {2.0}}, {{1.0, 2.0}, {1.0, 2.0}}};
+
+/// The lattice times x rewards with cell (t, r) = value(r).
+template <typename Cell>
+Grid lattice_of(std::span<const double> times,
+                std::span<const double> rewards, Cell value) {
+  Grid grid;
+  for (std::size_t i = 0; i < times.size(); ++i)
+    for (double r : rewards) grid.push_back(value(r));
+  return grid;
+}
+
+/// A well-behaved cell: Pr = r / 4, monotone in r.
+std::vector<double> quarter(double r) { return {r / 4}; }
+
 TEST(JointResultContract, RejectsOutOfRangeResult) {
   ScopedValidation basic(ValidationLevel::kBasic);
-  const std::vector<double> bad{0.5, 1.25};
-  EXPECT_THROW(validate_joint_result("fake engine", 1.0, 2.0, bad, 0.0, {}),
+  for (const Lattice& l : kLattices) {
+    const Grid bad = lattice_of(l.times, l.rewards, [](double r) {
+      return std::vector<double>{0.5, r < 2.0 ? 0.75 : 1.25};
+    });
+    EXPECT_THROW(validate_joint_grid("fake engine", l.times, l.rewards, bad,
+                                     0.0, {}),
+                 ContractViolation);
+    const Grid good = lattice_of(l.times, l.rewards, [](double r) {
+      return std::vector<double>{0.5, r < 2.0 ? 0.6 : 0.75};
+    });
+    EXPECT_NO_THROW(validate_joint_grid("fake engine", l.times, l.rewards,
+                                        good, 0.0, {}));
+  }
+}
+
+TEST(JointResultContract, RejectsDecreaseAlongTheRewardAxis) {
+  ScopedValidation basic(ValidationLevel::kBasic);
+  const Lattice& l = kLattices[1];
+  // Pr{Y_t <= r} shrinking as r grows from 1 to 2, beyond the slack.
+  const Grid shrinking = lattice_of(l.times, l.rewards, [](double r) {
+    return std::vector<double>{r < 2.0 ? 0.5 : 0.4};
+  });
+  EXPECT_THROW(validate_joint_grid("fake engine", l.times, l.rewards,
+                                   shrinking, 1e-9, {}),
                ContractViolation);
-  const std::vector<double> good{0.5, 0.75};
-  EXPECT_NO_THROW(validate_joint_result("fake engine", 1.0, 2.0, good, 0.0, {}));
+  EXPECT_NO_THROW(validate_joint_grid("fake engine", l.times, l.rewards,
+                                      shrinking, 0.2, {}));
 }
 
 TEST(JointResultContract, ParanoidDetectsNonMonotoneEngine) {
   ScopedValidation paranoid(ValidationLevel::kParanoid);
-  const std::vector<double> result{0.5};
-  // A broken engine whose probability *grows* as the reward bound
-  // shrinks: recomputing at r/2 yields 0.9 > 0.5.
-  const auto broken = [&](double rr) {
-    return std::vector<double>{rr < 2.0 ? 0.9 : 0.5};
-  };
-  EXPECT_THROW(validate_joint_result("broken engine", 1.0, 2.0, result,
-                                     /*monotone_slack=*/1e-9, broken),
-               ContractViolation);
-  // A consistent engine: bit-identical at r, smaller at r/2.
-  const auto consistent = [&](double rr) {
-    return std::vector<double>{rr < 2.0 ? 0.25 : 0.5};
-  };
-  EXPECT_NO_THROW(validate_joint_result("consistent engine", 1.0, 2.0, result,
-                                        1e-9, consistent));
+  for (const Lattice& l : kLattices) {
+    const Grid result = lattice_of(l.times, l.rewards, quarter);
+    // A broken engine whose probability *grows* as the reward bound
+    // shrinks: recomputing at the halved bounds yields 0.9 > r / 4.
+    const auto broken = [&](std::span<const double> rr) {
+      return lattice_of(l.times, rr, [&](double r) {
+        return r < l.rewards.front() ? std::vector{0.9} : quarter(r);
+      });
+    };
+    EXPECT_THROW(validate_joint_grid("broken engine", l.times, l.rewards,
+                                     result, /*monotone_slack=*/1e-9, broken),
+                 ContractViolation);
+    // A consistent engine: bit-identical at r, smaller at r/2.
+    const auto consistent = [&](std::span<const double> rr) {
+      return lattice_of(l.times, rr, quarter);
+    };
+    EXPECT_NO_THROW(validate_joint_grid("consistent engine", l.times,
+                                        l.rewards, result, 1e-9, consistent));
+  }
 }
 
 TEST(JointResultContract, ParanoidDetectsSerialParallelDisagreement) {
   ScopedValidation paranoid(ValidationLevel::kParanoid);
-  const std::vector<double> result{0.5};
-  // A nondeterministic engine: the serial recompute at r returns a value
-  // one ulp off — bitwise agreement must fail.
-  const auto flaky = [&](double rr) {
-    return std::vector<double>{rr < 2.0 ? 0.25
-                                        : std::nextafter(0.5, 1.0)};
-  };
-  EXPECT_THROW(
-      validate_joint_result("flaky engine", 1.0, 2.0, result, 1e-9, flaky),
-      ContractViolation);
+  for (const Lattice& l : kLattices) {
+    const Grid result = lattice_of(l.times, l.rewards, quarter);
+    // A nondeterministic engine: the serial recompute at the original
+    // bounds returns the last cell one ulp off — bitwise agreement fails.
+    const auto flaky = [&](std::span<const double> rr) {
+      Grid grid = lattice_of(l.times, rr, quarter);
+      if (rr.back() == l.rewards.back())
+        grid.back()[0] = std::nextafter(grid.back()[0], 1.0);
+      return grid;
+    };
+    EXPECT_THROW(validate_joint_grid("flaky engine", l.times, l.rewards,
+                                     result, 1e-9, flaky),
+                 ContractViolation);
+  }
+}
+
+TEST(JointResultContract, ParanoidCheckerP3QueriesPassOnEveryEngine) {
+  // Integer rewards and d-aligned bounds, so the discretisation engine
+  // applies; the halved bounds (0.75 / d = 24) stay on its grid too.
+  const Mrm model = random_mrm(11, 12, 0.3);
+  const FormulaPtr query = parse_formula("P=? [ a U[0,1]{0,1.5} b ]");
+  // Per engine, a counter of its own sweep work.
+  const std::pair<P3Engine, const char*> engines[] = {
+      {P3Engine::kSericola, "p3/sericola/jump_levels"},
+      {P3Engine::kErlang, "uniformisation/steps"},
+      {P3Engine::kDiscretisation, "p3/discretisation/sweeps"}};
+  for (const auto& [engine, work_counter] : engines) {
+    CheckOptions options;
+    options.engine = engine;
+    options.erlang_phases = 32;
+    options.discretisation_step = 1.0 / 32.0;
+    const Checker checker(model, options);
+    const obs::ScopedRecording rec(true);
+    const auto checked_at = [&](ValidationLevel level, std::uint64_t& work) {
+      ScopedValidation scoped(level);
+      const obs::MetricsSnapshot before = obs::snapshot_metrics();
+      const double value = checker.check(*query).value;
+      work = obs::metrics_delta(before, obs::snapshot_metrics())
+                 .counter(work_counter);
+      return value;
+    };
+    std::uint64_t plain_work = 0;
+    std::uint64_t paranoid_work = 0;
+    const double plain = checked_at(ValidationLevel::kOff, plain_work);
+    double checked = 0.0;
+    ASSERT_NO_THROW(checked =
+                        checked_at(ValidationLevel::kParanoid, paranoid_work))
+        << work_counter;
+    // The postcondition reads the lattice, it never changes it ...
+    EXPECT_EQ(checked, plain) << work_counter;
+#ifndef CSRL_OBS_DISABLED
+    // ... and it really ran both recomputes: serial and at halved bounds.
+    EXPECT_GT(plain_work, 0u) << work_counter;
+    EXPECT_GE(paranoid_work, 3 * plain_work) << work_counter;
+#endif
+  }
 }
 
 TEST(ContractViolationType, IsAnErrorWithContext) {
