@@ -369,17 +369,8 @@ std::vector<double> Checker::until_probabilities(const PathFormula& p) const {
           "until: general time/reward windows are only implemented by the "
           "discretisation engine (set CheckOptions::engine to "
           "kDiscretisation) or the simulator");
-    const DiscretisationEngine engine(options_.discretisation_step);
-    const std::size_t n = model_->num_states();
-    std::vector<double> result(n, 0.0);
-    for (std::size_t s = 0; s < n; ++s) {
-      Mrm from_s(Ctmc(model_->rates()), model_->rewards(),
-                 model_->labelling(), s);
-      if (model_->has_impulse_rewards())
-        from_s = from_s.with_impulses(model_->impulse_rewards());
-      result[s] = engine.interval_until(from_s, phi, psi, time, reward);
-    }
-    return result;
+    return DiscretisationEngine(options_.discretisation_step)
+        .interval_until_all_starts(*model_, phi, psi, time, reward);
   }
   return time_reward_bounded_until(phi, psi, time.hi, reward.hi);
 }

@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "matrix/simd.hpp"
-#include "matrix/spmm.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/workspace.hpp"
@@ -32,14 +30,136 @@ std::size_t sweep_grain(std::size_t width) {
   return std::max<std::size_t>(1, kCellsPerChunk / std::max<std::size_t>(width, 1));
 }
 
+/// The reward rates as grid shifts rho(s), after checking the scheme's
+/// preconditions: natural rates and E(s) d < 1.
+std::vector<std::size_t> reward_shifts(const Mrm& model, double d) {
+  std::vector<std::size_t> rho(model.num_states());
+  for (std::size_t s = 0; s < rho.size(); ++s) {
+    rho[s] = as_natural(model.reward(s), 1e-9, "every reward rate");
+    if (model.chain().exit_rate(s) * d >= 1.0)
+      throw ModelError(
+          "DiscretisationEngine: step too coarse, E(s)*d must stay below 1 "
+          "(state " + std::to_string(s) + ")");
+  }
+  return rho;
+}
+
+/// One transition term of the recursion, filed under the state whose
+/// slice it writes.
+struct Arc {
+  std::size_t state;  // the slice it reads
+  double weight;      // R(from, to) * d
+  std::size_t shift;  // rho(from) + iota(from, to)/d
+};
+
+/// Per-state arc lists.  The forward recursion (`incoming`) gathers into s
+/// from its donors; the adjoint recursions gather into s from its
+/// successors.  With impulse rewards (the Section-6 extension) a firing
+/// additionally displaces the reward index by iota/d, which must
+/// therefore sit on the grid.
+std::vector<std::vector<Arc>> recursion_arcs(const Mrm& model,
+                                             std::span<const std::size_t> rho,
+                                             double d, bool incoming) {
+  const CsrMatrix transposed =
+      incoming ? model.rates().transposed() : CsrMatrix();
+  const CsrMatrix& rows = incoming ? transposed : model.rates();
+  std::vector<std::vector<Arc>> arcs(model.num_states());
+  for (std::size_t s = 0; s < arcs.size(); ++s) {
+    for (const auto& e : rows.row(s)) {
+      const std::size_t from = incoming ? e.col : s;
+      const std::size_t to = incoming ? s : e.col;
+      std::size_t shift = rho[from];
+      if (model.has_impulse_rewards()) {
+        const double iota = model.impulse(from, to);
+        if (iota > 0.0)
+          shift += as_natural(iota / d, 1e-6, "every impulse divided by d");
+      }
+      arcs[s].push_back({e.col, e.value * d, shift});
+    }
+  }
+  return arcs;
+}
+
+/// One step of the recursion over n slices of `width` cells:
+///
+///   next(s, c) = (1 - E(s) d) cur(s, c - rho(s))
+///              + sum_{arcs a of s} a.weight cur(a.state, c - a.shift),
+///
+/// with negative indices contributing zero.  The step gathers into
+/// next[s ..] from `cur` only, so the states partition into independent
+/// chunks with unchanged per-state arithmetic: results are bit-identical
+/// at any thread count.  Each chunk clears its own slice of next to keep
+/// the gather loop free of branches.
+void recursion_step(ThreadPool& workers, const Mrm& model, double d,
+                    std::span<const std::size_t> rho,
+                    const std::vector<std::vector<Arc>>& arcs,
+                    const std::vector<double>& cur, std::vector<double>& next,
+                    std::size_t width) {
+  CSRL_COUNT("p3/discretisation/sweeps", 1);
+  CSRL_HIST_SCOPE("latency/p3_sweep");
+  const std::size_t last = width - 1;
+  workers.parallel_for(0, rho.size(), sweep_grain(width), [&](std::size_t lo,
+                                                              std::size_t hi) {
+    std::fill(next.begin() + static_cast<std::ptrdiff_t>(lo * width),
+              next.begin() + static_cast<std::ptrdiff_t>(hi * width), 0.0);
+    for (std::size_t s = lo; s < hi; ++s) {
+      double* dst = next.data() + s * width;
+      const double stay = 1.0 - model.chain().exit_rate(s) * d;
+      const double* own = cur.data() + s * width;
+      for (std::size_t c = rho[s]; c <= last; ++c)
+        dst[c] = own[c - rho[s]] * stay;
+      for (const Arc& arc : arcs[s]) {
+        const double* src = cur.data() + arc.state * width;
+        for (std::size_t c = arc.shift; c <= last; ++c)
+          dst[c] += src[c - arc.shift] * arc.weight;
+      }
+    }
+  });
+}
+
+/// A live lattice cell on the d-grid: J = t/d steps, K = r/d reward cells.
+struct GridCell {
+  std::size_t slot;
+  std::size_t steps;
+  std::size_t cells;
+};
+
+std::vector<GridCell> grid_cells(std::span<const std::size_t> slots,
+                                 std::span<const double> times,
+                                 std::span<const double> rewards, double d) {
+  std::vector<GridCell> cells;
+  for (std::size_t slot : slots) {
+    cells.push_back({slot,
+                     as_natural(times[slot / rewards.size()] / d, 1e-6, "t/d"),
+                     as_natural(rewards[slot % rewards.size()] / d, 1e-6,
+                                "r/d")});
+    if (cells.back().steps == 0)
+      throw ModelError("DiscretisationEngine: t must be at least one step d");
+  }
+  return cells;
+}
+
+/// The longest horizon and the widest reward index of `cells`, also
+/// recorded as gauges.
+std::pair<std::size_t, std::size_t> grid_extent(
+    std::span<const GridCell> cells) {
+  std::size_t max_steps = 0;
+  std::size_t max_cells = 0;
+  for (const GridCell& cell : cells) {
+    max_steps = std::max(max_steps, cell.steps);
+    max_cells = std::max(max_cells, cell.cells);
+  }
+  CSRL_GAUGE("p3/discretisation/time_steps", static_cast<double>(max_steps));
+  CSRL_GAUGE("p3/discretisation/reward_cells",
+             static_cast<double>(max_cells + 1));
+  return {max_steps, max_cells};
+}
+
 }  // namespace
 
 DiscretisationEngine::DiscretisationEngine(double step,
-                                           std::shared_ptr<ThreadPool> pool,
-                                           std::size_t rhs_block)
-    : JointDistributionEngine(std::move(pool)),
-      step_(step),
-      rhs_block_(resolve_rhs_block(rhs_block)) {
+                                           std::shared_ptr<ThreadPool> pool)
+    : JointDistributionEngine(std::move(pool)), step_(step) {
   if (!(step > 0.0) || !std::isfinite(step))
     throw ModelError("DiscretisationEngine: step must be positive and finite");
 }
@@ -63,186 +183,60 @@ double DiscretisationEngine::monotone_slack(
 std::vector<JointDistribution> DiscretisationEngine::joint_distribution_grid(
     const Mrm& model, std::span<const double> times,
     std::span<const double> rewards) const {
-  std::vector<JointDistribution> grid = std::move(
-      joint_distribution_grid_block({&model, 1}, times, rewards, nullptr)
-          .front());
+  const double d = step_;
+  std::vector<JointDistribution> grid;
+  const std::vector<GridCell> live = grid_cells(
+      peel_trivial_cells(model, times, rewards, grid), times, rewards, d);
+  if (!live.empty()) {
+    CSRL_SPAN("p3/discretisation/joint_distribution_grid");
+    const std::size_t n = model.num_states();
+    const std::vector<std::size_t> rho = reward_shifts(model, d);
+    const auto [max_steps, max_cells] = grid_extent(live);
+
+    // F[s * width + k].  Reward indices above the widest bound can never
+    // come back under it (rewards are non-negative), so those columns are
+    // not tracked at all.
+    const std::size_t width = max_cells + 1;
+    std::vector<double> current(n * width, 0.0);
+    std::vector<double> next(n * width);
+
+    // F^1: one step of duration d from the initial distribution; state s0
+    // has earned reward index rho(s0).
+    for (std::size_t s = 0; s < n; ++s) {
+      const double mass = model.initial_distribution()[s];
+      if (mass != 0.0 && rho[s] <= max_cells)
+        current[s * width + rho[s]] += mass / d;
+    }
+
+    const std::vector<std::vector<Arc>> donors =
+        recursion_arcs(model, rho, d, /*incoming=*/true);
+    ThreadPool& workers = pool();
+    const auto harvest = [&](std::size_t steps_done) {
+      for (const GridCell& cell : live) {
+        if (cell.steps != steps_done) continue;
+        JointDistribution& out = grid[cell.slot];
+        out.per_state.assign(n, 0.0);
+        out.steps = cell.steps;
+        workers.parallel_for(
+            0, n, sweep_grain(width), [&](std::size_t lo, std::size_t hi) {
+              for (std::size_t s = lo; s < hi; ++s) {
+                double acc = 0.0;
+                for (std::size_t k = 0; k <= cell.cells; ++k)
+                  acc += current[s * width + k];
+                out.per_state[s] = acc * d;
+              }
+            });
+      }
+    };
+    harvest(1);
+    for (std::size_t j = 1; j < max_steps; ++j) {
+      recursion_step(workers, model, d, rho, donors, current, next, width);
+      current.swap(next);
+      harvest(j + 1);
+    }
+  }
   validate_grid(model, times, rewards, grid, monotone_slack(model, times));
   return grid;
-}
-
-std::vector<std::vector<JointDistribution>>
-DiscretisationEngine::joint_distribution_grid_block(
-    std::span<const Mrm> models, std::span<const double> times,
-    std::span<const double> rewards, Workspace* workspace) const {
-  const std::size_t lanes = models.size();
-  if (lanes == 0 || lanes > kMaxRhsBlock)
-    throw ModelError(
-        "DiscretisationEngine: lane count must lie in [1, kMaxRhsBlock]");
-  const Mrm& shape = models.front();
-  const std::size_t num_rewards = rewards.size();
-  std::vector<std::vector<JointDistribution>> result(lanes);
-
-  // Triviality is decided by (t, r) and the shared rates/rewards alone
-  // (engine.cpp), so the live set is lane-independent; only the trivial
-  // *results* differ per lane (each consults its own initial
-  // distribution).
-  std::vector<std::size_t> live_slots;
-  for (std::size_t b = 0; b < lanes; ++b)
-    live_slots = peel_trivial_cells(models[b], times, rewards, result[b]);
-  struct Live {
-    std::size_t slot;
-    std::size_t total_steps;
-    std::size_t reward_cells;
-  };
-  std::vector<Live> live;
-  const double d = step_;
-  for (std::size_t slot : live_slots) {
-    const double t = times[slot / num_rewards];
-    const double r = rewards[slot % num_rewards];
-    live.push_back(
-        {slot, as_natural(t / d, 1e-6, "t/d"), as_natural(r / d, 1e-6, "r/d")});
-    if (live.back().total_steps == 0)
-      throw ModelError("DiscretisationEngine: t must be at least one step d");
-  }
-  if (live.empty()) return result;
-
-  CSRL_SPAN("p3/discretisation/joint_distribution_grid");
-  const std::size_t n = shape.num_states();
-  std::vector<std::size_t> rho(n);
-  for (std::size_t s = 0; s < n; ++s)
-    rho[s] = as_natural(shape.reward(s), 1e-9, "every reward rate");
-  for (std::size_t s = 0; s < n; ++s)
-    if (shape.chain().exit_rate(s) * d >= 1.0)
-      throw ModelError(
-          "DiscretisationEngine: step too coarse, E(s)*d must stay below 1 "
-          "(state " + std::to_string(s) + ")");
-
-  std::size_t max_steps = 0;
-  std::size_t max_cells = 0;
-  for (const Live& pt : live) {
-    max_steps = std::max(max_steps, pt.total_steps);
-    max_cells = std::max(max_cells, pt.reward_cells);
-  }
-
-  // One lane-interleaved pair of F arrays: lane b's cell (s, k) lives at
-  // (s * width + k) * lanes + b, so the lane loops below are contiguous
-  // (and SIMD-safe: lanes never mix, each performs its own single-start
-  // arithmetic in the same order).  Reward indices above the widest bound
-  // can never come back under it (rewards are non-negative), so those
-  // columns are not tracked at all.
-  const std::size_t width = max_cells + 1;
-  CSRL_GAUGE("p3/discretisation/time_steps", static_cast<double>(max_steps));
-  CSRL_GAUGE("p3/discretisation/reward_cells", static_cast<double>(width));
-  Workspace::LoopGuard guard(workspace);
-  Workspace::Lease current_lease(workspace, n * width * lanes);
-  Workspace::Lease next_lease(workspace, n * width * lanes);
-  std::vector<double>& current = current_lease.get();
-  std::vector<double>& next = next_lease.get();
-  current.assign(n * width * lanes, 0.0);
-  next.assign(n * width * lanes, 0.0);
-
-  // F^1: one step of duration d from each lane's initial distribution;
-  // state s0 has earned reward index rho(s0).
-  for (std::size_t b = 0; b < lanes; ++b) {
-    const std::vector<double>& initial = models[b].initial_distribution();
-    for (std::size_t s = 0; s < n; ++s) {
-      const double mass = initial[s];
-      if (mass == 0.0) continue;
-      if (rho[s] <= max_cells)
-        current[(s * width + rho[s]) * lanes + b] += mass / d;
-    }
-  }
-
-  // Incoming transitions drive the second summand; iterate over the
-  // transposed rate matrix so each new cell gathers its donors.  With
-  // impulse rewards (the Section-6 extension) a firing additionally
-  // displaces the reward index by iota/d, which must therefore sit on the
-  // grid.
-  const CsrMatrix incoming = shape.rates().transposed();
-  struct Donor {
-    std::size_t state;
-    double weight;      // R(donor, s) * d
-    std::size_t shift;  // rho(donor) + iota(donor, s)/d
-  };
-  std::vector<std::vector<Donor>> donors(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    for (const auto& e : incoming.row(s)) {
-      std::size_t shift = rho[e.col];
-      if (shape.has_impulse_rewards()) {
-        const double iota = shape.impulse(e.col, s);
-        if (iota > 0.0)
-          shift += as_natural(iota / d, 1e-6, "every impulse divided by d");
-      }
-      donors[s].push_back({e.col, e.value * d, shift});
-    }
-  }
-
-  ThreadPool& workers = pool();
-  const std::size_t grain = sweep_grain(width * lanes);
-
-  const auto harvest = [&](std::size_t steps_done) {
-    for (const Live& pt : live) {
-      if (pt.total_steps != steps_done) continue;
-      JointDistribution* outs[kMaxRhsBlock];
-      for (std::size_t b = 0; b < lanes; ++b) {
-        outs[b] = &result[b][pt.slot];
-        outs[b]->per_state.assign(n, 0.0);
-        outs[b]->steps = pt.total_steps;
-      }
-      workers.parallel_for(0, n, grain, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t s = lo; s < hi; ++s) {
-          double acc[kMaxRhsBlock] = {};
-          for (std::size_t k = 0; k <= pt.reward_cells; ++k) {
-            const double* c = current.data() + (s * width + k) * lanes;
-            CSRL_PRAGMA_SIMD
-            for (std::size_t b = 0; b < lanes; ++b) acc[b] += c[b];
-          }
-          for (std::size_t b = 0; b < lanes; ++b)
-            outs[b]->per_state[s] = acc[b] * d;
-        }
-      });
-    }
-  };
-
-  // The sweep gathers into next[s ..] from current[] only, so the states
-  // partition into independent chunks with unchanged per-state arithmetic:
-  // results are bit-identical at any thread count.  Each chunk clears its
-  // own slice of next to keep the gather loop free of branches.
-  harvest(1);
-  for (std::size_t j = 1; j < max_steps; ++j) {
-    CSRL_COUNT("p3/discretisation/sweeps", 1);
-    CSRL_HIST_SCOPE("latency/p3_sweep");
-    workers.parallel_for(0, n, grain, [&](std::size_t lo, std::size_t hi) {
-      std::fill(
-          next.begin() + static_cast<std::ptrdiff_t>(lo * width * lanes),
-          next.begin() + static_cast<std::ptrdiff_t>(hi * width * lanes), 0.0);
-      for (std::size_t s = lo; s < hi; ++s) {
-        const double stay = 1.0 - shape.chain().exit_rate(s) * d;
-        const std::size_t shift = rho[s];
-        for (std::size_t k = shift; k <= max_cells; ++k) {
-          const double* src = current.data() + (s * width + (k - shift)) * lanes;
-          double* dst = next.data() + (s * width + k) * lanes;
-          CSRL_PRAGMA_SIMD
-          for (std::size_t b = 0; b < lanes; ++b) dst[b] = src[b] * stay;
-        }
-        for (const Donor& donor : donors[s]) {
-          for (std::size_t k = donor.shift; k <= max_cells; ++k) {
-            const double* src =
-                current.data() +
-                (donor.state * width + (k - donor.shift)) * lanes;
-            double* dst = next.data() + (s * width + k) * lanes;
-            CSRL_PRAGMA_SIMD
-            for (std::size_t b = 0; b < lanes; ++b)
-              dst[b] += src[b] * donor.weight;
-          }
-        }
-      }
-    });
-    current.swap(next);
-    harvest(j + 1);
-  }
-  CSRL_COUNT("p3/discretisation/allocs_in_loop", guard.heap_allocations());
-  return result;
 }
 
 std::vector<std::vector<double>>
@@ -252,41 +246,56 @@ DiscretisationEngine::joint_probability_all_starts_grid(
   const std::size_t n = model.num_states();
   if (target.size() != n)
     throw ModelError("joint_probability_all_starts: universe mismatch");
-  CSRL_SPAN("p3/discretisation/all_starts_grid");
-  std::vector<std::vector<double>> grid(times.size() * rewards.size(),
-                                        std::vector<double>(n, 0.0));
-  // Each group of up to rhs_block_ start states shares one lane-
-  // interleaved sweep (joint_distribution_grid_block), bitwise identical
-  // per lane to a one-start run; one arena serves every group, so only the
-  // first one allocates the sweep arrays.
-  Workspace start_workspace;
-  std::vector<Mrm> group;
-  group.reserve(std::min(rhs_block_, n));
-  for (std::size_t s0 = 0; s0 < n; s0 += rhs_block_) {
-    const std::size_t lanes = std::min(rhs_block_, n - s0);
-    group.clear();
-    for (std::size_t b = 0; b < lanes; ++b) {
-      Mrm from_s(Ctmc(model.rates()), model.rewards(), model.labelling(),
-                 s0 + b);
-      if (model.has_impulse_rewards())
-        from_s = from_s.with_impulses(model.impulse_rewards());
-      group.push_back(std::move(from_s));
+  const double d = step_;
+  std::vector<std::vector<double>> grid;
+  const std::vector<GridCell> live = grid_cells(
+      peel_trivial_cells(model, times, rewards, target, grid), times, rewards,
+      d);
+  if (!live.empty()) {
+    CSRL_SPAN("p3/discretisation/all_starts_grid");
+    const std::vector<std::size_t> rho = reward_shifts(model, d);
+    const auto [max_steps, max_budget] = grid_extent(live);
+
+    // H[s * width + b], b the remaining reward budget in cells.
+    const std::size_t width = max_budget + 1;
+    Workspace workspace;
+    Workspace::Lease current_lease(&workspace, n * width);
+    Workspace::Lease next_lease(&workspace, n * width);
+    std::vector<double>& current = current_lease.get();
+    std::vector<double>& next = next_lease.get();
+    for (std::size_t s = 0; s < n; ++s)
+      std::fill_n(current.begin() + static_cast<std::ptrdiff_t>(s * width),
+                  width, target.contains(s) ? 1.0 : 0.0);
+
+    const std::vector<std::vector<Arc>> successors =
+        recursion_arcs(model, rho, d, /*incoming=*/false);
+    const auto read_out = [&](std::size_t steps_done) {
+      for (const GridCell& cell : live) {
+        if (cell.steps != steps_done + 1) continue;
+        std::vector<double>& out = grid[cell.slot];
+        out.assign(n, 0.0);
+        for (std::size_t s = 0; s < n; ++s)
+          if (rho[s] <= cell.cells)
+            out[s] = current[s * width + (cell.cells - rho[s])];
+      }
+    };
+    read_out(0);
+    Workspace::LoopGuard guard(&workspace);
+    for (std::size_t m = 1; m < max_steps; ++m) {
+      recursion_step(pool(), model, d, rho, successors, current, next, width);
+      current.swap(next);
+      read_out(m);
     }
-    const std::vector<std::vector<JointDistribution>> per_lane =
-        joint_distribution_grid_block(group, times, rewards, &start_workspace);
-    for (std::size_t b = 0; b < lanes; ++b)
-      for (std::size_t g = 0; g < grid.size(); ++g)
-        grid[g][s0 + b] = per_lane[b][g].probability_in(target);
+    CSRL_COUNT("p3/discretisation/allocs_in_loop", guard.heap_allocations());
   }
   validate_grid(model, times, rewards, target, grid,
                 monotone_slack(model, times));
   return grid;
 }
 
-double DiscretisationEngine::interval_until(const Mrm& model,
-                                            const StateSet& phi,
-                                            const StateSet& psi, Interval time,
-                                            Interval reward) const {
+std::vector<double> DiscretisationEngine::interval_until_all_starts(
+    const Mrm& model, const StateSet& phi, const StateSet& psi, Interval time,
+    Interval reward) const {
   const std::size_t n = model.num_states();
   if (phi.size() != n || psi.size() != n)
     throw ModelError("interval_until: universe size mismatch");
@@ -298,99 +307,65 @@ double DiscretisationEngine::interval_until(const Mrm& model,
   CSRL_SPAN("p3/discretisation/interval_until");
 
   const double d = step_;
-  std::vector<std::size_t> rho(n);
-  for (std::size_t s = 0; s < n; ++s)
-    rho[s] = as_natural(model.reward(s), 1e-9, "every reward rate");
+  const std::vector<std::size_t> rho = reward_shifts(model, d);
   const std::size_t t_hi = as_natural(time.hi / d, 1e-6, "t2/d");
   const std::size_t t_lo = as_natural(time.lo / d, 1e-6, "t1/d");
   const std::size_t r_hi = as_natural(reward.hi / d, 1e-6, "r2/d");
   const std::size_t r_lo = as_natural(reward.lo / d, 1e-6, "r1/d");
-  for (std::size_t s = 0; s < n; ++s)
-    if (model.chain().exit_rate(s) * d >= 1.0)
-      throw ModelError(
-          "interval_until: step too coarse, E(s)*d must stay below 1");
 
-  // Mass classification helpers.  Both grid coordinates only grow along a
-  // path, so "past either window" means the mass can never qualify.
-  const auto in_windows = [&](std::size_t j, std::size_t k) {
-    return j >= t_lo && j <= t_hi && k >= r_lo && k <= r_hi;
-  };
-
+  // V[s * width + b]: the probability of eventually qualifying from state
+  // s at the current grid instant with remaining budget b = r2/d - k.
+  // Beyond t2 nothing qualifies, so the run starts from V = 0.
   const std::size_t width = r_hi + 1;
   std::vector<double> current(n * width, 0.0);
-  std::vector<double> next(n * width, 0.0);
-  const auto cell = [width](std::vector<double>& f, std::size_t s,
-                            std::size_t k) -> double& {
-    return f[s * width + k];
-  };
+  std::vector<double> next(n * width);
 
-  double success = 0.0;  // accumulated probability mass (not density)
-
-  // Harvest pass at grid instant j: satisfied mass leaves the grid, mass
-  // stuck in states that cannot carry the path onward is dropped (fail).
-  const auto classify = [&](std::vector<double>& f, std::size_t j) {
-    for (std::size_t s = 0; s < n; ++s) {
-      const bool is_psi = psi.contains(s);
-      const bool is_phi = phi.contains(s);
-      for (std::size_t k = 0; k <= r_hi; ++k) {
-        double& mass = cell(f, s, k);
-        if (mass == 0.0) continue;
-        if (is_psi && in_windows(j, k)) {
-          success += mass * d;
-          mass = 0.0;
-        } else if (!is_phi) {
-          // Neither satisfied here nor able to continue: the paths die.
-          mass = 0.0;
-        }
-      }
-    }
-  };
-
-  // Grid instant 0: the initial distribution as densities (mass / d).
-  for (std::size_t s = 0; s < n; ++s) {
-    const double mass = model.initial_distribution()[s];
-    if (mass > 0.0) cell(current, s, 0) += mass / d;
-  }
-  classify(current, 0);
-
-  // Propagation parallelises exactly like joint_distribution_grid_block's
-  // sweep (each
-  // state's slice of `next` has one writer).  The classify pass stays
-  // serial: it folds `success` in a fixed (s, k) order, and keeping that
-  // fold sequential preserves bit-identical answers at every thread count.
-  const CsrMatrix incoming = model.rates().transposed();
+  // The harvest/fail classification at grid instant j is a pointwise
+  // map: a Psi-state inside both windows (k >= r1 is b <= r2/d - r1/d)
+  // qualifies, any other !Phi-state is dead.  Each state's slice has one
+  // writer, so the pass is chunked like the step itself.
   ThreadPool& workers = pool();
-  const std::size_t grain = sweep_grain(width);
-  for (std::size_t j = 1; j <= t_hi; ++j) {
-    CSRL_COUNT("p3/discretisation/sweeps", 1);
-    CSRL_HIST_SCOPE("latency/p3_sweep");
-    workers.parallel_for(0, n, grain, [&](std::size_t lo, std::size_t hi) {
-      std::fill(next.begin() + static_cast<std::ptrdiff_t>(lo * width),
-                next.begin() + static_cast<std::ptrdiff_t>(hi * width), 0.0);
+  const auto classify = [&](std::size_t j) {
+    const bool time_open = j >= t_lo;
+    workers.parallel_for(0, n, sweep_grain(width), [&](std::size_t lo,
+                                                       std::size_t hi) {
       for (std::size_t s = lo; s < hi; ++s) {
-        const double stay = 1.0 - model.chain().exit_rate(s) * d;
-        const std::size_t shift = rho[s];
-        for (std::size_t k = shift; k <= r_hi; ++k)
-          cell(next, s, k) = cell(current, s, k - shift) * stay;
-        for (const auto& e : incoming.row(s)) {
-          const std::size_t donor = e.col;
-          std::size_t donor_shift = rho[donor];
-          if (model.has_impulse_rewards()) {
-            const double iota = model.impulse(donor, s);
-            if (iota > 0.0)
-              donor_shift +=
-                  as_natural(iota / d, 1e-6, "every impulse divided by d");
-          }
-          const double weight = e.value * d;
-          for (std::size_t k = donor_shift; k <= r_hi; ++k)
-            cell(next, s, k) += cell(current, donor, k - donor_shift) * weight;
-        }
+        double* v = current.data() + s * width;
+        std::size_t harvested = 0;  // budgets [0, harvested) qualify
+        if (psi.contains(s) && time_open && r_lo <= r_hi)
+          harvested = r_hi - r_lo + 1;
+        std::fill_n(v, harvested, 1.0);
+        if (!phi.contains(s)) std::fill(v + harvested, v + width, 0.0);
       }
     });
+  };
+
+  const std::vector<std::vector<Arc>> successors =
+      recursion_arcs(model, rho, d, /*incoming=*/false);
+  classify(t_hi);
+  for (std::size_t j = t_hi; j-- > 0;) {
+    recursion_step(workers, model, d, rho, successors, current, next, width);
     current.swap(next);
-    classify(current, j);
+    classify(j);
   }
-  return std::min(success, 1.0);
+
+  // Reading at budget r2/d is reading absolute reward 0.
+  std::vector<double> result(n);
+  for (std::size_t s = 0; s < n; ++s)
+    result[s] = std::min(current[s * width + r_hi], 1.0);
+  return result;
+}
+
+double DiscretisationEngine::interval_until(const Mrm& model,
+                                            const StateSet& phi,
+                                            const StateSet& psi, Interval time,
+                                            Interval reward) const {
+  const std::vector<double> per_start =
+      interval_until_all_starts(model, phi, psi, time, reward);
+  double value = 0.0;
+  for (std::size_t s = 0; s < per_start.size(); ++s)
+    value += model.initial_distribution()[s] * per_start[s];
+  return std::min(value, 1.0);
 }
 
 }  // namespace csrl

@@ -15,13 +15,28 @@
 // in the d -> 0 limit).  Negative reward indices denote impossible
 // configurations and contribute zero.
 //
-// After T = t/d iterations,
+// After J = t/d iterations,
 //
-//   Pr{Y_t <= r, X_t in S'}  ~  sum_{s in S'} sum_{k=0}^{R} F^T(s, k) d,
+//   Pr{Y_t <= r, X_t in S'}  ~  sum_{s in S'} sum_{k=0}^{K} F^J(s, k) d,
 //
-// with R = r/d.  We include k = 0 in the sum (the paper starts at k = 1):
+// with K = r/d.  We include k = 0 in the sum (the paper starts at k = 1):
 // the k = 0 column carries the probability *atom* of paths that only ever
 // visited zero-reward states, which is genuinely part of {Y_t <= r}.
+//
+// The scheme is linear in F^1 (the initial distribution), so the value
+// from *every* start state comes out of one run of the transposed
+// recursion on a remaining-reward-budget axis b:
+//
+//   H^0(s, b)     = 1_{S'}(s)                                    (b >= 0)
+//   H^{m+1}(s, b) = (1 - E(s) d) H^m(s, b - rho(s))
+//                 + sum_{s'} R(s, s') d H^m(s', b - rho(s) - iota(s, s')/d)
+//
+//   Pr_s{Y_t <= r, X_t in S'}  ~  H^{J-1}(s, K - rho(s))   (0 if rho(s) > K).
+//
+// (The forward harvest's factor d and the initial density's 1/d cancel.)
+// H^0 does not depend on K, and H^{m+1} reads budgets <= b only, so one
+// run to the largest budget and the longest horizon serves a whole
+// lattice: cell (t_i, r_j) is read at step J_i - 1, budget K_j - rho(s).
 //
 // Preconditions (as in the paper): every reward rate is a natural number
 // (rational rewards must be pre-scaled by the caller), t and r are
@@ -35,44 +50,47 @@
 
 namespace csrl {
 
-class Workspace;
-
 /// Section 4.3's engine.  `step` is the discretisation step d.  The
-/// per-state recurrence sweep runs on `pool` (nullptr = the shared pool);
-/// results are bit-identical at any thread count because each state's row
-/// of F is written by exactly one chunk.  `rhs_block` is the multi-start
-/// block width (TransientOptions::rhs_block semantics: 0 = automatic via
-/// CSRL_RHS_BLOCK / kDefaultRhsBlock, 1 disables): the all-starts grid
-/// path propagates up to that many start states' F recursions through one
-/// lane-interleaved sweep instead of one full sweep per start state,
-/// bitwise identical per lane to the one-start runs.
+/// per-state recurrence sweeps run on `pool` (nullptr = the shared pool);
+/// results are bit-identical at any thread count because each state's
+/// slice of F (or H) is written by exactly one chunk.
 class DiscretisationEngine : public JointDistributionEngine {
  public:
   explicit DiscretisationEngine(double step,
-                                std::shared_ptr<ThreadPool> pool = nullptr,
-                                std::size_t rhs_block = 0);
+                                std::shared_ptr<ThreadPool> pool = nullptr);
 
   /// General-window until (the paper's Section-6 outlook: "time- and
-  /// reward intervals of a more general nature"): the probability, from
-  /// the model's initial distribution, of
+  /// reward intervals of a more general nature"): for every start state s,
+  /// the probability of
   ///
   ///     Phi U^{[t1,t2]}_{[r1,r2]} Psi
   ///
-  /// with all four bounds arbitrary (upper bounds finite).  The joint
-  /// time/reward grid makes this a natural extension of the Tijms-Veldman
-  /// scheme: mass flows as usual through Phi-states, arrivals in
-  /// (Psi & !Phi)-states are classified on the spot, mass sitting in
-  /// (Psi & Phi)-states is harvested as soon as both windows are open,
-  /// and mass whose reward exceeds r2 (or whose clock exceeds t2) can
-  /// never qualify again because both coordinates are monotone.
-  /// Error O(d), like the joint distribution.  Impulse rewards supported.
+  /// with all four bounds arbitrary (upper bounds finite).  Forward, mass
+  /// flows as usual through Phi-states, arrivals in (Psi & !Phi)-states are
+  /// classified on the spot, mass sitting in (Psi & Phi)-states is
+  /// harvested as soon as both windows are open, and mass whose reward
+  /// exceeds r2 (or whose clock exceeds t2) can never qualify again
+  /// because both coordinates are monotone.  This runs the transposed
+  /// recursion from t2 back to 0 on the budget axis b = r2/d - k, where
+  /// the same classification becomes a pointwise map (harvest: value 1;
+  /// dead: value 0), and reads each state's value at (s, b = r2/d), i.e.
+  /// absolute reward 0.  One run answers every start state.  Error O(d),
+  /// like the joint distribution.  Impulse rewards supported.
   /// Cross-validated against the Monte-Carlo simulator, which implements
   /// the same semantics by an unrelated method.
+  std::vector<double> interval_until_all_starts(const Mrm& model,
+                                                const StateSet& phi,
+                                                const StateSet& psi,
+                                                Interval time,
+                                                Interval reward) const;
+
+  /// The same probability from the model's initial distribution alpha:
+  /// alpha . interval_until_all_starts.
   double interval_until(const Mrm& model, const StateSet& phi,
                         const StateSet& psi, Interval time,
                         Interval reward) const;
 
-  /// Batched lattice evaluation.  Column k of F^{j+1} depends only on
+  /// Forward lattice evaluation.  Column k of F^{j+1} depends only on
   /// columns <= k of F^j (reward shifts are non-negative), so one sweep
   /// over a grid wide enough for the largest reward bound leaves every
   /// lower column bit-identical to a narrower run; each grid point is
@@ -82,11 +100,8 @@ class DiscretisationEngine : public JointDistributionEngine {
       const Mrm& model, std::span<const double> times,
       std::span<const double> rewards) const override;
 
-  /// Per-start-state form.  The scheme propagates a density forward from
-  /// one initial distribution, so every start state needs its own F
-  /// recursion; groups of up to rhs_block start states share one
-  /// lane-interleaved sweep.  The paper (like the forward form) evaluates
-  /// single-initial-state queries only.
+  /// All-start-states lattice: one run of the adjoint recursion H (see the
+  /// file comment) to (max t, max r), read out at every lattice cell.
   std::vector<std::vector<double>> joint_probability_all_starts_grid(
       const Mrm& model, std::span<const double> times,
       std::span<const double> rewards, const StateSet& target) const override;
@@ -96,26 +111,10 @@ class DiscretisationEngine : public JointDistributionEngine {
   double step() const { return step_; }
 
  private:
-  /// The Tijms-Veldman sweep.  All `models` share rates, rewards and
-  /// labelling and differ only in their initial distribution (one lane per
-  /// start state in joint_probability_all_starts_grid, a single lane in
-  /// joint_distribution_grid); one sweep carries models.size()
-  /// lane-interleaved copies of the F recursion (F[(s * width + k) * L + b]
-  /// is lane b's cell), so the model-dependent factors stream once per
-  /// step instead of once per start.  Per lane the recursion performs the
-  /// identical per-cell arithmetic of a one-lane run, so result[b] does
-  /// not depend on which lanes share the sweep.  The F arrays are leased
-  /// from `workspace` (nullptr: plain vectors); models.size() must lie in
-  /// [1, kMaxRhsBlock].
-  std::vector<std::vector<JointDistribution>> joint_distribution_grid_block(
-      std::span<const Mrm> models, std::span<const double> times,
-      std::span<const double> rewards, Workspace* workspace) const;
-
   /// Reward-monotonicity slack of the grid postcondition.
   double monotone_slack(const Mrm& model, std::span<const double> times) const;
 
   double step_;
-  std::size_t rhs_block_;  // resolved effective width, in [1, kMaxRhsBlock]
 };
 
 }  // namespace csrl

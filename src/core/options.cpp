@@ -22,11 +22,11 @@ std::unique_ptr<JointDistributionEngine> make_engine(const CheckOptions& options
   CSRL_SPAN("core/make_engine");
   CSRL_COUNT("engine/instantiations", 1);
 
-  // Every engine receives the multi-RHS block width: Sericola and the
-  // discretisation scheme take it directly (their grid paths block the
-  // coefficient products / start-state sweeps), the pseudo-Erlang engine
-  // inherits it through TransientOptions (its batched uniformisation runs
-  // block the per-horizon accumulators and multi-start groups).
+  // Sericola takes the multi-RHS block width directly (its grid path
+  // blocks the coefficient products); the pseudo-Erlang engine inherits it
+  // through TransientOptions (its batched uniformisation runs block the
+  // per-horizon accumulators and multi-start groups).  The discretisation
+  // engine answers every start state in one adjoint run and has no lanes.
   switch (options.engine) {
     case P3Engine::kSericola:
       return std::make_unique<SericolaEngine>(options.sericola_epsilon,
@@ -34,8 +34,7 @@ std::unique_ptr<JointDistributionEngine> make_engine(const CheckOptions& options
                                               options.transient.rhs_block);
     case P3Engine::kDiscretisation:
       return std::make_unique<DiscretisationEngine>(
-          options.discretisation_step, std::move(pool),
-          options.transient.rhs_block);
+          options.discretisation_step, std::move(pool));
     case P3Engine::kErlang:
       return std::make_unique<ErlangEngine>(options.erlang_phases,
                                             options.transient, std::move(pool));

@@ -38,9 +38,8 @@ struct CheckOptions {
 
   /// Transient-analysis controls for time-bounded until (P1) and the
   /// duality-based reward-bounded until (P2).  `transient.rhs_block` also
-  /// sets the multi-RHS SpMM block width of every P3 engine (the Sericola
-  /// coefficient products, the discretisation engine's multi-start
-  /// sweeps, the pseudo-Erlang batched accumulators): 0 = automatic
+  /// sets the multi-RHS SpMM block width of the Sericola coefficient
+  /// products and the pseudo-Erlang batched accumulators: 0 = automatic
   /// (CSRL_RHS_BLOCK, else 8), 1 disables blocking; results are bitwise
   /// identical at every width.
   TransientOptions transient{};

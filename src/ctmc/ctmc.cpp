@@ -14,7 +14,7 @@ namespace {
 /// Contract helper: every row of `m` sums to 1 within `tol` with
 /// non-negative entries.  (The full Validator lives in core/validate and
 /// cannot be used from this layer.)
-bool rows_stochastic(const CsrMatrix& m, double tol) {
+[[maybe_unused]] bool rows_stochastic(const CsrMatrix& m, double tol) {
   for (std::size_t r = 0; r < m.rows(); ++r) {
     double sum = 0.0;
     for (const auto& e : m.row(r)) {

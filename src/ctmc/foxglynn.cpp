@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <deque>
+#include <string>
 
 #include "obs/obs.hpp"
 #include "util/contracts.hpp"
@@ -40,6 +41,16 @@ PoissonWeights poisson_weights(double lambda_t, double epsilon) {
     throw NumericalError("poisson_weights: negative lambda*t");
   if (!(epsilon > 0.0 && epsilon < 1.0))
     throw NumericalError("poisson_weights: epsilon must be in (0, 1)");
+  // The window walks integer indices outward from floor(lambda_t).  Above
+  // 2^53 doubles no longer hold every integer, so that walk is inexact
+  // (and past 2^64 the size_t conversion is undefined): refuse instead of
+  // returning a window with the wrong mass.
+  constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+  if (lambda_t > kMaxExactInteger)
+    throw NumericalError("poisson_weights: lambda*t = " +
+                         std::to_string(lambda_t) +
+                         " exceeds 2^53; the time bound is too large for "
+                         "uniformisation");
 
   CSRL_SPAN("ctmc/foxglynn/window");
   PoissonWeights result;

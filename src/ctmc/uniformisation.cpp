@@ -18,8 +18,8 @@ namespace csrl {
 namespace {
 
 /// Contract helper: all entries of `v` finite and inside [-tol, cap+tol].
-bool within_probability_bounds(std::span<const double> v, double cap,
-                               double tol) {
+[[maybe_unused]] bool within_probability_bounds(std::span<const double> v,
+                                                double cap, double tol) {
   for (double x : v)
     if (!std::isfinite(x) || x < -tol || x > cap + tol) return false;
   return true;

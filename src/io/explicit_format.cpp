@@ -105,9 +105,15 @@ Mrm load_mrm(const std::string& prefix) {
     for_each_line(in, [&](const std::string& line, std::size_t number) {
       std::istringstream fields(line);
       if (!header_seen) {
-        std::size_t declared_transitions = 0;
-        if (!(fields >> num_states >> declared_transitions))
+        // Signed reads: `>> std::size_t` would wrap "-1" to 2^64 - 1.
+        long long declared_states = 0;
+        long long declared_transitions = 0;
+        if (!(fields >> declared_states >> declared_transitions))
           malformed(path, number, "expected '<#states> <#transitions>' header");
+        if (declared_states < 0 || declared_transitions < 0)
+          malformed(path, number,
+                    "state and transition counts must be non-negative");
+        num_states = static_cast<std::size_t>(declared_states);
         rates_storage = CsrBuilder(num_states, num_states);
         rates = &rates_storage;
         header_seen = true;

@@ -6,14 +6,17 @@
 // checked here against joint_grid_reference(), which loops the 1 x 1
 // lattices — the acceptance bar is a >= 5x reduction in SpMV invocations
 // for a 10 x 10 grid on the paper's Q3 model.  The discretisation
-// lattices are diffed against the plain single-start Tijms-Veldman sweep
-// of tijms_veldman_oracle.hpp instead.  On top sit
+// lattices are diffed against the plain forward Tijms-Veldman sweeps of
+// tijms_veldman_oracle.hpp instead: bitwise for the forward grid, to
+// 1e-12 for the adjoint all-starts shapes.  On top sit
 // the BatchQuery/BatchResult checker API (diffed against per-point
 // formula evaluation) and the SatCache memo (hit/miss accounting,
 // sharing across checkers, fingerprint scoping across models).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -28,6 +31,7 @@
 #include "core/engines/sericola_engine.hpp"
 #include "logic/parser.hpp"
 #include "models/adhoc.hpp"
+#include "models/synthetic.hpp"
 #include "obs/obs.hpp"
 #include "tijms_veldman_oracle.hpp"
 #include "util/error.hpp"
@@ -171,7 +175,52 @@ TEST(BatchGridDiscretisation, LatticeDistributionsBitwiseEqualPointLoop) {
   }
 }
 
-TEST(BatchGridDiscretisation, AllStartsLatticeBitwiseEqualsPointLoop) {
+/// Largest |a - b| over two lattices of equal shape.
+double max_abs_diff(const std::vector<std::vector<double>>& a,
+                    const std::vector<std::vector<double>>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  double worst = 0.0;
+  for (std::size_t g = 0; g < std::min(a.size(), b.size()); ++g) {
+    EXPECT_EQ(a[g].size(), b[g].size()) << "lattice point " << g;
+    for (std::size_t s = 0; s < std::min(a[g].size(), b[g].size()); ++s)
+      worst = std::max(worst, std::abs(a[g][s] - b[g][s]));
+  }
+  return worst;
+}
+
+/// The forward single-start oracle looped over a lattice.
+std::vector<std::vector<double>> oracle_all_starts_grid(
+    const Mrm& model, double d, const std::vector<double>& times,
+    const std::vector<double>& rewards, const StateSet& target) {
+  std::vector<std::vector<double>> grid;
+  for (double t : times)
+    for (double r : rewards)
+      grid.push_back(oracle::tijms_veldman_all_starts(model, d, t, r, target));
+  return grid;
+}
+
+/// random_mrm with an impulse of 0.25 or 0.5 on two of every three arcs.
+Mrm random_impulse_mrm() {
+  const Mrm base = random_mrm(17, 30, 0.1);
+  CsrBuilder impulses(base.num_states(), base.num_states());
+  for (std::size_t s = 0; s < base.num_states(); ++s)
+    for (const auto& e : base.rates().row(s))
+      if ((s + e.col) % 3 != 0)
+        impulses.add(s, e.col, 0.25 * static_cast<double>((s + e.col) % 3));
+  return base.with_impulses(impulses.build());
+}
+
+/// Largest power-of-two step keeping E(s) * d < 1 on `model`.
+double stable_step(const Mrm& model) {
+  double d = 1.0;
+  while (model.chain().max_exit_rate() * d >= 0.9) d /= 2.0;
+  return d;
+}
+
+// The all-starts lattice runs the adjoint recursion once; the oracle runs
+// one forward sweep per start state and lattice point.  The two sum the
+// same terms in a different order, so they agree to rounding, not bits.
+TEST(BatchGridDiscretisation, AllStartsLatticeMatchesForwardOracle) {
   const Mrm model = build_q3_reduced_mrm();
   const double d = 1.0 / 32.0;
   const std::vector<double> times{4.0, 8.0};
@@ -181,12 +230,49 @@ TEST(BatchGridDiscretisation, AllStartsLatticeBitwiseEqualsPointLoop) {
   const std::vector<std::vector<double>> batched =
       engine.joint_probability_all_starts_grid(model, times, rewards,
                                                q3_success_target());
-  std::vector<std::vector<double>> looped;
-  for (double t : times)
-    for (double r : rewards)
-      looped.push_back(oracle::tijms_veldman_all_starts(model, d, t, r,
-                                                        q3_success_target()));
-  EXPECT_TRUE(bitwise_equal(batched, looped));
+  EXPECT_LE(max_abs_diff(batched, oracle_all_starts_grid(model, d, times,
+                                                         rewards,
+                                                         q3_success_target())),
+            1e-12);
+}
+
+TEST(BatchGridDiscretisation, ImpulseAllStartsLatticeMatchesForwardOracle) {
+  const Mrm model = random_impulse_mrm();
+  ASSERT_TRUE(model.has_impulse_rewards());
+  const StateSet& target = model.labelling().states_with("b");
+  const double d = stable_step(model);
+  const std::vector<double> times{16.0 * d, 32.0 * d};
+  const std::vector<double> rewards{24.0 * d, 48.0 * d};
+  const DiscretisationEngine engine(d);
+
+  const std::vector<std::vector<double>> batched =
+      engine.joint_probability_all_starts_grid(model, times, rewards, target);
+  EXPECT_LE(
+      max_abs_diff(batched,
+                   oracle_all_starts_grid(model, d, times, rewards, target)),
+      1e-12);
+}
+
+TEST(BatchGridDiscretisation, IntervalUntilAllStartsMatchesForwardOracle) {
+  for (const Mrm& model : {random_mrm(23, 30, 0.1), random_impulse_mrm()}) {
+    const StateSet& phi = model.labelling().states_with("a");
+    const StateSet& psi = model.labelling().states_with("b");
+    const double d = stable_step(model);
+    const Interval time{8.0 * d, 32.0 * d};
+    const Interval reward{4.0 * d, 40.0 * d};
+    const DiscretisationEngine engine(d);
+
+    const std::vector<double> adjoint =
+        engine.interval_until_all_starts(model, phi, psi, time, reward);
+    const std::vector<double> forward =
+        oracle::tijms_veldman_interval_until_all_starts(model, d, phi, psi,
+                                                        time, reward);
+    EXPECT_LE(max_abs_diff({adjoint}, {forward}), 1e-12);
+    EXPECT_GT(*std::max_element(forward.begin(), forward.end()), 0.0);
+    // The point form is alpha . the all-starts vector.
+    EXPECT_NEAR(engine.interval_until(model, phi, psi, time, reward),
+                forward[model.initial_state()], 1e-12);
+  }
 }
 
 TEST(BatchCheckerApi, UntilGridMatchesPointwiseFormulaEvaluation) {

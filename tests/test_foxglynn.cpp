@@ -119,5 +119,15 @@ TEST(PoissonWeights, LargeRateStaysFinite) {
   for (double v : w.weights) EXPECT_TRUE(std::isfinite(v));
 }
 
+TEST(PoissonWeights, RateBeyondExactIntegersThrows) {
+  // Above 2^53 the window's integer walk is inexact; above 2^64 the index
+  // cast is undefined.  Both must be refused, not answered.
+  EXPECT_NO_THROW((void)poisson_weights(1e6, 1e-6));
+  EXPECT_THROW((void)poisson_weights(std::ldexp(1.0, 53) * 2.0, 1e-6),
+               NumericalError);
+  EXPECT_THROW((void)poisson_weights(1e20, 1e-6), NumericalError);
+  EXPECT_THROW((void)poisson_weights(INFINITY, 1e-6), NumericalError);
+}
+
 }  // namespace
 }  // namespace csrl

@@ -140,6 +140,25 @@ TEST(ExplicitFormat, NegativeRateThrows) {
   EXPECT_THROW((void)load_mrm(prefix), ModelError);
 }
 
+TEST(ExplicitFormat, NegativeHeaderCountsThrow) {
+  // Read unsigned, "-1" used to wrap to 2^64 - 1 states and die in the
+  // CSR allocation with an uncaught std::length_error.
+  for (const char* header : {"-1 0\n", "1 -1\n"}) {
+    const std::string prefix = prefix_for("negheader");
+    std::ofstream(prefix + ".tra") << header;
+    std::ofstream(prefix + ".lab") << "\n";
+    std::ofstream(prefix + ".rew") << "";
+    std::ofstream(prefix + ".init") << "0\n";
+    try {
+      (void)load_mrm(prefix);
+      FAIL() << "expected ModelError for header " << header;
+    } catch (const ModelError& e) {
+      EXPECT_NE(std::string(e.what()).find(".tra:1"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ExplicitFormat, MissingInitialStateThrows) {
   const std::string prefix = prefix_for("noinit");
   std::ofstream(prefix + ".tra") << "1 0\n";

@@ -254,6 +254,39 @@ TEST(ParallelDeterminism, DiscretisationGridEqualsPointLoopAtBothThreadCounts) {
   ThreadPool::set_global_threads(1);
 }
 
+TEST(ParallelDeterminism,
+     DiscretisationAllStartsGridEqualsPointWrapperAtBothThreadCounts) {
+  const Mrm model = small_cluster();
+  double d = 1.0;
+  while (model.chain().max_exit_rate() * d >= 0.9) d /= 2.0;
+  const DiscretisationEngine engine(d);
+  const std::vector<double> times{16.0 * d, 32.0 * d};
+  const double r_hi = 0.5 * model.max_reward() * 32.0 * d;
+  const std::vector<double> rewards{std::floor(0.5 * r_hi / d) * d,
+                                    std::floor(r_hi / d) * d};
+  const StateSet target = last_states(model, 10);
+
+  std::vector<double> serial_batched;
+  for (const std::size_t threads : {std::size_t{1}, kManyThreads}) {
+    ThreadPool::set_global_threads(threads);
+    const std::vector<double> batched = flatten(
+        engine.joint_probability_all_starts_grid(model, times, rewards,
+                                                 target));
+    const std::vector<double> looped = flatten(
+        joint_grid_reference(engine, model, times, rewards, target));
+    expect_bitwise_equal(batched, looped,
+                         "discretisation all-starts lattice vs 1 x 1 "
+                         "wrapper on cluster");
+    if (threads == 1)
+      serial_batched = batched;
+    else
+      expect_bitwise_equal(serial_batched, batched,
+                           "discretisation all-starts lattice across thread "
+                           "counts");
+  }
+  ThreadPool::set_global_threads(1);
+}
+
 TEST(ParallelDeterminism, MakeEnginePlumbsThreadCount) {
   // options.num_threads must reach the shared pool, and an engine made at
   // N threads must agree bitwise with one made at 1 thread.

@@ -15,7 +15,6 @@
 #include <cstring>
 #include <vector>
 
-#include "core/engines/discretisation_engine.hpp"
 #include "core/engines/erlang_engine.hpp"
 #include "core/engines/sericola_engine.hpp"
 #include "ctmc/uniformisation.hpp"
@@ -319,29 +318,6 @@ TEST(EngineGrids, SericolaGridBitwiseInvariantAcrossWidths) {
     for (std::size_t g = 0; g < ref.size(); ++g)
       expect_bitwise_equal(grid[g], ref[g],
                            "sericola width " + std::to_string(width));
-  }
-}
-
-TEST(EngineGrids, DiscretisationGridBitwiseInvariantAcrossWidths) {
-  const Mrm model = random_mrm(4, 48, 0.06);
-  StateSet target(model.num_states());
-  for (std::size_t s = 0; s < model.num_states(); s += 3) target.insert(s);
-  // d must keep E(s)*d < 1 for every state; exit rates here reach ~20.
-  const double d = 1.0 / 32.0;
-  const std::vector<double> times{1.0, 1.5};
-  const std::vector<double> rewards{0.5, 1.0};
-  const DiscretisationEngine one_rhs(d, nullptr, 1);
-  const auto ref = one_rhs.joint_probability_all_starts_grid(model, times,
-                                                             rewards, target);
-  for (std::size_t width : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    const DiscretisationEngine blocked(d, nullptr, width);
-    const auto grid = blocked.joint_probability_all_starts_grid(model, times,
-                                                                rewards,
-                                                                target);
-    ASSERT_EQ(grid.size(), ref.size());
-    for (std::size_t g = 0; g < ref.size(); ++g)
-      expect_bitwise_equal(grid[g], ref[g],
-                           "discretisation width " + std::to_string(width));
   }
 }
 

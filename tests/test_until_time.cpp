@@ -5,6 +5,7 @@
 #include "core/checker.hpp"
 #include "logic/parser.hpp"
 #include "models/synthetic.hpp"
+#include "util/error.hpp"
 
 namespace csrl {
 namespace {
@@ -28,6 +29,15 @@ TEST(TimeBoundedUntil, ExponentialReachability) {
     EXPECT_NEAR(probs[0], 1.0 - std::exp(-a * t), 1e-9) << t;
     EXPECT_NEAR(probs[1], 1.0, 1e-12);
   }
+}
+
+TEST(TimeBoundedUntil, HugeBoundIsACleanErrorNotZero) {
+  // lambda*t = 1e20 is past 2^53 (and past 2^64): the Fox-Glynn window
+  // used to come out empty and the checker printed 0 for a sure event.
+  const Mrm m = two_state(1.0);
+  const Checker c(m);
+  EXPECT_THROW((void)c.values(*parse_formula("P=? [ F[0,1e20] goal ]")),
+               NumericalError);
 }
 
 TEST(TimeBoundedUntil, ErlangHittingTime) {

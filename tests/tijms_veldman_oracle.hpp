@@ -1,13 +1,16 @@
-// Test oracle: the plain single-start Tijms-Veldman sweep (Section 4.3).
+// Test oracle: the plain forward Tijms-Veldman sweeps (Section 4.3).
 //
-// DiscretisationEngine runs one lane-interleaved, pool-parallel sweep for
-// every lattice and start-state group.  This is the textbook form: one
-// serial F recursion per (t, r) point from one initial distribution,
-// with F exactly as wide as that point's reward bound.  The
-// per-cell arithmetic is the engine's, so its results must match the
-// engine's lattices bit for bit — which is what makes it a differential
-// oracle for the harvesting, lane interleaving and widening the engine
-// adds on top.  Trivial (t, r) pairs resolve through the engines' shared
+// DiscretisationEngine runs one pool-parallel sweep per lattice, and
+// answers the all-start-states shapes with the adjoint (backward)
+// recursion.  This is the textbook form: one serial forward F recursion
+// per (t, r) point from one initial distribution, with F exactly as wide
+// as that point's reward bound, and one such run per start state for the
+// all-starts shapes (including the general-window until the checker used
+// to run state by state).  The forward per-cell arithmetic is the
+// engine's forward grid, so tijms_veldman_joint_distribution must match
+// the engine's forward lattices bit for bit; the adjoint sums the same
+// terms in a different order, so the all-starts forms agree to rounding
+// (<= 1e-12).  Trivial (t, r) pairs resolve through the engines' shared
 // peel_trivial_cells.
 #pragma once
 
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "core/engines/engine.hpp"
+#include "logic/formula.hpp"
 #include "mrm/mrm.hpp"
 #include "util/error.hpp"
 #include "util/state_set.hpp"
@@ -30,6 +34,14 @@ inline std::size_t tv_natural(double x, double tol) {
     throw ModelError("tijms_veldman oracle: " + std::to_string(x) +
                      " is not a non-negative integer");
   return static_cast<std::size_t>(rounded);
+}
+
+/// `model` with its initial distribution replaced by a point mass on s.
+inline Mrm point_start(const Mrm& model, std::size_t s) {
+  Mrm from_s(Ctmc(model.rates()), model.rewards(), model.labelling(), s);
+  if (model.has_impulse_rewards())
+    from_s = from_s.with_impulses(model.impulse_rewards());
+  return from_s;
 }
 
 /// Pr{Y_t <= r, X_t = j} for every j, from the model's initial
@@ -102,13 +114,84 @@ inline std::vector<double> tijms_veldman_all_starts(const Mrm& model,
                                                     double r,
                                                     const StateSet& target) {
   std::vector<double> result(model.num_states(), 0.0);
-  for (std::size_t s = 0; s < model.num_states(); ++s) {
-    Mrm from_s(Ctmc(model.rates()), model.rewards(), model.labelling(), s);
-    if (model.has_impulse_rewards())
-      from_s = from_s.with_impulses(model.impulse_rewards());
-    result[s] = tijms_veldman_joint_distribution(from_s, d, t, r)
+  for (std::size_t s = 0; s < model.num_states(); ++s)
+    result[s] = tijms_veldman_joint_distribution(point_start(model, s), d, t, r)
                     .probability_in(target);
+  return result;
+}
+
+/// Phi U^{[t1,t2]}_{[r1,r2]} Psi from the model's initial distribution:
+/// the forward general-window sweep.  Mass flows through Phi-states;
+/// at every grid instant, mass in Psi-states inside both windows is
+/// harvested and mass in any other !Phi-state dies.
+inline double tijms_veldman_interval_until(const Mrm& model, double d,
+                                           const StateSet& phi,
+                                           const StateSet& psi,
+                                           Interval time, Interval reward) {
+  const std::size_t n = model.num_states();
+  std::vector<std::size_t> rho(n);
+  for (std::size_t s = 0; s < n; ++s)
+    rho[s] = tv_natural(model.reward(s), 1e-9);
+  const std::size_t t_lo = tv_natural(time.lo / d, 1e-6);
+  const std::size_t t_hi = tv_natural(time.hi / d, 1e-6);
+  const std::size_t r_lo = tv_natural(reward.lo / d, 1e-6);
+  const std::size_t r_hi = tv_natural(reward.hi / d, 1e-6);
+
+  const std::size_t width = r_hi + 1;
+  std::vector<double> current(n * width, 0.0);
+  std::vector<double> next(n * width, 0.0);
+  double success = 0.0;
+  const auto classify = [&](std::size_t j) {
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t k = 0; k <= r_hi; ++k) {
+        double& mass = current[s * width + k];
+        if (mass == 0.0) continue;
+        if (psi.contains(s) && j >= t_lo && j <= t_hi && k >= r_lo) {
+          success += mass * d;
+          mass = 0.0;
+        } else if (!phi.contains(s)) {
+          mass = 0.0;
+        }
+      }
+    }
+  };
+
+  for (std::size_t s = 0; s < n; ++s) {
+    const double mass = model.initial_distribution()[s];
+    if (mass > 0.0) current[s * width] += mass / d;
   }
+  classify(0);
+  const CsrMatrix incoming = model.rates().transposed();
+  for (std::size_t j = 1; j <= t_hi; ++j) {
+    std::fill(next.begin(), next.end(), 0.0);
+    for (std::size_t s = 0; s < n; ++s) {
+      const double stay = 1.0 - model.chain().exit_rate(s) * d;
+      for (std::size_t k = rho[s]; k <= r_hi; ++k)
+        next[s * width + k] = current[s * width + k - rho[s]] * stay;
+      for (const auto& e : incoming.row(s)) {
+        std::size_t shift = rho[e.col];
+        if (model.has_impulse_rewards() && model.impulse(e.col, s) > 0.0)
+          shift += tv_natural(model.impulse(e.col, s) / d, 1e-6);
+        const double weight = e.value * d;
+        for (std::size_t k = shift; k <= r_hi; ++k)
+          next[s * width + k] += current[e.col * width + k - shift] * weight;
+      }
+    }
+    current.swap(next);
+    classify(j);
+  }
+  return std::min(success, 1.0);
+}
+
+/// The general-window until from every start state: one forward sweep
+/// per start state from its point-mass distribution.
+inline std::vector<double> tijms_veldman_interval_until_all_starts(
+    const Mrm& model, double d, const StateSet& phi, const StateSet& psi,
+    Interval time, Interval reward) {
+  std::vector<double> result(model.num_states(), 0.0);
+  for (std::size_t s = 0; s < model.num_states(); ++s)
+    result[s] = tijms_veldman_interval_until(point_start(model, s), d, phi,
+                                             psi, time, reward);
   return result;
 }
 
