@@ -8,7 +8,8 @@
 // schema "csrl-bench-parallel-scaling-v1" with the common "reps" array
 // plus a "scaling_measured" flag — so ledger and perf tooling never
 // special-case this bench.  When scaling is measured, "records" holds
-// one entry per (engine, model, threads) with wall_ms, speedup vs
+// one entry per (engine, model, threads) with wall_ms (the median of
+// five timed runs after a warmup, also listed under "reps"), speedup vs
 // 1 thread, and a bitwise-identity flag against the 1-thread result;
 // on single-CPU hosts "single_thread_profiles" carries each engine's
 // full RunReport instead.
@@ -59,18 +60,20 @@ std::vector<std::size_t> thread_counts() {
   return counts;
 }
 
-/// One engine/model cell: run at every thread count, keep the 1-thread
-/// result as the bitwise reference.
+/// One engine/model cell: at every thread count, the median of
+/// BenchObs::timed_reps (one warmup, five timed runs); the 1-thread result
+/// is the bitwise reference.
 template <typename Fn>
-void measure(const std::string& engine, const std::string& model_name,
-             std::size_t states, Fn compute, std::vector<Record>& out) {
+void measure(csrl_bench::BenchObs& obs_guard, const std::string& engine,
+             const std::string& model_name, std::size_t states, Fn compute,
+             std::vector<Record>& out) {
   std::vector<double> reference;
   double serial_ms = 0.0;
   for (std::size_t threads : thread_counts()) {
     ThreadPool::set_global_threads(threads);
-    WallTimer timer;
-    const std::vector<double> result = compute();
-    const double ms = timer.seconds() * 1e3;
+    const std::vector<double> result = obs_guard.timed_reps(
+        engine + "/" + model_name + "/t" + std::to_string(threads), compute);
+    const double ms = obs_guard.reps().back().median_ms;
 
     Record rec;
     rec.engine = engine;
@@ -90,8 +93,8 @@ void measure(const std::string& engine, const std::string& model_name,
           std::memcmp(result.data(), reference.data(),
                       result.size() * sizeof(double)) == 0;
     }
-    std::printf("%-16s  %-12s  %7zu states  %2zu threads  %9.2f ms  "
-                "speedup %5.2fx  %s\n",
+    std::printf("%-16s  %-12s  %7zu states  %2zu threads  "
+                "%9.2f ms (median)  speedup %5.2fx  %s\n",
                 engine.c_str(), model_name.c_str(), states, threads, ms,
                 rec.speedup, rec.identical_to_serial ? "bit-identical" : "DIFFERS");
     std::fflush(stdout);
@@ -224,20 +227,20 @@ int main() {
     const std::size_t n = q3.num_states();
     StateSet success(n);
     success.insert(1);  // amalgamated "success" state of the reduction
-    measure("sericola", "adhoc-q3", n,
+    measure(obs_guard, "sericola", "adhoc-q3", n,
             [&] {
               return SericolaEngine(1e-8).joint_probability_all_starts(
                   q3, kTimeBoundHours, kRewardBoundMah, success);
             },
             records);
-    measure("erlang-64", "adhoc-q3", n,
+    measure(obs_guard, "erlang-64", "adhoc-q3", n,
             [&] {
               return ErlangEngine(64)
                   .joint_distribution(q3, kTimeBoundHours, kRewardBoundMah)
                   .per_state;
             },
             records);
-    measure("discretisation", "adhoc-q3", n,
+    measure(obs_guard, "discretisation", "adhoc-q3", n,
             [&] {
               return DiscretisationEngine(1.0 / 32.0)
                   .joint_distribution(q3, kTimeBoundHours, kRewardBoundMah)
@@ -258,18 +261,18 @@ int main() {
     const double t = 0.5;
     const double r = 0.4 * big.max_reward() * t;
 
-    measure("sericola", "random-100k", n,
+    measure(obs_guard, "sericola", "random-100k", n,
             [&] {
               return SericolaEngine(1e-6).joint_probability_all_starts(
                   big, t, r, target);
             },
             records);
-    measure("erlang-8", "random-100k", n,
+    measure(obs_guard, "erlang-8", "random-100k", n,
             [&] {
               return ErlangEngine(8).joint_distribution(big, t, r).per_state;
             },
             records);
-    measure("discretisation", "random-100k", n,
+    measure(obs_guard, "discretisation", "random-100k", n,
             [&] {
               return DiscretisationEngine(1.0 / 16.0)
                   .joint_distribution(big, t, 0.5)

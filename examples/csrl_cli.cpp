@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "core/checker.hpp"
@@ -136,7 +137,8 @@ int main(int argc, char** argv) {
   } catch (const SyntaxError& e) {
     std::fprintf(stderr, "syntax error: %s\n", e.what());
     return 1;
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
+    // Every other csrl::Error, and the standard library's own failures.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

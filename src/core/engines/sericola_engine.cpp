@@ -1,3 +1,9 @@
+// Sericola's occupation-time recursion (sericola_engine.hpp,
+// docs/ALGORITHMS.md section 3).  all_starts_points() is the whole engine:
+// classify the states by reward, build every per-call table (tile member
+// ranges, recursion coefficients, log-factorials), then run one
+// state-local pass per jump level and accumulate the Bernstein-weighted
+// sums per point.
 #include "core/engines/sericola_engine.hpp"
 
 #include <algorithm>
@@ -45,16 +51,10 @@ RewardClasses classify(const Mrm& model) {
   return rc;
 }
 
-/// Bernstein basis value C(n,k) x^k (1-x)^{n-k}, stable in log space.
-double bernstein(std::size_t n, std::size_t k, double x) {
-  if (x == 0.0) return k == 0 ? 1.0 : 0.0;
-  const double dn = static_cast<double>(n);
-  const double dk = static_cast<double>(k);
-  const double log_choose = lgamma_safe(dn + 1.0) - lgamma_safe(dk + 1.0) -
-                            lgamma_safe(dn - dk + 1.0);
-  return std::exp(log_choose + dk * std::log(x) +
-                  (dn - dk) * std::log1p(-x));
-}
+/// Fixed state tiles of the per-level sweep: tile t covers the states
+/// [t * kStateTile, min((t + 1) * kStateTile, num_states)).  The bounds
+/// depend only on the state count, never on the thread count.
+constexpr std::size_t kStateTile = 1 << 12;
 
 /// Triangular store for the per-level coefficient vectors c(h, n, k): one
 /// slot per reward interval h in 1..m and jump count k in 0..N, each a
@@ -183,11 +183,59 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
   CSRL_GAUGE("p3/sericola/truncation_depth", static_cast<double>(max_n));
   CSRL_GAUGE("p3/sericola/reward_classes", static_cast<double>(m));
 
+  // Per-call tables, all built before the level loop:
+  //  * tile_begin[tile * (m + 1) + cls]: index into members[cls] of the
+  //    tile's first member of class cls (members are ascending, so each
+  //    tile's members of a class form one contiguous sub-range);
+  //  * coef_a/coef_b[(h - 1) * (m + 1) + cls]: the recursion coefficients
+  //    of class cls at reward interval h, high form for cls >= h and low
+  //    form for cls < h;
+  //  * log_factorial[j] = log j!, and log x, log(1 - x) per point, for the
+  //    Bernstein basis C(n,k) x^k (1-x)^{n-k} in log space.
+  const std::size_t num_tiles =
+      std::max<std::size_t>(1, (num_states + kStateTile - 1) / kStateTile);
+  std::vector<std::size_t> tile_begin((num_tiles + 1) * (m + 1));
+  for (std::size_t tile = 0; tile <= num_tiles; ++tile) {
+    const std::size_t first_state = std::min(tile * kStateTile, num_states);
+    for (std::size_t cls = 0; cls <= m; ++cls) {
+      const std::vector<std::size_t>& members = rc.members[cls];
+      tile_begin[tile * (m + 1) + cls] = static_cast<std::size_t>(
+          std::lower_bound(members.begin(), members.end(), first_state) -
+          members.begin());
+    }
+  }
+  std::vector<double> coef_a(m * (m + 1));
+  std::vector<double> coef_b(m * (m + 1));
+  for (std::size_t h = 1; h <= m; ++h) {
+    const double rho_h = rc.levels[h];
+    const double rho_h1 = rc.levels[h - 1];
+    for (std::size_t cls = 0; cls <= m; ++cls) {
+      const double rho_i = rc.levels[cls];
+      const std::size_t at = (h - 1) * (m + 1) + cls;
+      if (cls >= h) {
+        coef_a[at] = (rho_i - rho_h) / (rho_i - rho_h1);
+        coef_b[at] = (rho_h - rho_h1) / (rho_i - rho_h1);
+      } else {
+        coef_a[at] = (rho_h1 - rho_i) / (rho_h - rho_i);
+        coef_b[at] = (rho_h - rho_h1) / (rho_h - rho_i);
+      }
+    }
+  }
+  std::vector<double> log_factorial(max_n + 1);
+  for (std::size_t j = 0; j <= max_n; ++j)
+    log_factorial[j] = lgamma_safe(static_cast<double>(j) + 1.0);
+  std::vector<double> log_x(points.size(), 0.0);
+  std::vector<double> log1m_x(points.size(), 0.0);
+  for (std::size_t pt = 0; pt < points.size(); ++pt) {
+    if (x_of[pt] == 0.0) continue;  // basis is the k = 0 indicator
+    log_x[pt] = std::log(x_of[pt]);
+    log1m_x[pt] = std::log1p(-x_of[pt]);
+  }
+
   // c(h, n, k) vectors for the current and previous jump count n, plus the
   // cache of products P * c(h, n-1, k) both sweeps consume.  The stores and
   // the power-iteration pair lease arena storage so repeated calls (the
   // grid paths) skip the per-call allocations after the first.
-  Workspace::LoopGuard guard(workspace);
   const std::size_t store_size = m * (max_n + 1) * num_states;
   Workspace::Lease current_store(workspace, store_size);
   Workspace::Lease previous_store(workspace, store_size);
@@ -217,14 +265,86 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
   std::vector<std::vector<double>> exceed(
       points.size(), std::vector<double>(num_states, 0.0));
 
-  // Per-state updates within one (h, k) slot are independent, so the
-  // member lists parallelise chunk-wise; the (h, k) iteration order itself
-  // carries the recursion's data dependencies and stays sequential.  Each
-  // state's value is computed by the same expression regardless of the
-  // partition, so results are bit-identical at any thread count.
+  // Run `tile_fn(tile)` for every state tile: one fork-join over the
+  // tiles, or a plain call when the states fit one tile.  Each tile writes
+  // only its own states.
   ThreadPool& workers = pool();
-  constexpr std::size_t kMemberGrain = 1 << 12;
+  const auto for_each_tile = [&](const auto& tile_fn) {
+    if (num_tiles == 1) {
+      tile_fn(0);
+      return;
+    }
+    workers.parallel_for(0, num_tiles, 1,
+                         [&](std::size_t tile_lo, std::size_t tile_hi) {
+                           for (std::size_t tile = tile_lo; tile < tile_hi;
+                                ++tile)
+                             tile_fn(tile);
+                         });
+  };
+  const auto tile_rows = [&](std::size_t tile) {
+    return std::pair{tile * kStateTile,
+                     std::min((tile + 1) * kStateTile, num_states)};
+  };
 
+  // Within level n the recursion is state-local: c(h, n, k)[i] reads only
+  // state i's own slots, u[i] and the products computed before the sweeps.
+  // So each tile runs both whole sweeps over its own members, and every
+  // state's value comes from the same expressions in the same (h, k)
+  // order as a serial sweep — bit-identical at any thread count.
+  const auto sweep_tile = [&](std::size_t tile, std::size_t n) {
+    const std::size_t* begin = &tile_begin[tile * (m + 1)];
+    const std::size_t* end = begin + (m + 1);
+    // High sweep: rows with rho(i) >= rho_h, h ascending, k ascending.
+    for (std::size_t h = 1; h <= m; ++h) {
+      for (std::size_t k = 0; k <= n; ++k) {
+        double* c = current.slot(h, k);
+        for (std::size_t cls = h; cls <= m; ++cls) {
+          const std::size_t* members = rc.members[cls].data();
+          if (k == 0) {
+            const double* base = h == 1 ? u.data() : current.slot(h - 1, n);
+            for (std::size_t idx = begin[cls]; idx < end[cls]; ++idx)
+              c[members[idx]] = base[members[idx]];
+            continue;
+          }
+          const double a = coef_a[(h - 1) * (m + 1) + cls];
+          const double b = coef_b[(h - 1) * (m + 1) + cls];
+          const double* c_prev = current.slot(h, k - 1);
+          const double* prod = products.slot(h, k - 1);
+          for (std::size_t idx = begin[cls]; idx < end[cls]; ++idx) {
+            const std::size_t i = members[idx];
+            c[i] = a * c_prev[i] + b * prod[i];
+          }
+        }
+      }
+    }
+    // Low sweep: rows with rho(i) <= rho_{h-1}, h descending, k descending.
+    for (std::size_t h = m; h >= 1; --h) {
+      for (std::size_t k = n + 1; k-- > 0;) {
+        double* c = current.slot(h, k);
+        for (std::size_t cls = 0; cls < h; ++cls) {
+          const std::size_t* members = rc.members[cls].data();
+          if (k == n) {
+            const double* base = h == m ? nullptr : current.slot(h + 1, 0);
+            for (std::size_t idx = begin[cls]; idx < end[cls]; ++idx)
+              c[members[idx]] = base == nullptr ? 0.0 : base[members[idx]];
+            continue;
+          }
+          const double a = coef_a[(h - 1) * (m + 1) + cls];
+          const double b = coef_b[(h - 1) * (m + 1) + cls];
+          const double* c_next = current.slot(h, k + 1);
+          const double* prod = products.slot(h, k);
+          for (std::size_t idx = begin[cls]; idx < end[cls]; ++idx) {
+            const std::size_t i = members[idx];
+            c[i] = a * c_next[i] + b * prod[i];
+          }
+        }
+      }
+    }
+  };
+
+  // Every table and buffer above is in place: the level loop itself must
+  // not touch the heap.
+  Workspace::LoopGuard guard(workspace);
   for (std::size_t n = 0; n <= max_n; ++n) {
     CSRL_SPAN("p3/sericola/column_sweep");
     CSRL_COUNT("p3/sericola/jump_levels", 1);
@@ -254,17 +374,15 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
           }
           std::vector<double>& x = x_block_lease.get();
           std::vector<double>& y = y_block_lease.get();
-          workers.parallel_for(0, num_states, kMemberGrain,
-                               [&](std::size_t lo, std::size_t hi) {
-                                 pack_block({in_cols, width}, x, lo, hi,
-                                            width);
-                               });
+          for_each_tile([&](std::size_t tile) {
+            const auto [lo, hi] = tile_rows(tile);
+            pack_block({in_cols, width}, x, lo, hi, width);
+          });
           p.multiply_block(x, y, width, width);
-          workers.parallel_for(0, num_states, kMemberGrain,
-                               [&](std::size_t lo, std::size_t hi) {
-                                 unpack_block(y, {out_cols, width}, lo, hi,
-                                              width);
-                               });
+          for_each_tile([&](std::size_t tile) {
+            const auto [lo, hi] = tile_rows(tile);
+            unpack_block(y, {out_cols, width}, lo, hi, width);
+          });
         }
       } else {
         // One-RHS fallback (rhs_block == 1): the products are independent
@@ -284,61 +402,7 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
       }
     }
 
-    // High sweep: rows with rho(i) >= rho_h, h ascending, k ascending.
-    for (std::size_t h = 1; h <= m; ++h) {
-      const double rho_h = rc.levels[h];
-      const double rho_h1 = rc.levels[h - 1];
-      for (std::size_t k = 0; k <= n; ++k) {
-        double* c = current.slot(h, k);
-        for (std::size_t cls = h; cls <= m; ++cls) {
-          const double rho_i = rc.levels[cls];
-          const double a = (rho_i - rho_h) / (rho_i - rho_h1);
-          const double b = (rho_h - rho_h1) / (rho_i - rho_h1);
-          const std::vector<std::size_t>& members = rc.members[cls];
-          workers.parallel_for(
-              0, members.size(), kMemberGrain,
-              [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t idx = lo; idx < hi; ++idx) {
-                  const std::size_t i = members[idx];
-                  if (k == 0) {
-                    c[i] = h == 1 ? u[i] : current.slot(h - 1, n)[i];
-                  } else {
-                    c[i] = a * current.slot(h, k - 1)[i] +
-                           b * products.slot(h, k - 1)[i];
-                  }
-                }
-              });
-        }
-      }
-    }
-
-    // Low sweep: rows with rho(i) <= rho_{h-1}, h descending, k descending.
-    for (std::size_t h = m; h >= 1; --h) {
-      const double rho_h = rc.levels[h];
-      const double rho_h1 = rc.levels[h - 1];
-      for (std::size_t k = n + 1; k-- > 0;) {
-        double* c = current.slot(h, k);
-        for (std::size_t cls = 0; cls < h; ++cls) {
-          const double rho_i = rc.levels[cls];
-          const double a = (rho_h1 - rho_i) / (rho_h - rho_i);
-          const double b = (rho_h - rho_h1) / (rho_h - rho_i);
-          const std::vector<std::size_t>& members = rc.members[cls];
-          workers.parallel_for(
-              0, members.size(), kMemberGrain,
-              [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t idx = lo; idx < hi; ++idx) {
-                  const std::size_t i = members[idx];
-                  if (k == n) {
-                    c[i] = h == m ? 0.0 : current.slot(h + 1, 0)[i];
-                  } else {
-                    c[i] = a * current.slot(h, k + 1)[i] +
-                           b * products.slot(h, k)[i];
-                  }
-                }
-              });
-        }
-      }
-    }
+    for_each_tile([&](std::size_t tile) { sweep_tile(tile, n); });
 
     // A point's single run executes its accumulation for every n up to its
     // own window's right bound (including zero-weight steps below the
@@ -354,7 +418,13 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
       const double w = window.weight(n);
       if (w > 0.0) {
         for (std::size_t k = 0; k <= n; ++k) {
-          const double basis = bernstein(n, k, x_of[pt]);
+          // C(n,k) x^k (1-x)^{n-k}, evaluated in log space.
+          double basis = k == 0 ? 1.0 : 0.0;
+          if (x_of[pt] != 0.0)
+            basis = std::exp(
+                ((log_factorial[n] - log_factorial[k]) - log_factorial[n - k]) +
+                static_cast<double>(k) * log_x[pt] +
+                static_cast<double>(n - k) * log1m_x[pt]);
           if (basis > 0.0)
             axpy(w * basis, current.span(h_star[pt], k), exceed[pt]);
         }

@@ -30,6 +30,18 @@
 // vector pass once per basis vector, which reproduces the paper-faithful
 // matrix cost and is used by tests as a cross-check.
 //
+// Per jump level n the engine first forms the m * n products
+// P * c(h, n-1, k) (blocked SpMM, see rhs_block below), then runs both
+// coefficient sweeps.  The sweeps are state-local: c(h, n, k)[i] reads
+// only state i's own slots and those products.  So one pass per level
+// walks fixed tiles of 4096 states (one parallel region per level, tile
+// bounds independent of the thread count) and, inside a tile, the whole
+// high sweep and then the whole low sweep over the tile's members of each
+// reward class.  Every state's value comes from the same expressions in
+// the same order at any thread count.  The Bernstein basis reads a
+// log-factorial table built once per call instead of calling lgamma for
+// every (point, n, k).
+//
 // The quantity the checker needs follows by complementation:
 //   Pr{Y_t <= r, X_t in T} = Pr{X_t in T} - Pr{Y_t > r, X_t in T},
 // and the transient term Pr{X_t in T} falls out of the same pass (the

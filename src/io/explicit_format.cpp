@@ -3,7 +3,10 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <new>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -98,6 +101,10 @@ Mrm load_mrm(const std::string& prefix) {
   std::size_t num_states = 0;
   CsrBuilder* rates = nullptr;  // constructed once the header is seen
   CsrBuilder rates_storage(0, 0);
+  // Per-state arrays, sized as soon as the header declares the count so
+  // that a count no allocator can serve fails at the header line.
+  std::vector<double> rewards;
+  std::vector<double> initial;
   {
     const std::string path = prefix + ".tra";
     auto in = open_for_read(path);
@@ -114,6 +121,19 @@ Mrm load_mrm(const std::string& prefix) {
           malformed(path, number,
                     "state and transition counts must be non-negative");
         num_states = static_cast<std::size_t>(declared_states);
+        // assign() throws std::length_error past max_size() and
+        // std::bad_alloc when the allocator refuses the request.
+        bool allocated = false;
+        try {
+          rewards.assign(num_states, 0.0);
+          initial.assign(num_states, 0.0);
+          allocated = true;
+        } catch (const std::bad_alloc&) {
+        } catch (const std::length_error&) {
+        }
+        if (!allocated)
+          malformed(path, number, "cannot allocate the declared " +
+                                      std::to_string(num_states) + " states");
         rates_storage = CsrBuilder(num_states, num_states);
         rates = &rates_storage;
         header_seen = true;
@@ -160,7 +180,6 @@ Mrm load_mrm(const std::string& prefix) {
   }
 
   // --- rewards ----------------------------------------------------------
-  std::vector<double> rewards(num_states, 0.0);
   {
     const std::string path = prefix + ".rew";
     auto in = open_for_read(path);
@@ -176,7 +195,6 @@ Mrm load_mrm(const std::string& prefix) {
   }
 
   // --- initial distribution ----------------------------------------------
-  std::vector<double> initial(num_states, 0.0);
   {
     const std::string path = prefix + ".init";
     auto in = open_for_read(path);

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/engines/discretisation_engine.hpp"
 #include "core/engines/erlang_engine.hpp"
 #include "core/engines/sericola_engine.hpp"
+#include "models/adhoc.hpp"
+#include "obs/obs.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace csrl {
 namespace {
@@ -181,6 +186,52 @@ TEST(EngineTrivia, AllStartsTrivialCases) {
   // loose bound: plain reachability.
   const auto loose = engine.joint_probability_all_starts(m, 1.0, 5.0, single(2, 1));
   EXPECT_NEAR(loose[0], 1.0 - std::exp(-1.0), 1e-9);
+}
+
+// Structure of the Sericola level loop, read from the obs counters: the
+// sweeps of one jump level are one state-local pass (no fork-join per
+// (h, k, class) slot), and the loop never touches the heap.
+
+TEST(SericolaStructure, OneThreadPassMakesNoPerSlotForkJoins) {
+#ifdef CSRL_OBS_DISABLED
+  GTEST_SKIP() << "observability compiled out";
+#else
+  const std::size_t threads = ThreadPool::global().num_threads();
+  ThreadPool::set_global_threads(1);
+  const Mrm model = build_q3_reduced_mrm();
+  const SericolaEngine engine(1e-8);
+  obs::ScopedRecording recording;
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  (void)engine.joint_probability_all_starts(
+      model, kTimeBoundHours, kRewardBoundMah, single(model.num_states(), 1));
+  const obs::MetricsSnapshot delta =
+      obs::metrics_delta(before, obs::snapshot_metrics());
+  ThreadPool::set_global_threads(threads);
+
+  const std::uint64_t levels = delta.counter("p3/sericola/jump_levels");
+  ASSERT_GT(levels, 0u);
+  EXPECT_LE(delta.counter("pool/inline_runs"), 4 * levels + 16)
+      << "over " << levels << " jump levels";
+#endif
+}
+
+TEST(SericolaStructure, ForwardGridLoopIsAllocFree) {
+#ifdef CSRL_OBS_DISABLED
+  GTEST_SKIP() << "observability compiled out";
+#else
+  // joint_distribution_grid runs one pass per final state over a shared
+  // arena: every table is in place before each pass's level loop.
+  const Mrm model = build_q3_reduced_mrm();
+  const SericolaEngine engine(1e-8);
+  obs::ScopedRecording recording;
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  (void)engine.joint_distribution_grid(model, std::vector<double>{8.0, 24.0},
+                                       std::vector<double>{300.0, 600.0});
+  const obs::MetricsSnapshot delta =
+      obs::metrics_delta(before, obs::snapshot_metrics());
+  EXPECT_GT(delta.counter("p3/sericola/jump_levels"), 0u);
+  EXPECT_EQ(delta.counter("p3/sericola/allocs_in_loop"), 0u);
+#endif
 }
 
 }  // namespace

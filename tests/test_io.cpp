@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <vector>
 
 #include "core/checker.hpp"
 #include "logic/parser.hpp"
@@ -147,6 +148,43 @@ TEST(ExplicitFormat, NegativeHeaderCountsThrow) {
     const std::string prefix = prefix_for("negheader");
     std::ofstream(prefix + ".tra") << header;
     std::ofstream(prefix + ".lab") << "\n";
+    std::ofstream(prefix + ".rew") << "";
+    std::ofstream(prefix + ".init") << "0\n";
+    try {
+      (void)load_mrm(prefix);
+      FAIL() << "expected ModelError for header " << header;
+    } catch (const ModelError& e) {
+      EXPECT_NE(std::string(e.what()).find(".tra:1"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Sanitizer runtimes abort on an allocation request above their own size
+// limit instead of letting operator new throw std::bad_alloc.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerAllocator = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizerAllocator = true;
+#else
+constexpr bool kSanitizerAllocator = false;
+#endif
+#else
+constexpr bool kSanitizerAllocator = false;
+#endif
+
+TEST(ExplicitFormat, UnallocatableStateCountThrows) {
+  // 2^62 states exceed vector::max_size() (std::length_error); 2^59 states
+  // ask the allocator for 2^62 bytes, which it refuses (std::bad_alloc).
+  // Either used to escape load_mrm and abort csrl_cli.  Neither request
+  // is ever served, so nothing is committed.
+  std::vector<const char*> headers{"4611686018427387904 0\n"};
+  if (!kSanitizerAllocator) headers.push_back("576460752303423488 0\n");
+  for (const char* header : headers) {
+    const std::string prefix = prefix_for("hugeheader");
+    std::ofstream(prefix + ".tra") << header;
+    std::ofstream(prefix + ".lab") << "up\n";
     std::ofstream(prefix + ".rew") << "";
     std::ofstream(prefix + ".init") << "0\n";
     try {

@@ -79,6 +79,20 @@ TEST(ParallelDeterminism, SericolaAllStartsSynthetic) {
       "sericola all-starts on random_mrm(4000)");
 }
 
+TEST(ParallelDeterminism, SericolaAllStartsSpansSeveralTiles) {
+  // The Sericola sweeps split the states into fixed tiles of 4096; 12 000
+  // states make three tiles, so the level loop really spreads over
+  // workers at 4 threads.
+  const Mrm model = random_mrm(29, 12000, 0.0004, 2.0, 3);
+  const double t = 0.2;
+  const double r = 0.4 * model.max_reward() * t;
+  const StateSet target = last_states(model, 60);
+  const SericolaEngine engine(1e-6);
+  check_thread_invariance(
+      [&] { return engine.joint_probability_all_starts(model, t, r, target); },
+      "sericola all-starts on random_mrm(12000)");
+}
+
 TEST(ParallelDeterminism, SericolaAllStartsCluster) {
   const Mrm model = small_cluster();
   const double t = 1.0;
