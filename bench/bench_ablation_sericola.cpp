@@ -4,16 +4,18 @@
 // The recursion of [23, Thm 5.6] is stated over |S| x |S| matrices
 // C(h,n,k); the paper reports O(N^2 |S|^3) time.  Our engine iterates the
 // vectors C(h,n,k) * v for the fixed target indicator v, costing a factor
-// |S| less.  joint_distribution() reconstructs the per-final-state answer
-// by running the vector pass per basis vector — i.e. it *is* the
-// matrix-cost variant — so timing both quantifies what the reformulation
-// buys at different model sizes.
+// |S| less.  matrix_cost_pass() below reconstructs the per-final-state
+// answer by running the vector pass once per singleton target {j} — i.e.
+// it *is* the matrix-cost variant — so timing both quantifies what the
+// reformulation buys at different model sizes.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "core/engines/sericola_engine.hpp"
+#include "matrix/vector_ops.hpp"
 #include "models/synthetic.hpp"
 #include "obs/obs.hpp"
 
@@ -25,6 +27,22 @@ using namespace csrl;
 
 Mrm scaled_model(std::size_t states) {
   return birth_death_mrm(states, 2.0, 3.0);
+}
+
+/// Pr_alpha{Y_t <= r, X_t = j} for every final state j: one vector pass
+/// per singleton target {j}, read from the initial distribution alpha.
+std::vector<double> matrix_cost_pass(const SericolaEngine& engine,
+                                     const Mrm& model, double t, double r) {
+  const std::size_t n = model.num_states();
+  std::vector<double> per_final_state(n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    StateSet single(n);
+    single.insert(j);
+    per_final_state[j] =
+        dot(model.initial_distribution(),
+            engine.joint_probability_all_starts(model, t, r, single));
+  }
+  return per_final_state;
 }
 
 void print_comparison() {
@@ -46,13 +64,13 @@ void print_comparison() {
     const double vector_seconds = vector_timer.seconds();
 
     WallTimer matrix_timer;
-    const auto by_matrix = engine.joint_distribution(model, t, r);
+    const auto by_matrix = matrix_cost_pass(engine, model, t, r);
     const double matrix_seconds = matrix_timer.seconds();
 
     std::printf("%7zu  %9.2f ms  %9.2f ms  %7.1fx   |diff| = %.2e\n", n,
                 vector_seconds * 1e3, matrix_seconds * 1e3,
                 matrix_seconds / vector_seconds,
-                std::abs(by_matrix.per_state[n - 1] - by_vector[0]));
+                std::abs(by_matrix[n - 1] - by_vector[0]));
   }
   std::printf("\n");
 }
@@ -80,8 +98,8 @@ void BM_SericolaMatrixCost(benchmark::State& state) {
   const double r = 0.4 * model.max_reward() * t;
   const SericolaEngine engine(1e-8);
   for (auto _ : state) {
-    auto result = engine.joint_distribution(model, t, r);
-    benchmark::DoNotOptimize(result.per_state.data());
+    auto result = matrix_cost_pass(engine, model, t, r);
+    benchmark::DoNotOptimize(result.data());
   }
 }
 BENCHMARK(BM_SericolaMatrixCost)->RangeMultiplier(2)->Range(4, 32)->Unit(

@@ -14,9 +14,8 @@
 // on single-CPU hosts "single_thread_profiles" carries each engine's
 // full RunReport instead.
 //
-// Engines are measured in the shape the checker uses them in: Sericola in
-// its one-pass all-start-states form, pseudo-Erlang and discretisation via
-// joint_distribution from the model's initial state.
+// Engines are measured in the shape the checker uses them in: the
+// one-pass all-start-states form.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -165,7 +164,7 @@ int main() {
   {
     const Mrm q3 = build_q3_reduced_mrm();
     StateSet success(q3.num_states());
-    success.insert(1);
+    success.insert(3);  // amalgamated "success" state of the reduction
     const SericolaEngine engine(1e-8);
     obs_guard.timed_reps("sericola_q3", [&] {
       return engine.joint_probability_all_starts(
@@ -188,7 +187,7 @@ int main() {
     const Mrm q3 = build_q3_reduced_mrm();
     const std::size_t n = q3.num_states();
     StateSet success(n);
-    success.insert(1);  // amalgamated "success" state of the reduction
+    success.insert(3);  // amalgamated "success" state of the reduction
 
     std::vector<std::string> profiles;
     const auto profile = [&](const std::string& engine, double truncation,
@@ -206,12 +205,13 @@ int main() {
           q3, kTimeBoundHours, kRewardBoundMah, success);
     });
     profile("erlang-64", 1e-9, [&] {
-      ErlangEngine(64).joint_distribution(q3, kTimeBoundHours,
-                                          kRewardBoundMah);
+      ErlangEngine(64).joint_probability_all_starts(
+          q3, kTimeBoundHours, kRewardBoundMah, success);
     });
     profile("discretisation", 1.0 / 32.0, [&] {
       DiscretisationEngine(1.0 / 32.0)
-          .joint_distribution(q3, kTimeBoundHours, kRewardBoundMah);
+          .joint_probability_all_starts(q3, kTimeBoundHours, kRewardBoundMah,
+                                        success);
     });
 
     write_json(obs_guard, /*scaling_measured=*/false, {}, profiles,
@@ -226,7 +226,7 @@ int main() {
     const Mrm q3 = build_q3_reduced_mrm();
     const std::size_t n = q3.num_states();
     StateSet success(n);
-    success.insert(1);  // amalgamated "success" state of the reduction
+    success.insert(3);  // amalgamated "success" state of the reduction
     measure(obs_guard, "sericola", "adhoc-q3", n,
             [&] {
               return SericolaEngine(1e-8).joint_probability_all_starts(
@@ -235,16 +235,15 @@ int main() {
             records);
     measure(obs_guard, "erlang-64", "adhoc-q3", n,
             [&] {
-              return ErlangEngine(64)
-                  .joint_distribution(q3, kTimeBoundHours, kRewardBoundMah)
-                  .per_state;
+              return ErlangEngine(64).joint_probability_all_starts(
+                  q3, kTimeBoundHours, kRewardBoundMah, success);
             },
             records);
     measure(obs_guard, "discretisation", "adhoc-q3", n,
             [&] {
               return DiscretisationEngine(1.0 / 32.0)
-                  .joint_distribution(q3, kTimeBoundHours, kRewardBoundMah)
-                  .per_state;
+                  .joint_probability_all_starts(q3, kTimeBoundHours,
+                                                kRewardBoundMah, success);
             },
             records);
   }
@@ -269,14 +268,14 @@ int main() {
             records);
     measure(obs_guard, "erlang-8", "random-100k", n,
             [&] {
-              return ErlangEngine(8).joint_distribution(big, t, r).per_state;
+              return ErlangEngine(8).joint_probability_all_starts(big, t, r,
+                                                                  target);
             },
             records);
     measure(obs_guard, "discretisation", "random-100k", n,
             [&] {
               return DiscretisationEngine(1.0 / 16.0)
-                  .joint_distribution(big, t, 0.5)
-                  .per_state;
+                  .joint_probability_all_starts(big, t, 0.5, target);
             },
             records);
   }

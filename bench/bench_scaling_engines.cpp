@@ -58,8 +58,8 @@ void print_comparison() {
 
     WallTimer disc_timer;
     const double pd = DiscretisationEngine(1.0 / 64)
-                          .joint_distribution(w.model, w.t, w.r)
-                          .probability_in(w.target);
+                          .joint_probability_all_starts(w.model, w.t, w.r,
+                                                        w.target)[0];
     std::printf("  %.6f %8.2f ms\n", pd, disc_timer.seconds() * 1e3);
   }
   std::printf("\n");
@@ -91,8 +91,9 @@ void BM_ScalingDiscretisation(benchmark::State& state) {
   const Workload w = workload(static_cast<std::size_t>(state.range(0)));
   const DiscretisationEngine engine(1.0 / 64);
   for (auto _ : state) {
-    auto result = engine.joint_distribution(w.model, w.t, w.r);
-    benchmark::DoNotOptimize(result.per_state.data());
+    auto result =
+        engine.joint_probability_all_starts(w.model, w.t, w.r, w.target);
+    benchmark::DoNotOptimize(result.data());
   }
 }
 BENCHMARK(BM_ScalingDiscretisation)->RangeMultiplier(2)->Range(4, 32)->Unit(

@@ -14,12 +14,12 @@
 // Shape expectations: error shrinks linearly in d, time grows ~ 1/d^2.
 //
 // A second table times the all-start-states shape (what Sat-set
-// computation needs): the engine's single adjoint run against one forward
-// sweep per start state, on the Q3 model and on a 1000-state random MRM.
+// computation needs): the engine's single adjoint run, on the Q3 model
+// and on a 1000-state random MRM.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -36,20 +36,26 @@ namespace {
 
 using namespace csrl;
 
+StateSet q3_success(const Mrm& reduced) {
+  StateSet success(reduced.num_states());
+  success.insert(3);
+  return success;
+}
+
 double discretisation_once(double d) {
   const Mrm reduced = build_q3_reduced_mrm();
   const DiscretisationEngine engine(d);
-  return engine.joint_distribution(reduced, kTimeBoundHours, kRewardBoundMah)
-      .per_state[3];
+  return engine.joint_probability_all_starts(
+      reduced, kTimeBoundHours, kRewardBoundMah,
+      q3_success(reduced))[reduced.initial_state()];
 }
 
 double sericola_reference() {
   const Mrm reduced = build_q3_reduced_mrm();
   const SericolaEngine engine(1e-10);
-  StateSet success(reduced.num_states());
-  success.insert(3);
   return engine.joint_probability_all_starts(
-      reduced, kTimeBoundHours, kRewardBoundMah, success)[reduced.initial_state()];
+      reduced, kTimeBoundHours, kRewardBoundMah,
+      q3_success(reduced))[reduced.initial_state()];
 }
 
 void print_table() {
@@ -70,27 +76,26 @@ void print_table() {
 }
 
 void print_grid_comparison() {
-  // The batched-lattice path (core/batch.hpp): one F-grid sweep to
-  // (t_max, r_max) harvests every smaller Table-4 bound on the way,
-  // against the point-by-point loop it replaces.
+  // The batched-lattice path (core/batch.hpp): one adjoint run to
+  // (t_max, r_max) reads every smaller Table-4 bound on the way, against
+  // the point-by-point loop it replaces.
   const Mrm reduced = build_q3_reduced_mrm();
+  const StateSet success = q3_success(reduced);
   const double d = 1.0 / 64.0;
   const DiscretisationEngine engine(d);
   const std::vector<double> times{6.0, 12.0, kTimeBoundHours};
   const std::vector<double> rewards{150.0, 300.0, kRewardBoundMah};
 
   WallTimer timer;
-  const auto batched = engine.joint_distribution_grid(reduced, times, rewards);
+  const auto batched = engine.joint_probability_all_starts_grid(
+      reduced, times, rewards, success);
   const double batched_ms = timer.seconds() * 1e3;
   timer.reset();
   const auto looped =
-      joint_distribution_grid_reference(engine, reduced, times, rewards);
+      joint_grid_reference(engine, reduced, times, rewards, success);
   const double looped_ms = timer.seconds() * 1e3;
 
-  bool bitwise = true;
-  for (std::size_t g = 0; g < batched.size(); ++g)
-    for (std::size_t s = 0; s < batched[g].per_state.size(); ++s)
-      bitwise = bitwise && batched[g].per_state[s] == looped[g].per_state[s];
+  const bool bitwise = batched == looped;
   std::printf("batched %zux%zu lattice at d=1/64: %.2f ms vs %.2f ms "
               "point-by-point (%.1fx), bitwise identical: %s\n\n",
               times.size(), rewards.size(), batched_ms, looped_ms,
@@ -98,65 +103,40 @@ void print_grid_comparison() {
               bitwise ? "yes" : "NO");
 }
 
-/// One all-starts comparison: the adjoint lattice (one backward run)
-/// against n forward joint_distribution runs, one per start state.
+/// One all-starts row: the adjoint run (every start state at once), its
+/// wall time and its number of recursion sweeps.
 void print_all_starts_row(csrl_bench::BenchObs& obs_guard, const char* label,
                           const Mrm& model, const StateSet& target, double t,
                           double r, double d) {
   const DiscretisationEngine engine(d);
-  std::vector<Mrm> starts;
-  for (std::size_t s = 0; s < model.num_states(); ++s)
-    starts.emplace_back(Ctmc(model.rates()), model.rewards(),
-                        model.labelling(), s);
   const auto adjoint = [&] {
     return engine.joint_probability_all_starts(model, t, r, target);
   };
-  const auto forward = [&] {
-    std::vector<double> values;
-    for (const Mrm& from_s : starts)
-      values.push_back(
-          engine.joint_distribution(from_s, t, r).probability_in(target));
-    return values;
-  };
-  const auto sweeps = [](const auto& fn) {
+  const std::vector<double> values =
+      obs_guard.timed_reps(std::string("all_starts_") + label + "_adjoint",
+                           adjoint);
+  const double adjoint_ms = obs_guard.reps().back().median_ms;
+  std::uint64_t sweeps = 0;
+  {
     const obs::ScopedRecording recording(true);
     const obs::MetricsSnapshot before = obs::snapshot_metrics();
-    fn();
-    return obs::metrics_delta(before, obs::snapshot_metrics())
-        .counter("p3/discretisation/sweeps");
-  };
-
-  const std::string name = std::string("all_starts_") + label;
-  const std::vector<double> backward_values =
-      obs_guard.timed_reps(name + "_adjoint", adjoint);
-  const double backward_ms = obs_guard.reps().back().median_ms;
-  const std::vector<double> forward_values =
-      obs_guard.timed_reps(name + "_forward_per_start", forward);
-  const double forward_ms = obs_guard.reps().back().median_ms;
-  double max_diff = 0.0;
-  for (std::size_t s = 0; s < model.num_states(); ++s)
-    max_diff =
-        std::max(max_diff, std::abs(backward_values[s] - forward_values[s]));
-  std::printf("%-22s %6zu %10.3f %12.3f %7.1fx %8llu %10llu %10.2e\n", label,
-              model.num_states(), backward_ms, forward_ms,
-              backward_ms > 0.0 ? forward_ms / backward_ms : 0.0,
-              static_cast<unsigned long long>(sweeps(adjoint)),
-              static_cast<unsigned long long>(sweeps(forward)), max_diff);
+    (void)adjoint();
+    sweeps = obs::metrics_delta(before, obs::snapshot_metrics())
+                 .counter("p3/discretisation/sweeps");
+  }
+  std::printf("%-22s %6zu %10.3f %8llu %12.8f\n", label, model.num_states(),
+              adjoint_ms, static_cast<unsigned long long>(sweeps),
+              values[model.initial_state()]);
 }
 
 void print_all_starts_comparison(csrl_bench::BenchObs& obs_guard) {
-  // The Sat-set shape: Pr_s{Y_t <= r, X_t in target} for every start s.
-  // The engine runs the adjoint recursion once; the forward alternative is
-  // one F sweep per start state.
-  std::printf("=== All start states: adjoint lattice vs per-start forward "
-              "sweeps ===\n");
-  std::printf("%-22s %6s %10s %12s %8s %8s %10s %10s\n", "model", "states",
-              "adjoint ms", "forward ms", "speedup", "sweeps", "fwd sweeps",
-              "max|diff|");
+  // The Sat-set shape: Pr_s{Y_t <= r, X_t in target} for every start s,
+  // from one run of the adjoint recursion.
+  std::printf("=== All start states: one adjoint run ===\n");
+  std::printf("%-22s %6s %10s %8s %12s\n", "model", "states", "adjoint ms",
+              "sweeps", "initial");
   const Mrm reduced = build_q3_reduced_mrm();
-  StateSet success(reduced.num_states());
-  success.insert(3);
-  print_all_starts_row(obs_guard, "q3_reduced", reduced, success,
+  print_all_starts_row(obs_guard, "q3_reduced", reduced, q3_success(reduced),
                        kTimeBoundHours, kRewardBoundMah, 1.0 / 32.0);
   const Mrm random = random_mrm(1, 1000, 0.002);
   print_all_starts_row(obs_guard, "random_mrm_1000", random,

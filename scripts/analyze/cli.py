@@ -75,7 +75,9 @@ def main(argv=None):
 
     if not args.quiet:
         for f in open_findings:
-            print(f"{root}/{f.file}:{f.line}: [{f.rule}] {f.message}")
+            where = f.file if f.file == passes.ANALYZER_FILE \
+                else f"{root}/{f.file}"
+            print(f"{where}:{f.line}: [{f.rule}] {f.message}")
 
     if args.report:
         report.write_report(

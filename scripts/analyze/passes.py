@@ -36,10 +36,14 @@ Graph-based (new in this framework):
   hot-throw      A `throw` reachable from a hot-set loop body.
   hot-io         An I/O call (printf family, iostreams, fstreams)
                  reachable from a hot-set loop body.
+  hot-root-stale A HOT_ROOT_PATTERNS entry that matches no function in
+                 the analyzed tree (reported against this file), so a
+                 renamed or deleted kernel cannot silently shrink the
+                 hot set.
 
 The hot set is rooted at the kernel entry points by name (multiply*,
 pack/unpack_block, apply_block_pendings, accumulate_series, the solver
-sweeps, run_batch/run_multi, all_starts_points) and closed over calls to
+sweeps, run_batch, all_starts_points) and closed over calls to
 functions defined in the analyzed tree, resolved same-file, then
 same-directory, then unique-global.  Scheduling boundaries
 (parallel_for / parallel_reduce) and Workspace arena channels
@@ -51,6 +55,7 @@ allocs_in_loop == 0).
 
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import cppmodel
 
@@ -427,7 +432,6 @@ HOT_ROOT_PATTERNS = [
     re.compile(p) for p in (
         r"^multiply(_left)?(_block)?(_fused)?$",
         r"^multiply(_left)?_active$",
-        r"^multiply_multi",
         r"^apply_block_pendings$",
         r"^pack_block$",
         r"^unpack_block$",
@@ -438,7 +442,6 @@ HOT_ROOT_PATTERNS = [
         r"^solve_fixpoint$",
         r"^power_stationary$",
         r"^run_batch$",
-        r"^run_multi$",
         r"^all_starts_points$",
         r"^sign_states$",
     )
@@ -473,6 +476,32 @@ CONTAINER_DECL_TYPES = {"vector", "string", "deque", "map", "set",
 
 def _is_hot_root(fn):
     return any(p.match(fn.name) for p in HOT_ROOT_PATTERNS)
+
+
+# Where hot-root-stale findings point: the pattern's line in this file.
+ANALYZER_FILE = "scripts/analyze/passes.py"
+
+
+def _pattern_line(pattern):
+    source = Path(__file__).read_text(encoding="utf-8").splitlines()
+    needle = f'r"{pattern.pattern}"'
+    for number, line in enumerate(source, start=1):
+        if needle in line:
+            return number
+    return 0
+
+
+def stale_root_pass(contexts):
+    """One hot-root-stale finding per root pattern that matches no
+    function defined in the analyzed tree."""
+    names = {fn.name for ctx in contexts.values() for fn in ctx.model.functions}
+    return [
+        Finding(ANALYZER_FILE, _pattern_line(pattern), "hot-root-stale",
+                f"hot root pattern {pattern.pattern!r} matches no function; "
+                "drop it from HOT_ROOT_PATTERNS or restore the kernel")
+        for pattern in HOT_ROOT_PATTERNS
+        if not any(pattern.match(name) for name in names)
+    ]
 
 
 def _resolve_callee(call, caller, index_by_file, index_by_dir, index_global):
@@ -669,15 +698,19 @@ def _container_decl(code, i, end):
 # Driver
 # --------------------------------------------------------------------------
 
-def run_all(contexts):
+def run_all(contexts, check_roots=True):
     """Run every pass.  Returns (findings, hot_report) where findings
     includes waived records (filtered by the caller for exit status but
-    kept in the JSON report for auditability)."""
+    kept in the JSON report for auditability).  `check_roots` runs the
+    stale-root pass, which only makes sense on the whole tree (fixtures
+    that define a single kernel turn it off)."""
     findings = []
     for _path, ctx in sorted(contexts.items()):
         findings.extend(legacy_pass(ctx))
     findings.extend(layer_pass(contexts))
     hot_findings, hot_report = hot_pass(contexts)
     findings.extend(hot_findings)
+    if check_roots:
+        findings.extend(stale_root_pass(contexts))
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
     return findings, hot_report

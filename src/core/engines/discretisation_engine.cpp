@@ -47,30 +47,24 @@ std::vector<std::size_t> reward_shifts(const Mrm& model, double d) {
 /// One transition term of the recursion, filed under the state whose
 /// slice it writes.
 struct Arc {
-  std::size_t state;  // the slice it reads
-  double weight;      // R(from, to) * d
-  std::size_t shift;  // rho(from) + iota(from, to)/d
+  std::size_t state;  // the slice it reads: the successor s'
+  double weight;      // R(s, s') * d
+  std::size_t shift;  // rho(s) + iota(s, s')/d
 };
 
-/// Per-state arc lists.  The forward recursion (`incoming`) gathers into s
-/// from its donors; the adjoint recursions gather into s from its
-/// successors.  With impulse rewards (the Section-6 extension) a firing
-/// additionally displaces the reward index by iota/d, which must
+/// Per-state arc lists of the adjoint recursions: state s gathers from
+/// its successors.  With impulse rewards (the Section-6 extension) a
+/// firing additionally displaces the reward index by iota/d, which must
 /// therefore sit on the grid.
 std::vector<std::vector<Arc>> recursion_arcs(const Mrm& model,
                                              std::span<const std::size_t> rho,
-                                             double d, bool incoming) {
-  const CsrMatrix transposed =
-      incoming ? model.rates().transposed() : CsrMatrix();
-  const CsrMatrix& rows = incoming ? transposed : model.rates();
+                                             double d) {
   std::vector<std::vector<Arc>> arcs(model.num_states());
   for (std::size_t s = 0; s < arcs.size(); ++s) {
-    for (const auto& e : rows.row(s)) {
-      const std::size_t from = incoming ? e.col : s;
-      const std::size_t to = incoming ? s : e.col;
-      std::size_t shift = rho[from];
+    for (const auto& e : model.rates().row(s)) {
+      std::size_t shift = rho[s];
       if (model.has_impulse_rewards()) {
-        const double iota = model.impulse(from, to);
+        const double iota = model.impulse(s, e.col);
         if (iota > 0.0)
           shift += as_natural(iota / d, 1e-6, "every impulse divided by d");
       }
@@ -180,65 +174,6 @@ double DiscretisationEngine::monotone_slack(
          std::max(1.0, t_max);
 }
 
-std::vector<JointDistribution> DiscretisationEngine::joint_distribution_grid(
-    const Mrm& model, std::span<const double> times,
-    std::span<const double> rewards) const {
-  const double d = step_;
-  std::vector<JointDistribution> grid;
-  const std::vector<GridCell> live = grid_cells(
-      peel_trivial_cells(model, times, rewards, grid), times, rewards, d);
-  if (!live.empty()) {
-    CSRL_SPAN("p3/discretisation/joint_distribution_grid");
-    const std::size_t n = model.num_states();
-    const std::vector<std::size_t> rho = reward_shifts(model, d);
-    const auto [max_steps, max_cells] = grid_extent(live);
-
-    // F[s * width + k].  Reward indices above the widest bound can never
-    // come back under it (rewards are non-negative), so those columns are
-    // not tracked at all.
-    const std::size_t width = max_cells + 1;
-    std::vector<double> current(n * width, 0.0);
-    std::vector<double> next(n * width);
-
-    // F^1: one step of duration d from the initial distribution; state s0
-    // has earned reward index rho(s0).
-    for (std::size_t s = 0; s < n; ++s) {
-      const double mass = model.initial_distribution()[s];
-      if (mass != 0.0 && rho[s] <= max_cells)
-        current[s * width + rho[s]] += mass / d;
-    }
-
-    const std::vector<std::vector<Arc>> donors =
-        recursion_arcs(model, rho, d, /*incoming=*/true);
-    ThreadPool& workers = pool();
-    const auto harvest = [&](std::size_t steps_done) {
-      for (const GridCell& cell : live) {
-        if (cell.steps != steps_done) continue;
-        JointDistribution& out = grid[cell.slot];
-        out.per_state.assign(n, 0.0);
-        out.steps = cell.steps;
-        workers.parallel_for(
-            0, n, sweep_grain(width), [&](std::size_t lo, std::size_t hi) {
-              for (std::size_t s = lo; s < hi; ++s) {
-                double acc = 0.0;
-                for (std::size_t k = 0; k <= cell.cells; ++k)
-                  acc += current[s * width + k];
-                out.per_state[s] = acc * d;
-              }
-            });
-      }
-    };
-    harvest(1);
-    for (std::size_t j = 1; j < max_steps; ++j) {
-      recursion_step(workers, model, d, rho, donors, current, next, width);
-      current.swap(next);
-      harvest(j + 1);
-    }
-  }
-  validate_grid(model, times, rewards, grid, monotone_slack(model, times));
-  return grid;
-}
-
 std::vector<std::vector<double>>
 DiscretisationEngine::joint_probability_all_starts_grid(
     const Mrm& model, std::span<const double> times,
@@ -268,7 +203,7 @@ DiscretisationEngine::joint_probability_all_starts_grid(
                   width, target.contains(s) ? 1.0 : 0.0);
 
     const std::vector<std::vector<Arc>> successors =
-        recursion_arcs(model, rho, d, /*incoming=*/false);
+        recursion_arcs(model, rho, d);
     const auto read_out = [&](std::size_t steps_done) {
       for (const GridCell& cell : live) {
         if (cell.steps != steps_done + 1) continue;
@@ -341,7 +276,7 @@ std::vector<double> DiscretisationEngine::interval_until_all_starts(
   };
 
   const std::vector<std::vector<Arc>> successors =
-      recursion_arcs(model, rho, d, /*incoming=*/false);
+      recursion_arcs(model, rho, d);
   classify(t_hi);
   for (std::size_t j = t_hi; j-- > 0;) {
     recursion_step(workers, model, d, rho, successors, current, next, width);
@@ -354,18 +289,6 @@ std::vector<double> DiscretisationEngine::interval_until_all_starts(
   for (std::size_t s = 0; s < n; ++s)
     result[s] = std::min(current[s * width + r_hi], 1.0);
   return result;
-}
-
-double DiscretisationEngine::interval_until(const Mrm& model,
-                                            const StateSet& phi,
-                                            const StateSet& psi, Interval time,
-                                            Interval reward) const {
-  const std::vector<double> per_start =
-      interval_until_all_starts(model, phi, psi, time, reward);
-  double value = 0.0;
-  for (std::size_t s = 0; s < per_start.size(); ++s)
-    value += model.initial_distribution()[s] * per_start[s];
-  return std::min(value, 1.0);
 }
 
 }  // namespace csrl

@@ -53,7 +53,7 @@ namespace csrl {
 /// Section 4.3's engine.  `step` is the discretisation step d.  The
 /// per-state recurrence sweeps run on `pool` (nullptr = the shared pool);
 /// results are bit-identical at any thread count because each state's
-/// slice of F (or H) is written by exactly one chunk.
+/// slice of H is written by exactly one chunk.
 class DiscretisationEngine : public JointDistributionEngine {
  public:
   explicit DiscretisationEngine(double step,
@@ -83,22 +83,6 @@ class DiscretisationEngine : public JointDistributionEngine {
                                                 const StateSet& psi,
                                                 Interval time,
                                                 Interval reward) const;
-
-  /// The same probability from the model's initial distribution alpha:
-  /// alpha . interval_until_all_starts.
-  double interval_until(const Mrm& model, const StateSet& phi,
-                        const StateSet& psi, Interval time,
-                        Interval reward) const;
-
-  /// Forward lattice evaluation.  Column k of F^{j+1} depends only on
-  /// columns <= k of F^j (reward shifts are non-negative), so one sweep
-  /// over a grid wide enough for the largest reward bound leaves every
-  /// lower column bit-identical to a narrower run; each grid point is
-  /// harvested from the shared F array the moment its own step count j =
-  /// t/d is reached.  A T x R grid thus costs one (max t, max r) run.
-  std::vector<JointDistribution> joint_distribution_grid(
-      const Mrm& model, std::span<const double> times,
-      std::span<const double> rewards) const override;
 
   /// All-start-states lattice: one run of the adjoint recursion H (see the
   /// file comment) to (max t, max r), read out at every lattice cell.

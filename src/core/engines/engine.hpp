@@ -26,52 +26,29 @@
 
 namespace csrl {
 
-/// Result of a joint-distribution computation.
-struct JointDistribution {
-  /// per_state[j] = Pr{Y_t <= r, X_t = j}, from the model's initial
-  /// distribution.
-  std::vector<double> per_state;
-  /// Algorithm-specific effort indicator: Sericola reports the truncation
-  /// depth N_epsilon, the Erlang engine the number of uniformisation steps
-  /// on the expanded chain, the discretisation engine the number of time
-  /// steps t/d.
-  std::size_t steps = 0;
-
-  /// Sum of per_state over a set of interest (e.g. Sat(Psi)).
-  double probability_in(const StateSet& states) const;
-};
-
 /// A procedure computing the joint state/accumulated-reward distribution.
 ///
-/// The contract is grid-shaped: an engine implements the two lattice
-/// methods below, each evaluating every pair (times[i], rewards[j]) of the
-/// bound grid in one call and returning grid-point major results
-/// (index i * rewards.size() + j).  A single (t, r) query is the 1 x 1
-/// lattice, so the point forms are thin non-virtual wrappers and a point
-/// value can never drift from the corresponding grid cell.  Every grid
-/// method checks its result against validate_joint_grid (core/validate).
+/// The contract has the one shape the checker's Sat recursion needs: an
+/// engine implements the all-start-states lattice below, evaluating every
+/// pair (times[i], rewards[j]) of the bound grid in one call and returning
+/// grid-point major results (index i * rewards.size() + j).  A single
+/// (t, r) query is the 1 x 1 lattice, so the point form is a thin
+/// non-virtual wrapper and a point value can never drift from the
+/// corresponding grid cell.  The value from an initial distribution alpha
+/// is alpha . all_starts, and Pr_alpha{Y_t <= r, X_t = j} is that with
+/// target {j}.  Every grid checks itself against validate_joint_grid
+/// (core/validate).
 class JointDistributionEngine {
  public:
   virtual ~JointDistributionEngine() = default;
 
-  /// Forward form, from the model's initial distribution:
-  ///   result[i * rewards.size() + j].per_state[s]
-  ///       = Pr{Y_{t_i} <= r_j, X_{t_i} = s}.
-  /// Every bound must be finite and >= 0.
-  virtual std::vector<JointDistribution> joint_distribution_grid(
-      const Mrm& model, std::span<const double> times,
-      std::span<const double> rewards) const = 0;
-
-  /// All-start-states form, the shape Sat-set computation needs:
+  /// All-start-states lattice:
   ///   result[i * rewards.size() + j][s]
   ///       = Pr_s{Y_{t_i} <= r_j, X_{t_i} in target}.
+  /// Every bound must be finite and >= 0.
   virtual std::vector<std::vector<double>> joint_probability_all_starts_grid(
       const Mrm& model, std::span<const double> times,
       std::span<const double> rewards, const StateSet& target) const = 0;
-
-  /// The only cell of the 1 x 1 forward grid {t} x {r}.
-  JointDistribution joint_distribution(const Mrm& model, double t,
-                                       double r) const;
 
   /// The only cell of the 1 x 1 all-starts grid {t} x {r}.
   std::vector<double> joint_probability_all_starts(
@@ -92,15 +69,11 @@ class JointDistributionEngine {
   explicit JointDistributionEngine(std::shared_ptr<ThreadPool> pool)
       : pool_(std::move(pool)) {}
 
-  /// The grid postcondition: validate_joint_grid on a lattice one of the
-  /// two grid methods just computed, with `slack` absorbing the engine's
+  /// The grid postcondition: validate_joint_grid on a lattice the grid
+  /// method just computed, with `slack` absorbing the engine's
   /// approximation error in the reward-monotonicity checks.  The paranoid
-  /// recomputes call back into the same grid method.  Free while
-  /// contracts are off.
-  void validate_grid(const Mrm& model, std::span<const double> times,
-                     std::span<const double> rewards,
-                     const std::vector<JointDistribution>& grid,
-                     double slack) const;
+  /// recomputes call back into the grid method.  Free while contracts are
+  /// off.
   void validate_grid(const Mrm& model, std::span<const double> times,
                      std::span<const double> rewards, const StateSet& target,
                      const std::vector<std::vector<double>>& grid,
@@ -119,22 +92,15 @@ class JointDistributionEngine {
 /// cells, ascending.  Throws ModelError on a negative or non-finite bound.
 std::vector<std::size_t> peel_trivial_cells(
     const Mrm& model, std::span<const double> times,
-    std::span<const double> rewards, std::vector<JointDistribution>& grid);
-std::vector<std::size_t> peel_trivial_cells(
-    const Mrm& model, std::span<const double> times,
     std::span<const double> rewards, const StateSet& target,
     std::vector<std::vector<double>>& grid);
 
-/// Point-by-point grid references: loop the 1 x 1 wrappers over the
+/// Point-by-point grid reference: loops the 1 x 1 wrapper over the
 /// lattice, grid-point major.  The differential tests and the bench SpMV
-/// comparisons diff the engines' multi-point lattices against these.
+/// comparisons diff the engines' multi-point lattices against it.
 std::vector<std::vector<double>> joint_grid_reference(
     const JointDistributionEngine& engine, const Mrm& model,
     std::span<const double> times, std::span<const double> rewards,
     const StateSet& target);
-
-std::vector<JointDistribution> joint_distribution_grid_reference(
-    const JointDistributionEngine& engine, const Mrm& model,
-    std::span<const double> times, std::span<const double> rewards);
 
 }  // namespace csrl

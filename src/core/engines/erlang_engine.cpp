@@ -1,6 +1,5 @@
 #include "core/engines/erlang_engine.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -74,38 +73,6 @@ double ErlangEngine::monotone_slack() const {
   return 4.0 / std::sqrt(static_cast<double>(phases_)) + 1e-9;
 }
 
-template <typename Column>
-void ErlangEngine::for_each_live_column(const Mrm& model,
-                                        std::span<const double> times,
-                                        std::span<const double> rewards,
-                                        std::span<const std::size_t> live,
-                                        Column&& column) const {
-  // The expanded chain has the same size for every reward column, so one
-  // arena serves every batched transient run of the sweep: the first
-  // column warms it, the rest iterate without heap traffic.  The
-  // transient options' rhs_block rides along: each column's batched run
-  // carries all of its live horizons as one interleaved accumulator block
-  // per matrix pass (ctmc/uniformisation.cpp), so a column costs about
-  // one SpMV stream regardless of how many horizons share it.  (Columns
-  // cannot be blocked with each other — every reward bound expands to a
-  // different chain.)
-  Workspace grid_workspace;
-  TransientOptions transient = transient_;
-  if (transient.workspace == nullptr) transient.workspace = &grid_workspace;
-  const std::size_t num_rewards = rewards.size();
-  std::vector<std::vector<std::size_t>> columns(num_rewards);
-  for (std::size_t slot : live) columns[slot % num_rewards].push_back(slot);
-  for (std::size_t j = 0; j < num_rewards; ++j) {
-    if (columns[j].empty()) continue;
-    std::vector<double> horizon;
-    horizon.reserve(columns[j].size());
-    for (std::size_t slot : columns[j])
-      horizon.push_back(times[slot / num_rewards]);
-    column(expand(model, rewards[j]), std::span<const std::size_t>(columns[j]),
-           std::span<const double>(horizon), transient);
-  }
-}
-
 std::vector<std::vector<double>> ErlangEngine::joint_probability_all_starts_grid(
     const Mrm& model, std::span<const double> times,
     std::span<const double> rewards, const StateSet& target) const {
@@ -116,79 +83,44 @@ std::vector<std::vector<double>> ErlangEngine::joint_probability_all_starts_grid
     CSRL_SPAN("p3/erlang/all_starts_grid");
     const std::size_t n = model.num_states();
     const std::size_t k = phases_;
-    for_each_live_column(
-        model, times, rewards, live,
-        [&](const Ctmc& expanded, std::span<const std::size_t> slots,
-            std::span<const double> horizon,
-            const TransientOptions& transient) {
-          // Terminal set: any phase copy of a target state (the budget may
-          // be partially consumed as long as it never ran out).
-          StateSet expanded_target(expanded.num_states());
-          for (std::size_t s : target.members())
-            for (std::size_t i = 0; i < k; ++i)
-              expanded_target.insert(s * k + i);
-          const std::vector<std::vector<double>> us = transient_reach_batch(
-              expanded, expanded_target, horizon, transient);
-          // A fresh start state has consumed no budget: phase 0.
-          for (std::size_t pos = 0; pos < slots.size(); ++pos) {
-            std::vector<double>& out = grid[slots[pos]];
-            out.assign(n, 0.0);
-            for (std::size_t s = 0; s < n; ++s) out[s] = us[pos][s * k];
-          }
-        });
+    // The expanded chain has the same size for every reward column, so one
+    // arena serves every batched transient run of the sweep: the first
+    // column warms it, the rest iterate without heap traffic.  The
+    // transient options' rhs_block rides along: each column's batched run
+    // carries all of its live horizons as one interleaved accumulator
+    // block per matrix pass (ctmc/uniformisation.cpp), so a column costs
+    // about one SpMV stream regardless of how many horizons share it.
+    // (Columns cannot be blocked with each other — every reward bound
+    // expands to a different chain.)
+    Workspace grid_workspace;
+    TransientOptions transient = transient_;
+    if (transient.workspace == nullptr) transient.workspace = &grid_workspace;
+    const std::size_t num_rewards = rewards.size();
+    std::vector<std::vector<std::size_t>> columns(num_rewards);
+    for (std::size_t slot : live) columns[slot % num_rewards].push_back(slot);
+    for (std::size_t j = 0; j < num_rewards; ++j) {
+      if (columns[j].empty()) continue;
+      std::vector<double> horizon;
+      horizon.reserve(columns[j].size());
+      for (std::size_t slot : columns[j])
+        horizon.push_back(times[slot / num_rewards]);
+      const Ctmc expanded = expand(model, rewards[j]);
+      // Terminal set: any phase copy of a target state (the budget may be
+      // partially consumed as long as it never ran out).
+      StateSet expanded_target(expanded.num_states());
+      for (std::size_t s : target.members())
+        for (std::size_t i = 0; i < k; ++i) expanded_target.insert(s * k + i);
+      const std::vector<std::vector<double>> us =
+          transient_reach_batch(expanded, expanded_target, horizon, transient);
+      // A fresh start state has consumed no budget: phase 0.
+      for (std::size_t pos = 0; pos < columns[j].size(); ++pos) {
+        std::vector<double>& out = grid[columns[j][pos]];
+        out.assign(n, 0.0);
+        for (std::size_t s = 0; s < n; ++s) out[s] = us[pos][s * k];
+      }
+    }
   }
   validate_grid(model, times, rewards, target, grid, monotone_slack());
-  return grid;
-}
-
-std::vector<JointDistribution> ErlangEngine::joint_distribution_grid(
-    const Mrm& model, std::span<const double> times,
-    std::span<const double> rewards) const {
-  std::vector<JointDistribution> grid;
-  const std::vector<std::size_t> live =
-      peel_trivial_cells(model, times, rewards, grid);
-  if (!live.empty()) {
-    CSRL_SPAN("p3/erlang/joint_distribution_grid");
-    const std::size_t n = model.num_states();
-    const std::size_t k = phases_;
-    for_each_live_column(
-        model, times, rewards, live,
-        [&](const Ctmc& expanded, std::span<const std::size_t> slots,
-            std::span<const double> horizon,
-            const TransientOptions& transient) {
-          std::vector<double> initial(expanded.num_states(), 0.0);
-          for (std::size_t s = 0; s < n; ++s)
-            initial[s * k] = model.initial_distribution()[s];
-          // The sweep unit is one transient solve on the expanded chain.
-          const std::vector<std::vector<double>> pis = [&] {
-            CSRL_HIST_SCOPE("latency/p3_sweep");
-            return transient_distribution_batch(expanded, initial, horizon,
-                                                transient);
-          }();
-          // Per-state mixture over the k phase copies: state s owns the
-          // slice pi[s*k .. (s+1)*k), so the fold parallelises over states
-          // with the per-state summation order unchanged.
-          for (std::size_t pos = 0; pos < slots.size(); ++pos) {
-            const std::vector<double>& pi = pis[pos];
-            JointDistribution& out = grid[slots[pos]];
-            out.per_state.assign(n, 0.0);
-            pool().parallel_for(
-                0, n, std::max<std::size_t>(1, (std::size_t{1} << 13) / k),
-                [&](std::size_t lo, std::size_t hi) {
-                  for (std::size_t s = lo; s < hi; ++s) {
-                    double acc = 0.0;
-                    for (std::size_t i = 0; i < k; ++i) acc += pi[s * k + i];
-                    out.per_state[s] = acc;
-                  }
-                });
-            out.steps = poisson_weights(
-                            expanded.max_exit_rate() * horizon[pos],
-                            transient_.epsilon)
-                            .right;
-          }
-        });
-  }
-  validate_grid(model, times, rewards, grid, monotone_slack());
   return grid;
 }
 

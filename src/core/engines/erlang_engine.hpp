@@ -42,10 +42,6 @@ class ErlangEngine : public JointDistributionEngine {
       const Mrm& model, std::span<const double> times,
       std::span<const double> rewards, const StateSet& target) const override;
 
-  std::vector<JointDistribution> joint_distribution_grid(
-      const Mrm& model, std::span<const double> times,
-      std::span<const double> rewards) const override;
-
   std::string name() const override;
 
   std::size_t phases() const { return phases_; }
@@ -54,17 +50,6 @@ class ErlangEngine : public JointDistributionEngine {
   /// Expanded chain over states (s, i) |-> s * phases_ + i, with the
   /// "bound exceeded" sink at index num_states * phases_.
   Ctmc expand(const Mrm& model, double r) const;
-
-  /// Shared skeleton of both grid methods: one expansion and one batched
-  /// transient run per reward column.  For every column j with live
-  /// lattice slots (`live`, ascending), calls
-  ///   column(expanded chain for rewards[j], the column's live slots,
-  ///          their horizons, transient options with a shared arena).
-  template <typename Column>
-  void for_each_live_column(const Mrm& model, std::span<const double> times,
-                            std::span<const double> rewards,
-                            std::span<const std::size_t> live,
-                            Column&& column) const;
 
   /// Reward-monotonicity slack of the grid postcondition.
   double monotone_slack() const;

@@ -18,7 +18,6 @@
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
-#include "util/workspace.hpp"
 
 namespace csrl {
 
@@ -58,8 +57,8 @@ constexpr std::size_t kStateTile = 1 << 12;
 
 /// Triangular store for the per-level coefficient vectors c(h, n, k): one
 /// slot per reward interval h in 1..m and jump count k in 0..N, each a
-/// vector over states.  Views caller-provided (typically workspace-leased)
-/// storage, which it zero-fills; swapping two stores just swaps the views.
+/// vector over states.  Views caller-provided storage, which it
+/// zero-fills; swapping two stores just swaps the views.
 class LevelStore {
  public:
   LevelStore(std::vector<double>& storage, std::size_t m, std::size_t max_n,
@@ -118,7 +117,7 @@ std::size_t SericolaEngine::truncation_depth(const Mrm& model, double t) const {
 
 std::vector<std::vector<double>> SericolaEngine::all_starts_points(
     const Mrm& model, std::span<const std::pair<double, double>> points,
-    const StateSet& target, Workspace* workspace) const {
+    const StateSet& target) const {
   if (model.has_impulse_rewards())
     throw ModelError(
         "SericolaEngine: occupation-time distributions are a rate-reward "
@@ -233,33 +232,21 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
   }
 
   // c(h, n, k) vectors for the current and previous jump count n, plus the
-  // cache of products P * c(h, n-1, k) both sweeps consume.  The stores and
-  // the power-iteration pair lease arena storage so repeated calls (the
-  // grid paths) skip the per-call allocations after the first.
-  const std::size_t store_size = m * (max_n + 1) * num_states;
-  Workspace::Lease current_store(workspace, store_size);
-  Workspace::Lease previous_store(workspace, store_size);
-  Workspace::Lease products_store(workspace, store_size);
-  LevelStore current(current_store.get(), m, max_n, num_states);
-  LevelStore previous(previous_store.get(), m, max_n, num_states);
-  LevelStore products(products_store.get(), m, max_n, num_states);
+  // cache of products P * c(h, n-1, k) both sweeps consume.
+  std::vector<double> current_store;
+  std::vector<double> previous_store;
+  std::vector<double> products_store;
+  LevelStore current(current_store, m, max_n, num_states);
+  LevelStore previous(previous_store, m, max_n, num_states);
+  LevelStore products(products_store, m, max_n, num_states);
 
-  // Block buffers for the grouped coefficient products (zero-sized, hence
-  // free, when blocking is off).
-  Workspace::Lease x_block_lease(workspace,
-                                 rhs_block_ > 1 ? num_states * rhs_block_ : 0);
-  Workspace::Lease y_block_lease(workspace,
-                                 rhs_block_ > 1 ? num_states * rhs_block_ : 0);
+  // Block buffers for the grouped coefficient products (empty when
+  // blocking is off).
+  std::vector<double> x_block(rhs_block_ > 1 ? num_states * rhs_block_ : 0);
+  std::vector<double> y_block(rhs_block_ > 1 ? num_states * rhs_block_ : 0);
 
-  Workspace::Lease u_lease(workspace, num_states);
-  Workspace::Lease scratch_lease(workspace, num_states);
-  std::vector<double>& u = u_lease.get();  // u = P^n v
-  {
-    const std::vector<double> indicator = target.indicator();
-    u.assign(indicator.begin(), indicator.end());
-  }
-  std::vector<double>& scratch = scratch_lease.get();
-  scratch.assign(num_states, 0.0);
+  std::vector<double> u = target.indicator();  // u = P^n v
+  std::vector<double> scratch(num_states, 0.0);
   std::vector<std::vector<double>> transient(
       horizon_times.size(), std::vector<double>(num_states, 0.0));
   std::vector<std::vector<double>> exceed(
@@ -344,7 +331,6 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
 
   // Every table and buffer above is in place: the level loop itself must
   // not touch the heap.
-  Workspace::LoopGuard guard(workspace);
   for (std::size_t n = 0; n <= max_n; ++n) {
     CSRL_SPAN("p3/sericola/column_sweep");
     CSRL_COUNT("p3/sericola/jump_levels", 1);
@@ -372,16 +358,14 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
             in_cols[b] = previous.slot(h, k);
             out_cols[b] = products.slot(h, k);
           }
-          std::vector<double>& x = x_block_lease.get();
-          std::vector<double>& y = y_block_lease.get();
           for_each_tile([&](std::size_t tile) {
             const auto [lo, hi] = tile_rows(tile);
-            pack_block({in_cols, width}, x, lo, hi, width);
+            pack_block({in_cols, width}, x_block, lo, hi, width);
           });
-          p.multiply_block(x, y, width, width);
+          p.multiply_block(x_block, y_block, width, width);
           for_each_tile([&](std::size_t tile) {
             const auto [lo, hi] = tile_rows(tile);
-            unpack_block(y, {out_cols, width}, lo, hi, width);
+            unpack_block(y_block, {out_cols, width}, lo, hi, width);
           });
         }
       } else {
@@ -433,7 +417,6 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
 
     std::swap(current, previous);
   }
-  CSRL_COUNT("p3/sericola/allocs_in_loop", guard.heap_allocations());
 
   std::vector<std::vector<double>> results(points.size());
   for (std::size_t pt = 0; pt < points.size(); ++pt) {
@@ -453,49 +436,12 @@ std::vector<std::vector<double>> SericolaEngine::joint_probability_all_starts_gr
       peel_trivial_cells(model, times, rewards, target, grid);
   if (!live_slot.empty()) {
     CSRL_SPAN("p3/sericola/all_starts_grid");
-    // One recursion serves the whole lattice, so an arena would have no
-    // second call to warm: plain vectors.
     std::vector<std::vector<double>> computed = all_starts_points(
-        model, live_points(times, rewards, live_slot), target, nullptr);
+        model, live_points(times, rewards, live_slot), target);
     for (std::size_t k = 0; k < live_slot.size(); ++k)
       grid[live_slot[k]] = std::move(computed[k]);
   }
   validate_grid(model, times, rewards, target, grid, 2.0 * epsilon_ + 1e-12);
-  return grid;
-}
-
-std::vector<JointDistribution> SericolaEngine::joint_distribution_grid(
-    const Mrm& model, std::span<const double> times,
-    std::span<const double> rewards) const {
-  std::vector<JointDistribution> grid;
-  const std::vector<std::size_t> live_slot =
-      peel_trivial_cells(model, times, rewards, grid);
-  if (!live_slot.empty()) {
-    const std::vector<std::pair<double, double>> live =
-        live_points(times, rewards, live_slot);
-    CSRL_SPAN("p3/sericola/joint_distribution_grid");
-    const std::size_t n = model.num_states();
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      grid[live_slot[k]].per_state.assign(n, 0.0);
-      grid[live_slot[k]].steps = truncation_depth(model, live[k].first);
-    }
-    // One multi-point pass per final state j (cumulatively the cost of the
-    // paper-faithful matrix recursion); the initial distribution then
-    // picks out the required mixture of start states.  One arena spans the
-    // n passes: the first pass warms it and the remaining n-1 run without
-    // heap traffic.
-    Workspace grid_workspace;
-    for (std::size_t j = 0; j < n; ++j) {
-      StateSet single(n);
-      single.insert(j);
-      const std::vector<std::vector<double>> cols =
-          all_starts_points(model, live, single, &grid_workspace);
-      for (std::size_t k = 0; k < live.size(); ++k)
-        grid[live_slot[k]].per_state[j] =
-            dot(model.initial_distribution(), cols[k]);
-    }
-  }
-  validate_grid(model, times, rewards, grid, 2.0 * epsilon_ + 1e-12);
   return grid;
 }
 

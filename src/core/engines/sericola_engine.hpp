@@ -26,9 +26,9 @@
 // Pr_i{Y_t > r, X_t in target} for *all* start states i in one pass and
 // dropping the complexity from O(N^2 m |S|^3) time / O(m N |S|^2) space to
 // O(N^2 m nnz) time / O(m N |S|) space.  Results are bit-for-bit the same
-// linear algebra.  The forward form joint_distribution_grid() runs the
-// vector pass once per basis vector, which reproduces the paper-faithful
-// matrix cost and is used by tests as a cross-check.
+// linear algebra.  The paper's per-final-state matrix entries are the
+// passes for the singleton targets {j}; the tests and
+// bench_ablation_sericola build them that way when they need them.
 //
 // Per jump level n the engine first forms the m * n products
 // P * c(h, n-1, k) (blocked SpMM, see rhs_block below), then runs both
@@ -52,8 +52,6 @@
 
 namespace csrl {
 
-class Workspace;
-
 /// Section 4.4's engine.  `epsilon` is the a-priori bound on the Poisson
 /// truncation error.  `rhs_block` is the multi-RHS block width for the
 /// m * n per-level coefficient products (TransientOptions::rhs_block
@@ -76,10 +74,6 @@ class SericolaEngine : public JointDistributionEngine {
       const Mrm& model, std::span<const double> times,
       std::span<const double> rewards, const StateSet& target) const override;
 
-  std::vector<JointDistribution> joint_distribution_grid(
-      const Mrm& model, std::span<const double> times,
-      std::span<const double> rewards) const override;
-
   std::string name() const override;
 
   double epsilon() const { return epsilon_; }
@@ -93,14 +87,10 @@ class SericolaEngine : public JointDistributionEngine {
   /// recursion to the deepest window serves every point, with one transient
   /// accumulator per distinct t and one Bernstein accumulator per point.
   /// Each returned vector is bitwise identical to the single-point pass for
-  /// its (t, r) — see DESIGN.md section 3d for the argument.  The recursion
-  /// leases its state-sized stores from `workspace` when one is supplied
-  /// (nullptr: plain vectors), so grid paths that call this repeatedly —
-  /// joint_distribution_grid runs it once per final state — reuse one set
-  /// of buffers instead of reallocating the coefficient stores per call.
+  /// its (t, r) — see DESIGN.md section 3d for the argument.
   std::vector<std::vector<double>> all_starts_points(
       const Mrm& model, std::span<const std::pair<double, double>> points,
-      const StateSet& target, Workspace* workspace) const;
+      const StateSet& target) const;
 
   double epsilon_;
   std::size_t rhs_block_;  // resolved effective width, in [1, kMaxRhsBlock]

@@ -25,7 +25,7 @@ std::unique_ptr<JointDistributionEngine> make_engine(const CheckOptions& options
   // Sericola takes the multi-RHS block width directly (its grid path
   // blocks the coefficient products); the pseudo-Erlang engine inherits it
   // through TransientOptions (its batched uniformisation runs block the
-  // per-horizon accumulators and multi-start groups).  The discretisation
+  // per-horizon accumulators).  The discretisation
   // engine answers every start state in one adjoint run and has no lanes.
   switch (options.engine) {
     case P3Engine::kSericola:

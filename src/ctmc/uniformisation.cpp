@@ -187,7 +187,7 @@ void accumulate_series(const CsrMatrix& p, bool forward,
       }
     } else if (forward) {
       // One iterate in flight: batched horizons already ride the fused
-      // pendings, and multi-start runs take run_multi instead.
+      // pendings.
       // lint:allow spmm-blocking (single power iterate per step)
       diff = p.multiply_left_fused(iterate, scratch, pendings,
                                    block_pendings, want_diff);
@@ -371,186 +371,6 @@ std::vector<std::vector<double>> run_batch(const Ctmc& chain,
   return results;
 }
 
-/// Blocked multi-start runner behind transient_distribution_multi /
-/// transient_backward_multi: groups the start vectors into row-major
-/// lanes of at most rhs_block and streams the uniformised matrix once
-/// per step for a whole group via the *_block_fused kernels.  Per lane
-/// the iteration performs exactly the arithmetic of that start's
-/// single-start batch run — same weighted axpys in the same order, with
-/// per-lane steady-state diffs deciding each lane's cutoff at the same
-/// step its own run would cut (a converged lane folds its remaining
-/// window mass and goes dormant: its lane weights turn 0.0, whose exact
-/// +0.0 adds change no bits; the block keeps iterating for the other
-/// lanes).  Results are therefore bitwise identical to the per-start
-/// loop.  Falls back to that loop outright when blocking is off
-/// (rhs_block == 1), only one start is given, or support_epsilon > 0
-/// (the single runs then truncate on the active path, which a shared
-/// dense block cannot reproduce).
-std::vector<std::vector<std::vector<double>>> run_multi(
-    const Ctmc& chain, std::span<const std::vector<double>> starts,
-    std::span<const double> times, const TransientOptions& options,
-    const char* what, bool forward) {
-  const std::size_t n = chain.num_states();
-  for (const std::vector<double>& s : starts)
-    if (s.size() != n)
-      // lint:allow hot-throw (argument validation at entry, before any series work)
-      throw ModelError(std::string(what) + ": vector size mismatch");
-  for (double t : times)
-    if (!(t >= 0.0) || !std::isfinite(t))
-      // lint:allow hot-throw (argument validation at entry, before any series work)
-      throw ModelError(std::string(what) + ": times must be finite and >= 0");
-
-  const std::size_t num_starts = starts.size();
-  const std::size_t block = resolve_rhs_block(options.rhs_block);
-  std::vector<std::vector<std::vector<double>>> all(num_starts);
-  if (num_starts == 0) return all;
-  if (block == 1 || num_starts == 1 || n == 0 ||
-      options.support_epsilon > 0.0) {
-    for (std::size_t s = 0; s < num_starts; ++s)
-      all[s] = run_batch(chain, starts[s], times, options, what, forward);
-    return all;
-  }
-
-  // Degenerate horizons (t == 0, absorbing chain) copy the start; the
-  // rest run the blocked series.
-  // lint:allow hot-alloc (result-slot sizing at entry, one resize per start vector)
-  for (std::size_t s = 0; s < num_starts; ++s) all[s].resize(times.size());
-  std::vector<std::size_t> series;
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    if (times[i] == 0.0 || chain.max_exit_rate() == 0.0)
-      for (std::size_t s = 0; s < num_starts; ++s) all[s][i] = starts[s];
-    else
-      series.push_back(i);  // lint:allow hot-alloc (horizon scan at entry, before the series loop)
-  }
-  if (series.empty()) return all;
-
-  const double lambda = resolve_rate(chain, options);
-  const CsrMatrix p = chain.uniformised_dtmc(lambda);
-  p.warm_kernel_caches(forward);
-
-  const std::size_t num_windows = series.size();
-  std::vector<PoissonWeights> windows;
-  windows.reserve(num_windows);
-  std::size_t max_right = 0;
-  for (std::size_t i : series) {
-    // lint:allow hot-alloc (per-horizon window setup into capacity reserved above, before the series loop)
-    windows.push_back(poisson_weights(lambda * times[i], options.epsilon));
-    max_right = std::max(max_right, windows.back().right);
-  }
-
-  Workspace::LoopGuard guard(options.workspace);
-  // Largest lease first: the arena hands out its biggest retired buffer
-  // on every acquire, so descending-size acquisition keeps a warmed
-  // arena's buffers matched to the same requests call after call.
-  Workspace::Lease acc_lease(options.workspace, num_windows * n * block);
-  Workspace::Lease x_lease(options.workspace, n * block);
-  Workspace::Lease y_lease(options.workspace, n * block);
-  Workspace::Lease weights_lease(options.workspace, num_windows * block);
-  std::vector<FusedBlockAxpy> block_pendings(num_windows);
-  std::vector<double> diffs(block, 0.0);
-  std::vector<char> dormant(block, 0);
-  const double* cols[kMaxRhsBlock];
-
-  for (std::size_t group = 0; group < num_starts; group += block) {
-    const std::size_t width = std::min(block, num_starts - group);
-    std::vector<double>& x = x_lease.get();
-    std::vector<double>& y = y_lease.get();
-    for (std::size_t b = 0; b < width; ++b)
-      cols[b] = starts[group + b].data();
-    pack_block({cols, width}, x, 0, n, width);
-
-    double* const acc = acc_lease.get().data();
-    double* const weights = weights_lease.get().data();
-    std::fill_n(acc, num_windows * n * width, 0.0);
-    for (std::size_t w = 0; w < num_windows; ++w) {
-      double* const lane_weights = weights + w * block;
-      const double anchor =
-          (windows[w].left == 0 && !windows[w].weights.empty())
-              ? windows[w].weights[0]
-              : 0.0;
-      for (std::size_t b = 0; b < width; ++b) lane_weights[b] = anchor;
-      block_pendings[w] = {lane_weights, acc + w * n * width, width, width};
-    }
-    std::fill(dormant.begin(), dormant.end(), 0);
-    std::size_t live = width;
-
-    for (std::size_t step = 1; step <= max_right && live > 0; ++step) {
-      CSRL_COUNT("uniformisation/steps", 1);
-      const StepLatencySample step_latency;
-      const bool want_diff = options.steady_state_detection;
-      const std::span<double> diff_span =
-          want_diff ? std::span<double>(diffs.data(), width)
-                    : std::span<double>{};
-      if (forward)
-        p.multiply_left_block_fused(x, y, width, width, block_pendings,
-                                    diff_span);
-      else
-        p.multiply_block_fused(x, y, width, width, block_pendings, diff_span);
-      if (want_diff) {
-        for (std::size_t b = 0; b < width; ++b) {
-          if (dormant[b] != 0 || diffs[b] > options.steady_state_tolerance)
-            continue;
-          // Lane b converged: fold each still-running window's remaining
-          // Poisson mass from the new iterate, exactly as its single run
-          // folds at this step, then stop accumulating the lane.
-          for (std::size_t w = 0; w < num_windows; ++w) {
-            double remaining = 0.0;
-            if (windows[w].right >= step)
-              for (std::size_t m = std::max(step, windows[w].left);
-                   m <= windows[w].right; ++m)
-                remaining += windows[w].weight(m);
-            if (remaining != 0.0) {
-              double* const lane_acc = acc + w * n * width;
-              for (std::size_t i = 0; i < n; ++i)
-                lane_acc[i * width + b] += remaining * y[i * width + b];
-            }
-          }
-          dormant[b] = 1;
-          --live;
-          CSRL_COUNT("uniformisation/steady_state_cutoffs", 1);
-        }
-      }
-      x.swap(y);
-      if (live == 0) break;
-      for (std::size_t w = 0; w < num_windows; ++w) {
-        double* const lane_weights = weights + w * block;
-        const double next =
-            (step >= windows[w].left && step <= windows[w].right)
-                ? windows[w].weight(step)
-                : 0.0;
-        for (std::size_t b = 0; b < width; ++b)
-          lane_weights[b] = dormant[b] != 0 ? 0.0 : next;
-      }
-    }
-    if (live > 0) {
-      // Flush the last pending weights against the final iterate
-      // (dormant lanes already carry weight 0.0).
-      for (std::size_t w = 0; w < num_windows; ++w) {
-        const double* const lane_weights = weights + w * block;
-        double* const lane_acc = acc + w * n * width;
-        for (std::size_t i = 0; i < n; ++i) {
-          const double* xi = x.data() + i * width;
-          double* out = lane_acc + i * width;
-          CSRL_PRAGMA_SIMD
-          for (std::size_t b = 0; b < width; ++b)
-            out[b] += lane_weights[b] * xi[b];
-        }
-      }
-    }
-    for (std::size_t w = 0; w < num_windows; ++w) {
-      const double* const lane_acc = acc + w * n * width;
-      for (std::size_t b = 0; b < width; ++b) {
-        std::vector<double>& out = all[group + b][series[w]];
-        // lint:allow hot-alloc (sizes each caller-owned result vector once while unpacking, after the series loop)
-        out.resize(n);
-        for (std::size_t i = 0; i < n; ++i) out[i] = lane_acc[i * width + b];
-      }
-    }
-  }
-  CSRL_COUNT("uniformisation/allocs_in_loop", guard.heap_allocations());
-  return all;
-}
-
 }  // namespace
 
 std::vector<double> transient_distribution(const Ctmc& chain,
@@ -629,109 +449,21 @@ std::vector<double> transient_reach(const Ctmc& chain, const StateSet& target,
   return transient_backward(chain, target.indicator(), t, options);
 }
 
-std::vector<std::vector<double>> transient_distribution_batch(
-    const Ctmc& chain, std::span<const double> initial,
-    std::span<const double> times, const TransientOptions& options) {
-  for (double v : initial)
-    if (!(v >= 0.0) || !std::isfinite(v))
-      throw ModelError(
-          "transient_distribution_batch: initial entries must be >= 0");
-
-  CSRL_SPAN("ctmc/transient/forward_batch");
-  auto results = run_batch(chain, initial, times, options,
-                           "transient_distribution_batch", /*forward=*/true);
-  CSRL_CONTRACT(
-      [&] {
-        double mass_in = 0.0;
-        for (double v : initial) mass_in += v;
-        for (const auto& result : results) {
-          if (!within_probability_bounds(result, mass_in, 1e-9)) return false;
-          double mass_out = 0.0;
-          for (double v : result) mass_out += v;
-          if (mass_out > mass_in + 1e-9) return false;
-        }
-        return true;
-      }(),
-      "transient_distribution_batch: a result is not a sub-distribution of "
-      "the initial mass");
-  return results;
-}
-
-std::vector<std::vector<double>> transient_backward_batch(
-    const Ctmc& chain, std::span<const double> terminal,
-    std::span<const double> times, const TransientOptions& options) {
-  CSRL_SPAN("ctmc/transient/backward_batch");
-  auto results = run_batch(chain, terminal, times, options,
-                           "transient_backward_batch", /*forward=*/false);
-  CSRL_CONTRACT(
-      [&] {
-        if (!within_probability_bounds(terminal, 1.0, 0.0)) return true;
-        for (const auto& result : results)
-          if (!within_probability_bounds(result, 1.0, 1e-9)) return false;
-        return true;
-      }(),
-      "transient_backward_batch: [0,1] terminal values produced an "
-      "out-of-range expectation");
-  return results;
-}
-
 std::vector<std::vector<double>> transient_reach_batch(
     const Ctmc& chain, const StateSet& target, std::span<const double> times,
     const TransientOptions& options) {
   if (target.size() != chain.num_states())
     throw ModelError("transient_reach_batch: target universe size mismatch");
-  return transient_backward_batch(chain, target.indicator(), times, options);
-}
-
-std::vector<std::vector<std::vector<double>>> transient_distribution_multi(
-    const Ctmc& chain, std::span<const std::vector<double>> initials,
-    std::span<const double> times, const TransientOptions& options) {
-  for (const std::vector<double>& initial : initials)
-    for (double v : initial)
-      if (!(v >= 0.0) || !std::isfinite(v))
-        throw ModelError(
-            "transient_distribution_multi: initial entries must be >= 0");
-
-  CSRL_SPAN("ctmc/transient/forward_multi");
-  auto results = run_multi(chain, initials, times, options,
-                           "transient_distribution_multi", /*forward=*/true);
+  CSRL_SPAN("ctmc/transient/backward_batch");
+  auto results = run_batch(chain, target.indicator(), times, options,
+                           "transient_reach_batch", /*forward=*/false);
   CSRL_CONTRACT(
       [&] {
-        for (std::size_t s = 0; s < initials.size(); ++s) {
-          double mass_in = 0.0;
-          for (double v : initials[s]) mass_in += v;
-          for (const auto& result : results[s]) {
-            if (!within_probability_bounds(result, mass_in, 1e-9))
-              return false;
-            double mass_out = 0.0;
-            for (double v : result) mass_out += v;
-            if (mass_out > mass_in + 1e-9) return false;
-          }
-        }
+        for (const auto& result : results)
+          if (!within_probability_bounds(result, 1.0, 1e-9)) return false;
         return true;
       }(),
-      "transient_distribution_multi: a result is not a sub-distribution of "
-      "its initial mass");
-  return results;
-}
-
-std::vector<std::vector<std::vector<double>>> transient_backward_multi(
-    const Ctmc& chain, std::span<const std::vector<double>> terminals,
-    std::span<const double> times, const TransientOptions& options) {
-  CSRL_SPAN("ctmc/transient/backward_multi");
-  auto results = run_multi(chain, terminals, times, options,
-                           "transient_backward_multi", /*forward=*/false);
-  CSRL_CONTRACT(
-      [&] {
-        for (std::size_t s = 0; s < terminals.size(); ++s) {
-          if (!within_probability_bounds(terminals[s], 1.0, 0.0)) continue;
-          for (const auto& result : results[s])
-            if (!within_probability_bounds(result, 1.0, 1e-9)) return false;
-        }
-        return true;
-      }(),
-      "transient_backward_multi: [0,1] terminal values produced an "
-      "out-of-range expectation");
+      "transient_reach_batch: an occupancy probability left [0, 1]");
   return results;
 }
 

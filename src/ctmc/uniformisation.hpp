@@ -54,11 +54,11 @@ struct TransientOptions {
   /// Frontier density (fraction of states) above which the active mode
   /// hands over to the dense kernel.
   double support_crossover = 0.25;
-  /// Block width B for the multi-RHS (SpMM) paths: batched runs carry
-  /// their per-horizon Poisson accumulators as one interleaved block per
-  /// matrix pass, the multi-start entry points group start vectors into
-  /// lanes of at most B, and the P3 engines group their level/start
-  /// sweeps the same way (matrix/spmm.hpp).  0 = automatic: the
+  /// Block width B of the multi-horizon accumulation: with B > 1 a
+  /// batched run carries its per-horizon Poisson accumulators as one
+  /// interleaved block per matrix pass (CheckOptions also hands the same
+  /// width to the Sericola engine's blocked products, matrix/spmm.hpp).
+  /// 0 = automatic: the
   /// CSRL_RHS_BLOCK environment variable if set, else the bench-chosen
   /// default (kDefaultRhsBlock, currently 8); an explicit value wins
   /// over the environment, exactly the num_threads pattern.  1 disables
@@ -102,69 +102,22 @@ std::vector<double> transient_reach(const Ctmc& chain, const StateSet& target,
                                     double t,
                                     const TransientOptions& options = {});
 
-// -- Batched (multi-horizon) forms -----------------------------------------
-//
-// One vector-power sequence P^n serves every horizon at once: the iterate
-// at step n is shared, only the Poisson windows differ per t, so a batch
-// over horizons {t_1, ..., t_T} costs one run at max t_i in SpMVs instead
-// of T runs.  Each returned vector is BITWISE identical to the
-// corresponding single-horizon call: per horizon, the same iterates are
-// accumulated with the same weights in the same order, the horizon's
-// series simply stops being accumulated once n passes its own Fox-Glynn
-// right bound, and a steady-state cutoff folds the remaining mass of each
-// still-running horizon's window exactly as the single run would (a
-// horizon whose window ended before the cutoff step never reaches the
-// detection in the single run either).  Horizons may come in any order
-// and may repeat.
-
-/// transient_distribution for several horizons; result[i] bitwise equals
-/// transient_distribution(chain, initial, times[i], options).
-std::vector<std::vector<double>> transient_distribution_batch(
-    const Ctmc& chain, std::span<const double> initial,
-    std::span<const double> times, const TransientOptions& options = {});
-
-/// transient_backward for several horizons; result[i] bitwise equals
-/// transient_backward(chain, terminal, times[i], options).
-std::vector<std::vector<double>> transient_backward_batch(
-    const Ctmc& chain, std::span<const double> terminal,
-    std::span<const double> times, const TransientOptions& options = {});
-
-/// transient_reach for several horizons; result[i] bitwise equals
+/// transient_reach for several horizons at once: result[i] bitwise equals
 /// transient_reach(chain, target, times[i], options).
+///
+/// One vector-power sequence P^n serves every horizon: the iterate at step
+/// n is shared, only the Poisson windows differ per t, so the batch costs
+/// one run at max t_i in SpMVs instead of one run per horizon.  The
+/// results are bitwise those of the single-horizon calls: per horizon, the
+/// same iterates are accumulated with the same weights in the same order,
+/// the horizon's series simply stops being accumulated once n passes its
+/// own Fox-Glynn right bound, and a steady-state cutoff folds the
+/// remaining mass of each still-running horizon's window exactly as the
+/// single run would (a horizon whose window ended before the cutoff step
+/// never reaches the detection in the single run either).  Horizons may
+/// come in any order and may repeat.
 std::vector<std::vector<double>> transient_reach_batch(
     const Ctmc& chain, const StateSet& target, std::span<const double> times,
     const TransientOptions& options = {});
-
-// -- Multi-start (blocked multi-RHS) forms ---------------------------------
-//
-// Several t = 0 vectors travel through the chain together: the starts
-// are grouped into row-major blocks of at most rhs_block lanes
-// (matrix/spmm.hpp) and each group streams the uniformised matrix ONCE
-// per step via the *_block_fused kernels, instead of once per start.
-// result[s][i] is BITWISE identical to the corresponding single-start
-// batch call: every lane accumulates the same weighted iterates in the
-// same order, and steady-state detection runs per lane (the fused block
-// kernels return per-lane diffs), so each lane folds its remaining
-// Poisson mass at exactly the step its own single run would.  The
-// active-support mode tracks one frontier per run and therefore stays
-// off inside a block; that changes no bits while support_epsilon == 0
-// (the active kernels are bitwise identical to the dense ones there),
-// so with support_epsilon > 0 — where truncation makes the active path
-// produce genuinely different values — the multi entry points fall back
-// to per-start single runs instead.
-
-/// transient_distribution for several initial distributions;
-/// result[s][i] bitwise equals
-/// transient_distribution_batch(chain, initials[s], times, options)[i].
-std::vector<std::vector<std::vector<double>>> transient_distribution_multi(
-    const Ctmc& chain, std::span<const std::vector<double>> initials,
-    std::span<const double> times, const TransientOptions& options = {});
-
-/// transient_backward for several terminal value vectors; result[s][i]
-/// bitwise equals
-/// transient_backward_batch(chain, terminals[s], times, options)[i].
-std::vector<std::vector<std::vector<double>>> transient_backward_multi(
-    const Ctmc& chain, std::span<const std::vector<double>> terminals,
-    std::span<const double> times, const TransientOptions& options = {});
 
 }  // namespace csrl

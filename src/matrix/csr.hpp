@@ -162,47 +162,24 @@ class CsrMatrix {
                              std::span<const FusedBlockAxpy> block_pendings,
                              bool want_diff) const;
 
-  // -- Blocked multi-RHS (SpMM) kernels (matrix/spmm.cpp) ------------------
+  // -- Blocked multi-RHS (SpMM) kernel (matrix/spmm.cpp) -------------------
   //
   // B right-hand sides travel through ONE traversal of the stored matrix
   // instead of B: re-streaming the matrix is the dominant memory cost of
-  // every sweep, so the blocked forms cut that traffic by the block
+  // every sweep, so the blocked form cuts that traffic by the block
   // width.  Blocks are row-major interleaved — X[i * stride + b] holds
   // element i of lane b — so each stored entry touches one contiguous
   // lane group and the inner lane loops vectorize (matrix/simd.hpp).
   // Lane b accumulates its terms in exactly the order the one-RHS kernel
   // uses; the result lane is therefore bitwise identical to a separate
-  // multiply()/multiply_left() on that lane, at any thread count and
-  // with SIMD on or off.  Requires 1 <= width <= kMaxRhsBlock (see
-  // matrix/spmm.hpp) and width <= stride; x and y must not alias.
+  // multiply() on that lane, at any thread count and with SIMD on or off.
+  // Requires 1 <= width <= kMaxRhsBlock (see matrix/spmm.hpp) and
+  // width <= stride; x and y must not alias.
 
   /// Y = A X: per lane b, y_b = A x_b.  Requires x of size
   /// cols() * stride covering every lane and y of size rows() * stride.
   void multiply_block(std::span<const double> x, std::span<double> y,
                       std::size_t width, std::size_t stride) const;
-
-  /// Y = X A: per lane b, y_b = x_b A (distribution pushing for several
-  /// distributions at once).
-  void multiply_left_block(std::span<const double> x, std::span<double> y,
-                           std::size_t width, std::size_t stride) const;
-
-  /// Fused block form of multiply_fused: per lane b, y_b = A x_b, block
-  /// pendings applied from the block iterate (out[i*s+b] += w[b] *
-  /// x[i*stride+b]) and, when `diffs` is non-empty (size >= width), the
-  /// per-lane steady-state diffs diffs[b] = max_i |y_b[i] - x_b[i]| —
-  /// all in one traversal, each lane bitwise equal to its one-RHS
-  /// multiply_fused run.  Square matrices only.
-  void multiply_block_fused(std::span<const double> x, std::span<double> y,
-                            std::size_t width, std::size_t stride,
-                            std::span<const FusedBlockAxpy> pendings,
-                            std::span<double> diffs) const;
-
-  /// Fused block form of multiply_left_fused; see above.
-  void multiply_left_block_fused(std::span<const double> x,
-                                 std::span<double> y, std::size_t width,
-                                 std::size_t stride,
-                                 std::span<const FusedBlockAxpy> pendings,
-                                 std::span<double> diffs) const;
 
   // -- Active-support kernels (matrix/support.hpp) -------------------------
   //

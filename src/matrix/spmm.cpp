@@ -1,4 +1,4 @@
-// Blocked multi-RHS SpMM kernels for CsrMatrix (declared in
+// Blocked multi-RHS SpMM kernel for CsrMatrix (declared in
 // matrix/csr.hpp; see matrix/spmm.hpp for the surrounding plumbing).
 //
 // Layout and identity argument (DESIGN.md section 3f): a block is
@@ -6,23 +6,13 @@
 // one stored entry (r, c, v) touches the contiguous lane group at
 // X + c * stride and updates the group at Y + r * stride.  The matrix is
 // streamed ONCE for all `width` lanes; that single streaming is the
-// entire win, because the sweeps these kernels serve are bound by matrix
+// entire win, because the sweeps this kernel serves are bound by matrix
 // memory traffic, not flops.  Within a row, lane b accumulates
 // v_1 * x_b[c_1] + v_2 * x_b[c_2] + ... in exactly the entry order of
 // the one-RHS kernel, starting from 0.0, so each result lane is bitwise
 // identical to a separate multiply() on that lane.  SIMD only ever runs
 // the independent lanes side by side (matrix/simd.hpp), never within one
 // lane's sum, so vectorized and scalar builds agree bit for bit too.
-//
-// The left kernels preserve multiply_left's per-row x == 0 skip *per
-// lane*: lane b skips row r's contributions iff x_b[r] == 0, the exact
-// branch the one-RHS kernel takes.  Those lane loops stay un-annotated —
-// a masked "add ±0.0 instead of skipping" rewrite is not bit-safe for
-// signed zeros, and the compiler may only vectorize them with genuine
-// masked stores.
-#include <algorithm>
-#include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <type_traits>
@@ -39,7 +29,6 @@ namespace csrl {
 
 namespace {
 
-using kernel_tuning::atomic_max;
 using kernel_tuning::kChunksPerThread;
 using kernel_tuning::kParallelNnzThreshold;
 
@@ -53,15 +42,6 @@ void check_block_shape(const char* what, std::size_t width, std::size_t stride,
     throw ModelError(std::string(what) + ": stride below block width");
   if (x_size < x_rows * stride || y_size < y_rows * stride)
     throw ModelError(std::string(what) + ": block size mismatch");
-}
-
-void check_block_pendings(const char* what,
-                          std::span<const FusedBlockAxpy> pendings,
-                          std::size_t width) {
-  for (const FusedBlockAxpy& p : pendings)
-    if (p.width != width || p.stride < p.width)
-      throw ModelError(std::string(what) +
-                       ": block pending width does not match the block");
 }
 
 // Run `body` with the block width as a compile-time constant for the
@@ -102,15 +82,6 @@ inline void charge_spmm_cost([[maybe_unused]] std::uint64_t nnz,
                              [[maybe_unused]] std::uint64_t width) {
   CSRL_COUNT("cost/spmm/flops", 2 * nnz * width);
   CSRL_COUNT("cost/spmm/bytes", 16 * nnz + 8 * rows + 8 * width * (nnz + rows));
-}
-
-/// Blocked fused-epilogue charge: every row updates `lanes` interleaved
-/// accumulators — 2 flops and a 16 B read-modify-write per lane (the
-/// source block value is resident from the product traversal).
-inline void charge_block_epilogue_cost([[maybe_unused]] std::uint64_t rows,
-                                       [[maybe_unused]] std::uint64_t lanes) {
-  CSRL_COUNT("cost/epilogue/flops", 2 * rows * lanes);
-  CSRL_COUNT("cost/epilogue/bytes", 16 * rows * lanes);
 }
 
 }  // namespace
@@ -194,232 +165,6 @@ void CsrMatrix::multiply_block(std::span<const double> x, std::span<double> y,
                         for (std::size_t c = chunk_begin; c < chunk_end; ++c)
                           gather_rows((*chunks)[c], (*chunks)[c + 1]);
                       });
-  });
-}
-
-void CsrMatrix::multiply_left_block(std::span<const double> x,
-                                    std::span<double> y, std::size_t width,
-                                    std::size_t stride) const {
-  check_block_shape("CsrMatrix::multiply_left_block", width, stride, x.size(),
-                    rows_, y.size(), cols_);
-  CSRL_COUNT("spmv/multiply_left", width);
-  CSRL_COUNT("matrix/spmm/block_products", 1);
-  CSRL_COUNT("matrix/spmm/columns", width);
-  charge_spmm_cost(nnz(), rows_, width);
-
-  dispatch_block_width(width, [&](auto bw) {
-    const std::size_t w = bw;
-    const ThreadPool& pool = ThreadPool::global();
-    if (pool.num_threads() == 1 || nnz() * w < kParallelNnzThreshold) {
-      // Serial scatter in row order, skipping per lane exactly where the
-      // one-RHS scatter skips the whole row.
-      for (std::size_t c = 0; c < cols_; ++c) {
-        double* yc = y.data() + c * stride;
-        CSRL_PRAGMA_SIMD
-        for (std::size_t b = 0; b < w; ++b) yc[b] = 0.0;
-      }
-      for (std::size_t r = 0; r < rows_; ++r) {
-        const double* xr = x.data() + r * stride;
-        for (std::size_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
-          const double v = entries_[i].value;
-          double* yc = y.data() + entries_[i].col * stride;
-          for (std::size_t b = 0; b < w; ++b) {
-            const double xv = xr[b];
-            if (xv != 0.0) yc[b] += xv * v;
-          }
-        }
-      }
-      return;
-    }
-
-    // Parallel form: gather along the cached transpose, whose per-column
-    // entries are ordered by increasing original row — the exact order
-    // the serial scatter adds each lane's contributions (with the same
-    // per-lane zero skip), so the two forms are bit-identical per lane.
-    const CsrMatrix& t = cached_transpose();
-    const auto chunks = t.row_chunks(pool.num_threads() * kChunksPerThread);
-    pool.parallel_for(
-        0, chunks->size() - 1, 1,
-        [&](std::size_t chunk_begin, std::size_t chunk_end) {
-          double acc[lane_capacity<decltype(bw)>()];
-          for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
-            for (std::size_t col = (*chunks)[c]; col < (*chunks)[c + 1];
-                 ++col) {
-              for (std::size_t b = 0; b < w; ++b) acc[b] = 0.0;
-              for (const CsrEntry& e : t.row_unchecked(col)) {
-                const double v = e.value;
-                const double* xr = x.data() + e.col * stride;
-                for (std::size_t b = 0; b < w; ++b) {
-                  const double xv = xr[b];
-                  if (xv != 0.0) acc[b] += xv * v;
-                }
-              }
-              double* yc = y.data() + col * stride;
-              for (std::size_t b = 0; b < w; ++b) yc[b] = acc[b];
-            }
-          }
-        });
-  });
-}
-
-void CsrMatrix::multiply_block_fused(std::span<const double> x,
-                                     std::span<double> y, std::size_t width,
-                                     std::size_t stride,
-                                     std::span<const FusedBlockAxpy> pendings,
-                                     std::span<double> diffs) const {
-  if (rows_ != cols_)
-    throw ModelError("CsrMatrix::multiply_block_fused: square matrices only");
-  check_block_shape("CsrMatrix::multiply_block_fused", width, stride, x.size(),
-                    cols_, y.size(), rows_);
-  check_block_pendings("CsrMatrix::multiply_block_fused", pendings, width);
-  const bool want_diff = !diffs.empty();
-  if (want_diff && diffs.size() < width)
-    throw ModelError("CsrMatrix::multiply_block_fused: diffs below width");
-  CSRL_COUNT("spmv/multiply", width);
-  CSRL_COUNT("matrix/spmv/rows_active", rows_ * width);
-  CSRL_COUNT("matrix/spmm/block_products", 1);
-  CSRL_COUNT("matrix/spmm/columns", width);
-  charge_spmm_cost(nnz(), rows_, width);
-  charge_block_epilogue_cost(rows_, pendings.size() * width);
-
-  dispatch_block_width(width, [&](auto bw) {
-    const std::size_t w = bw;
-    const auto process_rows = [&](std::size_t row_begin, std::size_t row_end,
-                                  double* local) {
-      double acc[lane_capacity<decltype(bw)>()];
-      for (std::size_t r = row_begin; r < row_end; ++r) {
-        CSRL_PRAGMA_SIMD
-        for (std::size_t b = 0; b < w; ++b) acc[b] = 0.0;
-        for (std::size_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
-          const double v = entries_[i].value;
-          const double* xc = x.data() + entries_[i].col * stride;
-          CSRL_PRAGMA_SIMD
-          for (std::size_t b = 0; b < w; ++b) acc[b] += v * xc[b];
-        }
-        double* yr = y.data() + r * stride;
-        CSRL_PRAGMA_SIMD
-        for (std::size_t b = 0; b < w; ++b) yr[b] = acc[b];
-        const double* xr = x.data() + r * stride;
-        for (const FusedBlockAxpy& p : pendings) {
-          double* out = p.out + r * p.stride;
-          const double* pw = p.weights;
-          CSRL_PRAGMA_SIMD
-          for (std::size_t b = 0; b < w; ++b) out[b] += pw[b] * xr[b];
-        }
-        if (want_diff)
-          for (std::size_t b = 0; b < w; ++b)
-            local[b] = std::max(local[b], std::abs(acc[b] - xr[b]));
-      }
-    };
-
-    const ThreadPool& pool = ThreadPool::global();
-    if (pool.num_threads() == 1 || nnz() * w < kParallelNnzThreshold) {
-      double local[kMaxRhsBlock] = {0.0};
-      process_rows(0, rows_, local);
-      if (want_diff)
-        for (std::size_t b = 0; b < w; ++b) diffs[b] = local[b];
-      return;
-    }
-
-    std::atomic<double> merged[kMaxRhsBlock];
-    for (std::size_t b = 0; b < w; ++b)
-      merged[b].store(0.0, std::memory_order_relaxed);
-    const auto chunks = row_chunks(pool.num_threads() * kChunksPerThread);
-    pool.parallel_for(0, chunks->size() - 1, 1,
-                      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-                        double local[kMaxRhsBlock] = {0.0};
-                        for (std::size_t c = chunk_begin; c < chunk_end; ++c)
-                          process_rows((*chunks)[c], (*chunks)[c + 1], local);
-                        for (std::size_t b = 0; b < w; ++b)
-                          atomic_max(merged[b], local[b]);
-                      });
-    if (want_diff)
-      for (std::size_t b = 0; b < w; ++b)
-        diffs[b] = merged[b].load(std::memory_order_relaxed);
-  });
-}
-
-void CsrMatrix::multiply_left_block_fused(
-    std::span<const double> x, std::span<double> y, std::size_t width,
-    std::size_t stride, std::span<const FusedBlockAxpy> pendings,
-    std::span<double> diffs) const {
-  if (rows_ != cols_)
-    throw ModelError(
-        "CsrMatrix::multiply_left_block_fused: square matrices only");
-  check_block_shape("CsrMatrix::multiply_left_block_fused", width, stride,
-                    x.size(), rows_, y.size(), cols_);
-  check_block_pendings("CsrMatrix::multiply_left_block_fused", pendings,
-                       width);
-  const bool want_diff = !diffs.empty();
-  if (want_diff && diffs.size() < width)
-    throw ModelError(
-        "CsrMatrix::multiply_left_block_fused: diffs below width");
-  CSRL_COUNT("spmv/multiply_left", width);
-  CSRL_COUNT("matrix/spmv/rows_active", rows_ * width);
-  CSRL_COUNT("matrix/spmm/block_products", 1);
-  CSRL_COUNT("matrix/spmm/columns", width);
-  charge_spmm_cost(nnz(), rows_, width);
-  charge_block_epilogue_cost(rows_, pendings.size() * width);
-
-  // Gather along the transpose like multiply_left_fused, per lane with
-  // the serial scatter's x == 0 skip, so each lane matches its one-RHS
-  // fused run bit for bit at any thread count.
-  const CsrMatrix& t = cached_transpose();
-  dispatch_block_width(width, [&](auto bw) {
-    const std::size_t w = bw;
-    const auto process_cols = [&](std::size_t col_begin, std::size_t col_end,
-                                  double* local) {
-      double acc[lane_capacity<decltype(bw)>()];
-      for (std::size_t col = col_begin; col < col_end; ++col) {
-        for (std::size_t b = 0; b < w; ++b) acc[b] = 0.0;
-        for (const CsrEntry& e : t.row_unchecked(col)) {
-          const double v = e.value;
-          const double* xr = x.data() + e.col * stride;
-          for (std::size_t b = 0; b < w; ++b) {
-            const double xv = xr[b];
-            if (xv != 0.0) acc[b] += xv * v;
-          }
-        }
-        double* yc = y.data() + col * stride;
-        CSRL_PRAGMA_SIMD
-        for (std::size_t b = 0; b < w; ++b) yc[b] = acc[b];
-        const double* xc = x.data() + col * stride;
-        for (const FusedBlockAxpy& p : pendings) {
-          double* out = p.out + col * p.stride;
-          const double* pw = p.weights;
-          CSRL_PRAGMA_SIMD
-          for (std::size_t b = 0; b < w; ++b) out[b] += pw[b] * xc[b];
-        }
-        if (want_diff)
-          for (std::size_t b = 0; b < w; ++b)
-            local[b] = std::max(local[b], std::abs(acc[b] - xc[b]));
-      }
-    };
-
-    const ThreadPool& pool = ThreadPool::global();
-    if (pool.num_threads() == 1 || nnz() * w < kParallelNnzThreshold) {
-      double local[kMaxRhsBlock] = {0.0};
-      process_cols(0, cols_, local);
-      if (want_diff)
-        for (std::size_t b = 0; b < w; ++b) diffs[b] = local[b];
-      return;
-    }
-
-    std::atomic<double> merged[kMaxRhsBlock];
-    for (std::size_t b = 0; b < w; ++b)
-      merged[b].store(0.0, std::memory_order_relaxed);
-    const auto chunks = t.row_chunks(pool.num_threads() * kChunksPerThread);
-    pool.parallel_for(0, chunks->size() - 1, 1,
-                      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-                        double local[kMaxRhsBlock] = {0.0};
-                        for (std::size_t c = chunk_begin; c < chunk_end; ++c)
-                          process_cols((*chunks)[c], (*chunks)[c + 1], local);
-                        for (std::size_t b = 0; b < w; ++b)
-                          atomic_max(merged[b], local[b]);
-                      });
-    if (want_diff)
-      for (std::size_t b = 0; b < w; ++b)
-        diffs[b] = merged[b].load(std::memory_order_relaxed);
   });
 }
 

@@ -24,7 +24,7 @@ namespace csrl {
 
 /// Hard upper bound on the block width.  Keeps one row's lane group
 /// (kMaxRhsBlock doubles) inside a handful of cache lines and bounds the
-/// stack footprint of the kernels' per-lane diff accumulators.
+/// stack footprint of the kernel's per-lane accumulators.
 inline constexpr std::size_t kMaxRhsBlock = 64;
 
 /// Default effective block width when neither the option nor the

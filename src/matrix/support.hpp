@@ -36,14 +36,12 @@ struct FusedAxpy {
 ///
 ///   out[i * stride + b] += weights[b] * source_b(i),
 ///
-/// where source_b(i) is x[i] when the kernel iterates a single vector
-/// (the fused SpMV kernels: one iterate feeding several interleaved
-/// accumulators, e.g. the per-horizon Poisson sums of a batched
-/// uniformisation run) and x[i * stride + b] when it iterates a block
-/// (the *_block_fused SpMM kernels: each lane feeds its own
-/// accumulator).  Lanes whose update is not wanted at this step carry
-/// weight 0.0 — with the non-negative accumulators of the series loops
-/// the added exact +0.0 leaves every bit unchanged (DESIGN.md 3f).
+/// where source_b(i) is the iterate x[i]: one vector feeding several
+/// interleaved accumulators, e.g. the per-horizon Poisson sums of a
+/// batched uniformisation run.  Lanes whose update is not wanted at this
+/// step carry weight 0.0 — with the non-negative accumulators of the
+/// series loop the added exact +0.0 leaves every bit unchanged
+/// (DESIGN.md 3f).
 struct FusedBlockAxpy {
   const double* weights = nullptr;  // per-lane weights, size >= width
   double* out = nullptr;            // row-major interleaved accumulator

@@ -7,6 +7,7 @@
 #include "core/engines/discretisation_engine.hpp"
 #include "core/engines/erlang_engine.hpp"
 #include "core/engines/sericola_engine.hpp"
+#include "final_state_oracle.hpp"
 #include "logic/parser.hpp"
 #include "models/adhoc.hpp"
 #include "mrm/transform.hpp"
@@ -136,10 +137,10 @@ TEST(AdhocCaseStudy, Q3DiscretisationConverges) {
   double previous_error = 1.0;
   for (double d : {1.0 / 32, 1.0 / 64, 1.0 / 128}) {
     const DiscretisationEngine engine(d);
-    const double p = engine
-                         .joint_distribution(reduced, kTimeBoundHours,
-                                             kRewardBoundMah)
-                         .per_state[3];
+    StateSet success(reduced.num_states());
+    success.insert(3);
+    const double p = oracle::from_initial(engine, reduced, kTimeBoundHours,
+                                          kRewardBoundMah, success);
     const double error = std::abs(p - kOurQ3Reference) / kOurQ3Reference;
     EXPECT_LT(error, previous_error) << "d=" << d;
     EXPECT_LT(error, 1e-3) << "d=" << d;

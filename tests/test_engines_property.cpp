@@ -17,6 +17,7 @@
 #include "core/engines/erlang_engine.hpp"
 #include "core/engines/sericola_engine.hpp"
 #include "ctmc/uniformisation.hpp"
+#include "final_state_oracle.hpp"
 #include "models/synthetic.hpp"
 #include "util/rng.hpp"
 
@@ -96,9 +97,8 @@ TEST_P(EngineAgreement, DiscretisationConcursFromInitialState) {
   const DiscretisationEngine discretisation(d);
   const auto ref = sericola.joint_probability_all_starts(inst.model, t, inst.r,
                                                          inst.target);
-  const JointDistribution joint =
-      discretisation.joint_distribution(inst.model, t, inst.r);
-  const double from_init = joint.probability_in(inst.target);
+  const double from_init = oracle::from_initial(discretisation, inst.model, t,
+                                                inst.r, inst.target);
   EXPECT_NEAR(from_init, ref[inst.model.initial_state()], 3e-2);
 }
 
@@ -212,12 +212,12 @@ TEST_P(GridAgreement, ThreeMethodsConcurOnTheFullLattice) {
       inst.model, inst.times, inst.rewards, inst.target);
   const auto approx = erlang.joint_probability_all_starts_grid(
       inst.model, inst.times, inst.rewards, inst.target);
-  const auto joints = discretisation.joint_distribution_grid(
-      inst.model, inst.times, inst.rewards);
+  const auto discretised = discretisation.joint_probability_all_starts_grid(
+      inst.model, inst.times, inst.rewards, inst.target);
 
   ASSERT_EQ(ref.size(), inst.times.size() * inst.rewards.size());
   ASSERT_EQ(approx.size(), ref.size());
-  ASSERT_EQ(joints.size(), ref.size());
+  ASSERT_EQ(discretised.size(), ref.size());
   const std::size_t init = inst.model.initial_state();
   for (std::size_t g = 0; g < ref.size(); ++g) {
     for (std::size_t s = 0; s < ref[g].size(); ++s) {
@@ -228,7 +228,8 @@ TEST_P(GridAgreement, ThreeMethodsConcurOnTheFullLattice) {
       EXPECT_NEAR(ref[g][s], approx[g][s], 2e-2)
           << "lattice point " << g << ", state " << s;
     }
-    EXPECT_NEAR(joints[g].probability_in(inst.target), ref[g][init], 3e-2)
+    EXPECT_NEAR(oracle::from_initial(inst.model, discretised[g]),
+                ref[g][init], 3e-2)
         << "lattice point " << g;
   }
 }
@@ -263,14 +264,15 @@ TEST_P(GridAgreement, BatchedLatticesAreBitwiseIdenticalToThePointLoop) {
       EXPECT_EQ(batched[g][s], looped[g][s])
           << "sericola lattice point " << g << ", state " << s;
 
-  const auto joint_batched = discretisation.joint_distribution_grid(
-      inst.model, inst.times, inst.rewards);
-  const auto joint_looped = joint_distribution_grid_reference(
-      discretisation, inst.model, inst.times, inst.rewards);
-  ASSERT_EQ(joint_batched.size(), joint_looped.size());
-  for (std::size_t g = 0; g < joint_batched.size(); ++g)
-    for (std::size_t s = 0; s < joint_batched[g].per_state.size(); ++s)
-      EXPECT_EQ(joint_batched[g].per_state[s], joint_looped[g].per_state[s])
+  const auto discretised_batched =
+      discretisation.joint_probability_all_starts_grid(
+          inst.model, inst.times, inst.rewards, inst.target);
+  const auto discretised_looped = joint_grid_reference(
+      discretisation, inst.model, inst.times, inst.rewards, inst.target);
+  ASSERT_EQ(discretised_batched.size(), discretised_looped.size());
+  for (std::size_t g = 0; g < discretised_batched.size(); ++g)
+    for (std::size_t s = 0; s < discretised_batched[g].size(); ++s)
+      EXPECT_EQ(discretised_batched[g][s], discretised_looped[g][s])
           << "discretisation lattice point " << g << ", state " << s;
 }
 

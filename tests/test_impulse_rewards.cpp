@@ -10,6 +10,7 @@
 #include "core/engines/discretisation_engine.hpp"
 #include "core/engines/erlang_engine.hpp"
 #include "core/engines/sericola_engine.hpp"
+#include "final_state_oracle.hpp"
 #include "logic/parser.hpp"
 #include "mrm/transform.hpp"
 #include "sim/simulator.hpp"
@@ -66,11 +67,10 @@ TEST(ImpulseRewards, DiscretisationMatchesClosedForm) {
   const Mrm m = impulse_hit_model(a, iota);
   const DiscretisationEngine engine(1.0 / 256);
   // Budget above the impulse: succeeds whenever the jump happened.
-  const double loose =
-      engine.joint_distribution(m, t, 3.0).per_state[1];
+  const double loose = oracle::from_initial(engine, m, t, 3.0, single(2, 1));
   EXPECT_NEAR(loose, 1.0 - std::exp(-a * t), 2e-2);
   // Budget below the impulse: the jump itself breaks the bound.
-  const double tight = engine.joint_distribution(m, t, 1.0).per_state[1];
+  const double tight = oracle::from_initial(engine, m, t, 1.0, single(2, 1));
   EXPECT_NEAR(tight, 0.0, 1e-9);
 }
 
@@ -109,8 +109,8 @@ TEST(ImpulseRewards, MixedRateAndImpulseAccumulation) {
   const double exact = 1.0 - std::exp(-a * (r - 1.0));
 
   const DiscretisationEngine discretisation(1.0 / 512);
-  EXPECT_NEAR(discretisation.joint_distribution(m, t, r).per_state[1], exact,
-              5e-3);
+  EXPECT_NEAR(oracle::from_initial(discretisation, m, t, r, single(2, 1)),
+              exact, 5e-3);
   const ErlangEngine erlang(1024);
   EXPECT_NEAR(
       erlang.joint_probability_all_starts(m, t, r, single(2, 1))[0], exact,
@@ -140,9 +140,8 @@ TEST(ImpulseRewards, EnginesAgreeOnABranchingModel) {
   target.insert(2);
   const double exact = 0.5 * (1.0 - std::exp(-2.0 * t));
 
-  const double pd =
-      DiscretisationEngine(1.0 / 512).joint_distribution(m, t, r)
-          .probability_in(target);
+  const double pd = oracle::from_initial(DiscretisationEngine(1.0 / 512), m,
+                                         t, r, target);
   const double pe = ErlangEngine(1024).joint_probability_all_starts(
       m, t, r, target)[0];
   Simulator sim(m, {.seed = 47, .samples = 200'000});
@@ -172,13 +171,14 @@ TEST(ImpulseRewards, TrivialCasesStayExact) {
   const Mrm m = impulse_hit_model(1.0, 2.0);
   const DiscretisationEngine engine(1.0 / 64);
   // t = 0.
-  EXPECT_EQ(engine.joint_distribution(m, 0.0, 5.0).per_state,
+  EXPECT_EQ(oracle::per_final_state(engine, m, 0.0, 5.0),
             (std::vector<double>{1.0, 0.0}));
   // r = 0: taking the impulse transition breaks the bound, so only the
   // paths still waiting in 0 qualify.
-  const auto at_zero = engine.joint_distribution(m, 1.0, 0.0);
-  EXPECT_NEAR(at_zero.per_state[0], std::exp(-1.0), 1e-9);
-  EXPECT_NEAR(at_zero.per_state[1], 0.0, 1e-12);
+  const std::vector<double> at_zero =
+      oracle::per_final_state(engine, m, 1.0, 0.0);
+  EXPECT_NEAR(at_zero[0], std::exp(-1.0), 1e-9);
+  EXPECT_NEAR(at_zero[1], 0.0, 1e-12);
 }
 
 TEST(ImpulseRewards, ReductionCarriesImpulses) {

@@ -8,6 +8,7 @@
 #include "core/checker.hpp"
 #include "core/engines/discretisation_engine.hpp"
 #include "core/engines/sericola_engine.hpp"
+#include "final_state_oracle.hpp"
 #include "logic/parser.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
@@ -36,8 +37,9 @@ TEST(IntervalUntil, MatchesClosedFormOnBothWindows) {
   wait.insert(0);
   goal.insert(1);
   // T in [0.5, 2] and 2T in [2, 3] => T in [1, 1.5].
-  const double p = engine.interval_until(m, wait, goal, Interval{0.5, 2.0},
-                                         Interval{2.0, 3.0});
+  const double p = oracle::from_initial(
+      m, engine.interval_until_all_starts(m, wait, goal, Interval{0.5, 2.0},
+                                          Interval{2.0, 3.0}));
   EXPECT_NEAR(p, std::exp(-a * 1.0) - std::exp(-a * 1.5), 3e-3);
 }
 
@@ -64,8 +66,9 @@ TEST(IntervalUntil, ZeroAnchoredWindowsMatchSericola) {
   const double reference =
       checker.values(*parse_formula("P=? [ p U[0,1.5]{0,2} q ]"))[0];
   const DiscretisationEngine engine(1.0 / 512);
-  const double windowed = engine.interval_until(
-      m, phi, psi, Interval::upto(t), Interval::upto(r));
+  const double windowed = oracle::from_initial(
+      m, engine.interval_until_all_starts(m, phi, psi, Interval::upto(t),
+                                          Interval::upto(r)));
   EXPECT_NEAR(windowed, reference, 5e-3);
 }
 
@@ -96,7 +99,8 @@ TEST(IntervalUntil, SimulatorConcursOnRandomWindows) {
     // constant is larger than in the plain scheme; allow the grid error
     // on top of the Monte-Carlo band.
     const DiscretisationEngine engine(1.0 / 512);
-    const double numeric = engine.interval_until(m, phi, psi, time, reward);
+    const double numeric = oracle::from_initial(
+        m, engine.interval_until_all_starts(m, phi, psi, time, reward));
     Simulator sim(m, {.seed = 1000 + static_cast<std::uint64_t>(round),
                       .samples = 100'000});
     const auto estimate = sim.until_probability(phi, psi, time, reward);
@@ -138,8 +142,8 @@ TEST(IntervalUntil, UnboundedUpperBoundsRejected) {
   StateSet wait(2), goal(2);
   wait.insert(0);
   goal.insert(1);
-  EXPECT_THROW((void)engine.interval_until(m, wait, goal, Interval::unbounded(),
-                                           Interval::upto(1.0)),
+  EXPECT_THROW((void)engine.interval_until_all_starts(
+                   m, wait, goal, Interval::unbounded(), Interval::upto(1.0)),
                ModelError);
 }
 
@@ -154,9 +158,11 @@ TEST(IntervalUntil, ImmediateSatisfactionAtTimeZero) {
   Labelling l(2);
   l.add_label(1, "goal");
   const Mrm from_goal(Ctmc(b.build()), {2.0, 0.0}, std::move(l), 1);
-  const double p = engine.interval_until(from_goal, everything, goal,
-                                         Interval::upto(1.0),
-                                         Interval::upto(1.0));
+  const double p = oracle::from_initial(
+      from_goal,
+      engine.interval_until_all_starts(from_goal, everything, goal,
+                                       Interval::upto(1.0),
+                                       Interval::upto(1.0)));
   EXPECT_DOUBLE_EQ(p, 1.0);
 }
 

@@ -17,6 +17,7 @@
 #include "core/engines/erlang_engine.hpp"
 #include "core/engines/sericola_engine.hpp"
 #include "core/options.hpp"
+#include "final_state_oracle.hpp"
 #include "models/adhoc.hpp"
 #include "models/cluster.hpp"
 #include "models/synthetic.hpp"
@@ -105,14 +106,14 @@ TEST(ParallelDeterminism, SericolaAllStartsCluster) {
 }
 
 TEST(ParallelDeterminism, SericolaJointDistributionSmall) {
-  // The per-final-state form is O(|S|) vector passes, so assert it on the
-  // paper's reduced model where it is cheap.
+  // The per-final-state form is one all-starts pass per final state, so
+  // assert it on the paper's reduced model where it is cheap.
   const Mrm model = build_q3_reduced_mrm();
   const SericolaEngine engine(1e-8);
   check_thread_invariance(
       [&] {
-        return engine.joint_distribution(model, kTimeBoundHours,
-                                         kRewardBoundMah).per_state;
+        return oracle::per_final_state(engine, model, kTimeBoundHours,
+                                       kRewardBoundMah);
       },
       "sericola joint distribution on adhoc Q3");
 }
@@ -121,29 +122,34 @@ TEST(ParallelDeterminism, ErlangSynthetic) {
   const Mrm model = big_synthetic();
   const double t = 0.5;
   const double r = 0.4 * model.max_reward() * t;
+  const StateSet target = last_states(model, 50);
   const ErlangEngine engine(16);
   check_thread_invariance(
-      [&] { return engine.joint_distribution(model, t, r).per_state; },
-      "erlang-16 joint distribution on random_mrm(4000)");
+      [&] { return engine.joint_probability_all_starts(model, t, r, target); },
+      "erlang-16 all-starts on random_mrm(4000)");
 }
 
 TEST(ParallelDeterminism, ErlangCluster) {
   const Mrm model = small_cluster();
   const double t = 1.0;
   const double r = 0.5 * model.max_reward() * t;
+  const StateSet target = last_states(model, 10);
   const ErlangEngine engine(8);
   check_thread_invariance(
-      [&] { return engine.joint_distribution(model, t, r).per_state; },
-      "erlang-8 joint distribution on cluster");
+      [&] { return engine.joint_probability_all_starts(model, t, r, target); },
+      "erlang-8 all-starts on cluster");
 }
 
 TEST(ParallelDeterminism, DiscretisationSynthetic) {
   const Mrm model = big_synthetic();
   const double d = 1.0 / 32.0;
+  const StateSet target = last_states(model, 50);
   const DiscretisationEngine engine(d);
   check_thread_invariance(
-      [&] { return engine.joint_distribution(model, 0.5, 1.0).per_state; },
-      "discretisation joint distribution on random_mrm(4000)");
+      [&] {
+        return engine.joint_probability_all_starts(model, 0.5, 1.0, target);
+      },
+      "discretisation all-starts on random_mrm(4000)");
 }
 
 TEST(ParallelDeterminism, DiscretisationCluster) {
@@ -155,9 +161,10 @@ TEST(ParallelDeterminism, DiscretisationCluster) {
   const DiscretisationEngine engine(d);
   const double t = 32.0 * d;
   const double r = 0.5 * model.max_reward() * t;
+  const StateSet target = last_states(model, 10);
   check_thread_invariance(
-      [&] { return engine.joint_distribution(model, t, r).per_state; },
-      "discretisation joint distribution on cluster");
+      [&] { return engine.joint_probability_all_starts(model, t, r, target); },
+      "discretisation all-starts on cluster");
 }
 
 // ---------------------------------------------------------------------------
@@ -228,46 +235,6 @@ TEST(ParallelDeterminism, ErlangGridEqualsPointLoopAtBothThreadCounts) {
   ThreadPool::set_global_threads(1);
 }
 
-TEST(ParallelDeterminism, DiscretisationGridEqualsPointLoopAtBothThreadCounts) {
-  const Mrm model = small_cluster();
-  double d = 1.0;
-  while (model.chain().max_exit_rate() * d >= 0.9) d /= 2.0;
-  const DiscretisationEngine engine(d);
-  const std::vector<double> times{16.0 * d, 32.0 * d};
-  const double r_hi = 0.5 * model.max_reward() * 32.0 * d;
-  const std::vector<double> rewards{std::floor(0.5 * r_hi / d) * d,
-                                    std::floor(r_hi / d) * d};
-
-  const auto run = [&] {
-    std::vector<double> flat;
-    for (const JointDistribution& joint :
-         engine.joint_distribution_grid(model, times, rewards))
-      flat.insert(flat.end(), joint.per_state.begin(), joint.per_state.end());
-    return flat;
-  };
-  const auto run_looped = [&] {
-    std::vector<double> flat;
-    for (const JointDistribution& joint : joint_distribution_grid_reference(
-             engine, model, times, rewards))
-      flat.insert(flat.end(), joint.per_state.begin(), joint.per_state.end());
-    return flat;
-  };
-
-  std::vector<double> serial_batched;
-  for (const std::size_t threads : {std::size_t{1}, kManyThreads}) {
-    ThreadPool::set_global_threads(threads);
-    const std::vector<double> batched = run();
-    expect_bitwise_equal(batched, run_looped(),
-                         "discretisation lattice vs point loop on cluster");
-    if (threads == 1)
-      serial_batched = batched;
-    else
-      expect_bitwise_equal(serial_batched, batched,
-                           "discretisation lattice across thread counts");
-  }
-  ThreadPool::set_global_threads(1);
-}
-
 TEST(ParallelDeterminism,
      DiscretisationAllStartsGridEqualsPointWrapperAtBothThreadCounts) {
   const Mrm model = small_cluster();
@@ -314,15 +281,16 @@ TEST(ParallelDeterminism, MakeEnginePlumbsThreadCount) {
   serial_options.num_threads = 1;
   const auto serial_engine = make_engine(serial_options);
   EXPECT_EQ(ThreadPool::global().num_threads(), 1u);
+  const StateSet target = last_states(model, 50);
   const std::vector<double> serial =
-      serial_engine->joint_distribution(model, t, r).per_state;
+      serial_engine->joint_probability_all_starts(model, t, r, target);
 
   CheckOptions parallel_options = serial_options;
   parallel_options.num_threads = kManyThreads;
   const auto parallel_engine = make_engine(parallel_options);
   EXPECT_EQ(parallel_engine->pool().num_threads(), kManyThreads);
   const std::vector<double> parallel =
-      parallel_engine->joint_distribution(model, t, r).per_state;
+      parallel_engine->joint_probability_all_starts(model, t, r, target);
 
   ThreadPool::set_global_threads(1);
   expect_bitwise_equal(serial, parallel, "make_engine(erlang) plumbing");

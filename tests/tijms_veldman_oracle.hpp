@@ -1,17 +1,15 @@
 // Test oracle: the plain forward Tijms-Veldman sweeps (Section 4.3).
 //
-// DiscretisationEngine runs one pool-parallel sweep per lattice, and
-// answers the all-start-states shapes with the adjoint (backward)
-// recursion.  This is the textbook form: one serial forward F recursion
+// DiscretisationEngine answers the all-start-states shapes with one
+// pool-parallel run of the adjoint (backward) recursion per lattice.
+// This is the textbook form: one serial forward F recursion
 // per (t, r) point from one initial distribution, with F exactly as wide
 // as that point's reward bound, and one such run per start state for the
 // all-starts shapes (including the general-window until the checker used
-// to run state by state).  The forward per-cell arithmetic is the
-// engine's forward grid, so tijms_veldman_joint_distribution must match
-// the engine's forward lattices bit for bit; the adjoint sums the same
+// to run state by state).  The engine's adjoint recursion sums the same
 // terms in a different order, so the all-starts forms agree to rounding
-// (<= 1e-12).  Trivial (t, r) pairs resolve through the engines' shared
-// peel_trivial_cells.
+// (<= 1e-12).  Trivial (t, r) pairs resolve exactly, through
+// joint_distribution_trivial_case below.
 #pragma once
 
 #include <algorithm>
@@ -20,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "core/engines/engine.hpp"
+#include "ctmc/uniformisation.hpp"
 #include "logic/formula.hpp"
 #include "mrm/mrm.hpp"
 #include "util/error.hpp"
@@ -44,15 +42,69 @@ inline Mrm point_start(const Mrm& model, std::size_t s) {
   return from_s;
 }
 
+/// The trivial cases of Pr{Y_t <= r, X_t = j} from the initial
+/// distribution; returns true and fills `out` (indexed by j) if (t, r) is
+/// one.  The forward counterpart of the engines' all-starts peel.
+inline bool joint_distribution_trivial_case(const Mrm& model, double t,
+                                            double r,
+                                            std::vector<double>& out) {
+  if (!(t >= 0.0) || !std::isfinite(t))
+    throw ModelError("tijms_veldman oracle: time bound must be finite, >= 0");
+  if (!(r >= 0.0) || !std::isfinite(r))
+    throw ModelError("tijms_veldman oracle: reward bound must be finite, >= 0");
+
+  const std::size_t n = model.num_states();
+
+  // At t = 0 no reward has accumulated yet, so the joint distribution is
+  // the initial distribution itself.
+  if (t == 0.0 || n == 0) {
+    out = model.initial_distribution();
+    return true;
+  }
+
+  // Without impulses Y_t <= max_reward * t on every path, so a reward
+  // bound at or above that level never binds: plain transient analysis.
+  if (!model.has_impulse_rewards() && r >= model.max_reward() * t) {
+    out = transient_distribution(model.chain(), model.initial_distribution(),
+                                 t);
+    return true;
+  }
+
+  // r == 0 with a binding bound: Y_t stays at zero exactly on the paths
+  // that never enter a positive-reward state and never fire a
+  // positive-impulse transition.  Freeze the positive-reward states and
+  // reroute impulse-carrying transitions into a sink, then read off the
+  // transient distribution.
+  if (r == 0.0) {
+    const std::size_t sink = n;
+    CsrBuilder rates(n + 1, n + 1);
+    for (std::size_t s = 0; s < n; ++s) {
+      if (model.reward(s) > 0.0) continue;
+      for (const auto& e : model.rates().row(s)) {
+        const bool tainted = model.impulse(s, e.col) > 0.0;
+        rates.add(s, tainted ? sink : e.col, e.value);
+      }
+    }
+    const Ctmc frozen(rates.build());
+    std::vector<double> initial = model.initial_distribution();
+    initial.push_back(0.0);
+    out = transient_distribution(frozen, initial, t);
+    out.pop_back();  // the sink collects the mass that broke the bound
+    for (std::size_t s = 0; s < n; ++s)
+      if (model.reward(s) > 0.0) out[s] = 0.0;
+    return true;
+  }
+
+  return false;
+}
+
 /// Pr{Y_t <= r, X_t = j} for every j, from the model's initial
 /// distribution, with discretisation step d.
-inline JointDistribution tijms_veldman_joint_distribution(const Mrm& model,
-                                                          double d, double t,
-                                                          double r) {
-  std::vector<JointDistribution> trivial;
-  if (peel_trivial_cells(model, {&t, 1}, {&r, 1}, trivial).empty())
-    return trivial.front();
-  JointDistribution result;
+inline std::vector<double> tijms_veldman_joint_distribution(const Mrm& model,
+                                                            double d, double t,
+                                                            double r) {
+  std::vector<double> result;
+  if (joint_distribution_trivial_case(model, t, r, result)) return result;
 
   const std::size_t n = model.num_states();
   std::vector<std::size_t> rho(n);
@@ -96,14 +148,13 @@ inline JointDistribution tijms_veldman_joint_distribution(const Mrm& model,
     current.swap(next);
   }
 
-  result.per_state.assign(n, 0.0);
+  result.assign(n, 0.0);
   for (std::size_t s = 0; s < n; ++s) {
     double acc = 0.0;
     for (std::size_t k = 0; k <= reward_cells; ++k)
       acc += current[s * width + k];
-    result.per_state[s] = acc * d;
+    result[s] = acc * d;
   }
-  result.steps = total_steps;
   return result;
 }
 
@@ -114,9 +165,11 @@ inline std::vector<double> tijms_veldman_all_starts(const Mrm& model,
                                                     double r,
                                                     const StateSet& target) {
   std::vector<double> result(model.num_states(), 0.0);
-  for (std::size_t s = 0; s < model.num_states(); ++s)
-    result[s] = tijms_veldman_joint_distribution(point_start(model, s), d, t, r)
-                    .probability_in(target);
+  for (std::size_t s = 0; s < model.num_states(); ++s) {
+    const std::vector<double> joint =
+        tijms_veldman_joint_distribution(point_start(model, s), d, t, r);
+    for (std::size_t j : target.members()) result[s] += joint[j];
+  }
   return result;
 }
 
