@@ -10,15 +10,29 @@
 //
 // Shape expectations: the estimate approaches the reference from below
 // with error ~ 1/k; time grows superlinearly in k (the uniformisation
-// rate grows by k*rho_max/r and the chain by a factor k).
-#include <benchmark/benchmark.h>
-
+// rate grows by k*rho_max/r and every step touches k lanes per state).
+//
+// Below the table, timed rows (median of 5 after one warmup, via
+// BenchObs::timed_reps, with the run's uniformisation/steps) cover the
+// Q3 sweep at k = 1, 4, 16, 64, 256 and 1024 and two larger Erlang-256
+// workloads: a Figure-1-shaped 4 x 4 lattice on the lumped tandem queue
+// (8 x 8 replicated 512 times, 81 quotient states) and one until query
+// on the cluster model with 8 workstations per side.  The BenchObs
+// guard writes BENCH_table3_erlang_obs.json and appends a ledger line.
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <string>
+#include <vector>
 
+#include "core/batch.hpp"
+#include "core/checker.hpp"
 #include "core/engines/erlang_engine.hpp"
 #include "core/engines/sericola_engine.hpp"
+#include "logic/parser.hpp"
 #include "models/adhoc.hpp"
+#include "models/cluster.hpp"
+#include "models/synthetic.hpp"
 #include "obs/obs.hpp"
 
 #include "bench_obs.hpp"
@@ -62,26 +76,67 @@ void print_table() {
   std::printf("\n");
 }
 
-void BM_ErlangQ3(benchmark::State& state) {
-  const auto k = static_cast<std::size_t>(state.range(0));
-  double value = 0.0;
-  for (auto _ : state) {
-    value = erlang_once(k);
-    benchmark::DoNotOptimize(value);
-  }
-  state.counters["probability"] = value;
-  state.counters["phases"] = static_cast<double>(k);
+/// Time `fn` with timed_reps under `label` and print its uniformisation
+/// steps per run (the step count is deterministic, so one extra run
+/// measures it).
+template <typename Fn>
+void timed_row(csrl_bench::BenchObs& obs_guard, const std::string& label,
+               Fn&& fn) {
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  fn();
+  const std::uint64_t steps = obs::metrics_delta(before, obs::snapshot_metrics())
+                                  .counter("uniformisation/steps");
+  obs_guard.timed_reps(label, fn);
+  std::printf("        %-32s %llu uniformisation steps per run\n",
+              label.c_str(), static_cast<unsigned long long>(steps));
 }
-BENCHMARK(BM_ErlangQ3)->RangeMultiplier(4)->Range(1, 1024)->Unit(
-    benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   csrl_bench::BenchObs obs_guard("table3_erlang");
   print_table();
-  obs_guard.timed_reps("erlang_q3_k64", [] { return erlang_once(64); });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+
+  for (std::size_t k : {1, 4, 16, 64, 256, 1024})
+    timed_row(obs_guard, "erlang_q3_k" + std::to_string(k),
+              [k] { return erlang_once(k); });
+
+  // Figure-1 shape on the lumped tandem queue: times in [1, 2], reward
+  // bounds binding at every time (r <= 0.9 rho_max t_min).
+  {
+    CheckOptions options;
+    options.engine = P3Engine::kErlang;
+    options.erlang_phases = 256;
+    options.lump = true;
+    const Mrm tandem =
+        replicated_mrm(tandem_queue_mrm(8, 8, 2.0, 2.5, 2.0), 512);
+    const Checker checker(tandem, options);
+    BatchQuery query;
+    query.phi = parse_formula("!full1");
+    query.psi = parse_formula("full2");
+    query.times = {1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0};
+    const double binding = 16.0 * 1.0;  // rho_max * t_min
+    query.rewards = {0.6 * binding, 0.7 * binding, 0.8 * binding,
+                     0.9 * binding};
+    timed_row(obs_guard, "erlang256_tandem_4x4",
+              [&] { return checker.until_grid(query).per_state[0][0]; });
+  }
+
+  // One until query on cluster(8): premium lost within t = 30 while the
+  // delivered capacity stays below (2N - 3) t.
+  {
+    ClusterParams params;
+    params.workstations_per_side = 8;
+    params.premium_threshold = 7;
+    CheckOptions options;
+    options.engine = P3Engine::kErlang;
+    options.erlang_phases = 256;
+    const Mrm cluster = build_cluster_mrm(params);
+    const Checker checker(cluster, options);
+    const FormulaPtr query =
+        parse_formula("P=? [ premium U[0,30]{0,390} !premium ]");
+    timed_row(obs_guard, "erlang256_cluster8",
+              [&] { return checker.check(*query).value; });
+  }
   return 0;
 }

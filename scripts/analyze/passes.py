@@ -42,7 +42,7 @@ Graph-based (new in this framework):
                  hot set.
 
 The hot set is rooted at the kernel entry points by name (multiply*,
-pack/unpack_block, apply_block_pendings, accumulate_series, the solver
+including the phase-lane multiply_phase_fused, pack/unpack_block, apply_block_pendings, accumulate_series, the solver
 sweeps, run_batch, all_starts_points) and closed over calls to
 functions defined in the analyzed tree, resolved same-file, then
 same-directory, then unique-global.  Scheduling boundaries
@@ -432,6 +432,7 @@ HOT_ROOT_PATTERNS = [
     re.compile(p) for p in (
         r"^multiply(_left)?(_block)?(_fused)?$",
         r"^multiply(_left)?_active$",
+        r"^multiply_phase_fused$",
         r"^apply_block_pendings$",
         r"^pack_block$",
         r"^unpack_block$",

@@ -8,7 +8,6 @@
 
 #include "obs/obs.hpp"
 #include "util/error.hpp"
-#include "util/workspace.hpp"
 
 namespace csrl {
 
@@ -193,11 +192,8 @@ DiscretisationEngine::joint_probability_all_starts_grid(
 
     // H[s * width + b], b the remaining reward budget in cells.
     const std::size_t width = max_budget + 1;
-    Workspace workspace;
-    Workspace::Lease current_lease(&workspace, n * width);
-    Workspace::Lease next_lease(&workspace, n * width);
-    std::vector<double>& current = current_lease.get();
-    std::vector<double>& next = next_lease.get();
+    std::vector<double> current(n * width);
+    std::vector<double> next(n * width);
     for (std::size_t s = 0; s < n; ++s)
       std::fill_n(current.begin() + static_cast<std::ptrdiff_t>(s * width),
                   width, target.contains(s) ? 1.0 : 0.0);
@@ -215,13 +211,11 @@ DiscretisationEngine::joint_probability_all_starts_grid(
       }
     };
     read_out(0);
-    Workspace::LoopGuard guard(&workspace);
     for (std::size_t m = 1; m < max_steps; ++m) {
       recursion_step(pool(), model, d, rho, successors, current, next, width);
       current.swap(next);
       read_out(m);
     }
-    CSRL_COUNT("p3/discretisation/allocs_in_loop", guard.heap_allocations());
   }
   validate_grid(model, times, rewards, target, grid,
                 monotone_slack(model, times));

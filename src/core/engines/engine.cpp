@@ -4,6 +4,7 @@
 
 #include "core/validate.hpp"
 #include "ctmc/uniformisation.hpp"
+#include "obs/obs.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
 
@@ -111,11 +112,14 @@ std::vector<std::size_t> peel_trivial_cells(
     std::vector<std::vector<double>>& grid) {
   grid.assign(times.size() * rewards.size(), {});
   std::vector<std::size_t> live;
-  for (std::size_t g = 0; g < grid.size(); ++g)
-    if (!joint_all_starts_trivial_case(model, times[g / rewards.size()],
-                                       rewards[g % rewards.size()], target,
-                                       grid[g]))
+  for (std::size_t g = 0; g < grid.size(); ++g) {
+    if (joint_all_starts_trivial_case(model, times[g / rewards.size()],
+                                      rewards[g % rewards.size()], target,
+                                      grid[g]))
+      CSRL_COUNT("p3/trivial_cases", 1);
+    else
       live.push_back(g);
+  }
   return live;
 }
 

@@ -89,7 +89,9 @@ class JointDistributionEngine {
 /// enough that the reward bound cannot bind (plain transient analysis),
 /// and r == 0 (transient analysis with positive-reward states frozen).
 /// Returns the slots i * rewards.size() + j of the remaining (live)
-/// cells, ascending.  Throws ModelError on a negative or non-finite bound.
+/// cells, ascending, and counts each trivial cell in the obs counter
+/// "p3/trivial_cases".  Throws ModelError on a negative or non-finite
+/// bound.
 std::vector<std::size_t> peel_trivial_cells(
     const Mrm& model, std::span<const double> times,
     std::span<const double> rewards, const StateSet& target,

@@ -8,14 +8,31 @@
 // the reward budget have been consumed, plus one absorbing "exceeded"
 // state.  Reward accumulates at rate rho(s), and each budget phase is
 // exponential with rate k/r per unit of *reward*, so the phase counter
-// advances at rate rho(s) * k / r per unit of *time*.  Completing the k-th
-// phase means the accumulated reward crossed the (randomised) bound.
+// advances at rate rho(s) * k / r per unit of *time*; an impulse iota
+// crosses a Poisson(iota * k / r) number of phases at once.  Completing
+// the k-th phase means the accumulated reward crossed the (randomised)
+// bound.
 //
-// Then  Pr{Y_t <= r, X_t = j}  ~  sum_{i < k} pi_{(j,i)}(t),
-// computed by standard uniformisation on the expanded chain.  The
-// approximation converges to the fixed bound as k grows (the Erlang-k
-// distribution concentrates around its mean r); the paper's Table 3 sweeps
-// k from 1 to 1024.
+// Then  Pr_s{Y_t <= r, X_t in S'}  ~  sum_{i < k} Pr_{(s,0)}{X'_t = (j,i),
+// j in S'}, computed by backward uniformisation on the expanded chain and
+// read at phase 0.  The approximation converges to the fixed bound as k
+// grows (the Erlang-k distribution concentrates around its mean r); the
+// paper's Table 3 sweeps k from 1 to 1024.
+//
+// The expanded chain is never built.  Its state (s, i) sits at index
+// s * k + i, so every row of state s is the n-state row of s shifted by
+// one lane, plus a per-lane diagonal and the one-lane advance.  The
+// engine hands the model to ctmc/phase_chain.hpp, which keeps those rows
+// as lane bands over the n base states, and runs the phase form of
+// transient_reach_batch: each uniformisation step adds every stored term
+// of an n-state row to all k lanes in one contiguous SIMD lane loop
+// (matrix/phase_operator.hpp), in the column order of the expanded row,
+// and the Poisson accumulators, the steady-state fold and the final
+// flush read only the n phase-0 lanes.  The lattice is bit for bit the
+// one uniformisation on the explicit (n*k + 1)-state CSR chain yields
+// (tests/erlang_expansion_oracle.hpp keeps that expansion as the test
+// oracle).  The run is dense and exact: TransientOptions::support_epsilon
+// truncates nothing here and adds 0 to the truncation budget.
 //
 // As the paper notes, the uniformisation rate of the expanded chain grows
 // additively by max_s rho(s) * k / r, so large k slows the transient
@@ -33,11 +50,10 @@ class ErlangEngine : public JointDistributionEngine {
   explicit ErlangEngine(std::size_t phases, TransientOptions transient = {},
                         std::shared_ptr<ThreadPool> pool = nullptr);
 
-  /// Batched lattice evaluation.  The expanded chain depends only on the
-  /// reward bound, so each reward column shares one expansion, and the
-  /// column's time axis rides one batched uniformisation run (a single
-  /// vector-power sequence with per-horizon Poisson windows) instead of a
-  /// run per point.
+  /// Batched lattice evaluation.  Each reward column is one phase chain
+  /// (the advance rate depends on the bound), and the column's time axis
+  /// rides one batched uniformisation run (a single vector-power sequence
+  /// with per-horizon Poisson windows) instead of a run per point.
   std::vector<std::vector<double>> joint_probability_all_starts_grid(
       const Mrm& model, std::span<const double> times,
       std::span<const double> rewards, const StateSet& target) const override;
@@ -47,10 +63,6 @@ class ErlangEngine : public JointDistributionEngine {
   std::size_t phases() const { return phases_; }
 
  private:
-  /// Expanded chain over states (s, i) |-> s * phases_ + i, with the
-  /// "bound exceeded" sink at index num_states * phases_.
-  Ctmc expand(const Mrm& model, double r) const;
-
   /// Reward-monotonicity slack of the grid postcondition.
   double monotone_slack() const;
 

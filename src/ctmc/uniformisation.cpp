@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "ctmc/foxglynn.hpp"
+#include "ctmc/phase_chain.hpp"
 #include "matrix/simd.hpp"
 #include "matrix/spmm.hpp"
 #include "matrix/support.hpp"
-#include "matrix/vector_ops.hpp"
 #include "obs/obs.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
@@ -25,13 +27,13 @@ namespace {
   return true;
 }
 
-double resolve_rate(const Ctmc& chain, const TransientOptions& options) {
+double resolve_rate(double max_exit_rate, const TransientOptions& options) {
   if (options.uniformisation_rate != 0.0) {
-    if (options.uniformisation_rate < chain.max_exit_rate())
+    if (options.uniformisation_rate < max_exit_rate)
       throw ModelError("transient analysis: uniformisation rate below max exit rate");
     return options.uniformisation_rate;
   }
-  return chain.max_exit_rate() > 0.0 ? chain.max_exit_rate() : 1.0;
+  return max_exit_rate > 0.0 ? max_exit_rate : 1.0;
 }
 
 /// The active-support mode engages only for non-negative start vectors.
@@ -63,54 +65,175 @@ struct StepLatencySample {
   std::int64_t t0;
 };
 
-/// The one series loop behind every transient entry point, single- or
-/// multi-horizon (a single horizon is simply a one-window batch; the
-/// header's bitwise batch == single guarantee is by construction).  One
-/// iterate sequence P^n serves every window; pre-zeroed *results[i]
-/// receives exactly the weight-n axpy sequence its horizon needs.
-///
-/// Poisson-weight updates are deferred one step so they ride the next
-/// SpMV's memory traversal (the fused kernels of matrix/csr.hpp): the
-/// weight-n axpy on the step-n iterate is carried as a pending into step
-/// n + 1.  The window anchors (weight 0 on the start vector) seed the
-/// first step's pendings, and whatever is pending when the loop ends is
-/// flushed as a plain axpy.  In every case the per-element arithmetic is
-/// the identical y[i] += w * x[i] of the unfused loop, so fusion changes
-/// no bits.  A steady-state cutoff at step n happens before weight n is
-/// pended, so the remaining-mass fold (which starts at n) attributes the
-/// window tail exactly as the unfused loop did.
-///
-/// While the start vector is non-negative and its support is below the
-/// crossover density, steps run on the active-support kernels, which
+/// Step operator of the series loop over a CSR matrix: the fused dense
+/// kernels, or — while the start vector is non-negative and its support
+/// is below the crossover density — the active-support kernels, which
 /// visit only the frontier and keep the result bit-identical to the
 /// dense path for support_epsilon == 0.  With support_epsilon > 0,
 /// frontier entries below the threshold are dropped and their total
-/// magnitude accumulates into `dropped`: each step's drop vector d
+/// magnitude accumulates into dropped(): each step's drop vector d
 /// perturbs every later iterate by at most ||d||_1 in L1 (P is
 /// substochastic), and the Poisson weights sum to at most 1, so the
 /// total is a sound bound on the L1 (forward) / max-norm (backward)
-/// deviation of every result from its epsilon = 0 run.
+/// deviation of every result from its epsilon = 0 run.  Forward runs
+/// carry scalar pendings only (blockable() is false).
+class CsrStep {
+ public:
+  CsrStep(CsrMatrix p, bool forward, const TransientOptions& options)
+      : p_(std::move(p)), forward_(forward), options_(options) {}
+
+  /// Readouts sit at every position: results are full vectors.
+  std::size_t stride() const { return 1; }
+  bool blockable() const { return !forward_; }
+  double dropped() const { return dropped_; }
+
+  /// Enter the loop with the start iterate; `scratch` is the other
+  /// buffer of the pair.
+  void begin(std::span<const double> iterate, std::vector<double>& scratch) {
+    const std::size_t n = iterate.size();
+    active_ = options_.active_support && n > 0 && eligible_for_active(iterate);
+    if (active_) {
+      std::size_t support = 0;
+      for (double v : iterate)
+        if (v != 0.0) ++support;
+      active_ = static_cast<double>(support) <=
+                options_.support_crossover * static_cast<double>(n);
+    }
+    if (active_) {
+      mask_in_ = SupportMask(n);
+      mask_in_.reset_to_support(iterate);
+      mask_out_ = SupportMask(n);
+      // The stale mask of scratch is empty, so scratch must be exactly
+      // zero everywhere on entry to the first active step.
+      std::fill(scratch.begin(), scratch.end(), 0.0);
+    }
+    p_.warm_kernel_caches(forward_ || active_);
+  }
+
+  /// y = one fused step from x; returns the steady-state diff.
+  double step(std::span<const double> x, std::vector<double>& y,
+              std::span<const FusedAxpy> pendings,
+              std::span<const FusedBlockAxpy> block_pendings,
+              bool want_diff) {
+    if (active_) {
+      const double diff =
+          forward_ ? p_.multiply_left_active(x, y, mask_in_, mask_out_,
+                                             pendings, want_diff)
+                   : p_.multiply_active(x, y, mask_in_, mask_out_, pendings,
+                                        block_pendings, want_diff);
+      if (options_.support_epsilon > 0.0) {
+        mask_out_.remove_if_not([&](std::size_t i) {
+          const double v = y[i];
+          if (v != 0.0 && std::abs(v) < options_.support_epsilon) {
+            dropped_ += std::abs(v);
+            y[i] = 0.0;
+            return false;
+          }
+          return true;
+        });
+      }
+      return diff;
+    }
+    // One iterate in flight: batched horizons already ride the fused
+    // pendings.
+    if (forward_)
+      // lint:allow spmm-blocking (single power iterate per step)
+      return p_.multiply_left_fused(x, y, pendings, want_diff);
+    // lint:allow spmm-blocking (single power iterate per step)
+    return p_.multiply_fused(x, y, pendings, block_pendings, want_diff);
+  }
+
+  /// The iterate buffers were swapped.  The out-mask now names the
+  /// support of the new iterate and the in-mask the stale non-zeros of
+  /// the new scratch — exactly the entry invariant of the next step.
+  /// Hand over to the dense kernels once the frontier stops being
+  /// sparse; they overwrite scratch in full, so the masks simply retire.
+  /// The handover never changes bits, only traversal order of identical
+  /// per-element operations.
+  void swapped() {
+    if (!active_) return;
+    std::swap(mask_in_, mask_out_);
+    if (static_cast<double>(mask_in_.size()) >
+        options_.support_crossover * static_cast<double>(p_.rows()))
+      active_ = false;
+  }
+
+ private:
+  CsrMatrix p_;
+  bool forward_;
+  const TransientOptions& options_;
+  bool active_ = false;
+  SupportMask mask_in_;
+  SupportMask mask_out_;
+  double dropped_ = 0.0;
+};
+
+/// Step operator of the series loop over a phase chain: the fused phase
+/// kernel (matrix/phase_operator.hpp), dense and exact.  Readouts are the
+/// phase-0 lanes, so results hold one entry per base state.
+class PhaseStep {
+ public:
+  explicit PhaseStep(PhaseOperator op) : op_(std::move(op)) {}
+
+  std::size_t stride() const { return op_.phases(); }
+  bool blockable() const { return true; }
+  double dropped() const { return 0.0; }
+  void begin(std::span<const double>, std::vector<double>&) {}
+
+  double step(std::span<const double> x, std::vector<double>& y,
+              std::span<const FusedAxpy> pendings,
+              std::span<const FusedBlockAxpy> block_pendings,
+              bool want_diff) {
+    return op_.multiply_phase_fused(x, y, pendings, block_pendings,
+                                    want_diff);
+  }
+
+  void swapped() {}
+
+ private:
+  PhaseOperator op_;
+};
+
+/// The one series loop behind every transient entry point, single- or
+/// multi-horizon (a single horizon is simply a one-window batch; the
+/// header's bitwise batch == single guarantee is by construction), over
+/// either step operator.  One iterate sequence P^n serves every window;
+/// pre-zeroed *results[i] receives exactly the weight-n axpy sequence its
+/// horizon needs, read at the positions j * op.stride() of the iterate
+/// (every position for a CSR chain, the phase-0 lanes of a phase chain).
 ///
-/// Blocked accumulation: with `block_acc` non-empty (size n_states * W,
+/// Poisson-weight updates are deferred one step so they ride the next
+/// step's memory traversal (the fused kernels): the weight-n axpy on the
+/// step-n iterate is carried as a pending into step n + 1.  The window
+/// anchors (weight 0 on the start vector) seed the first step's
+/// pendings, and whatever is pending when the loop ends is flushed as a
+/// plain axpy.  In every case the per-element arithmetic is the
+/// identical y[j] += w * x[j * stride] of the unfused loop, so fusion
+/// changes no bits.  A steady-state cutoff at step n happens before
+/// weight n is pended, so the remaining-mass fold (which starts at n)
+/// attributes the window tail exactly as the unfused loop did.
+///
+/// Blocked accumulation: with `block_acc` non-empty (size readouts * W,
 /// W = windows.size(), paired with `block_weights` of size W) the
-/// per-window running sums live interleaved in block_acc[i * W + w]
+/// per-window running sums live interleaved in block_acc[j * W + w]
 /// instead of in *results[w], and all W Poisson axpys of one step ride
 /// the traversal as ONE FusedBlockAxpy — a contiguous, vectorizable
-/// lane loop per row instead of W strided scalar passes.  Every lane
+/// lane loop per readout instead of W strided scalar passes.  Every lane
 /// performs the identical out += weight * x sequence (steps outside a
 /// window carry lane weight 0.0, whose exact +0.0 add is a bit-level
 /// no-op on accumulators that start at +0.0 and can never reach -0.0 by
 /// addition), so the unpacked lanes equal the unblocked accumulators
 /// bit for bit; the caller unpacks into results afterwards.
-void accumulate_series(const CsrMatrix& p, bool forward,
-                       std::vector<double>& iterate,
+template <typename Step>
+void accumulate_series(Step& op, std::vector<double>& iterate,
                        std::vector<double>& scratch,
                        const std::vector<PoissonWeights>& windows,
                        const std::vector<std::vector<double>*>& results,
                        const TransientOptions& options,
                        std::span<double> block_acc = {},
                        std::span<double> block_weights = {}) {
-  const std::size_t n_states = iterate.size();
+  const std::size_t stride = op.stride();
+  const std::size_t readouts = iterate.size() / stride;
   const std::size_t num_windows = windows.size();
   std::size_t max_right = 0;
   for (const PoissonWeights& w : windows)
@@ -140,62 +263,13 @@ void accumulate_series(const CsrMatrix& p, bool forward,
         pendings.push_back({windows[i].weights[0], results[i]->data()});
   }
 
-  bool active = options.active_support && n_states > 0 &&
-                eligible_for_active(iterate);
-  if (active) {
-    std::size_t support = 0;
-    for (double v : iterate)
-      if (v != 0.0) ++support;
-    active = static_cast<double>(support) <=
-             options.support_crossover * static_cast<double>(n_states);
-  }
-  SupportMask mask_in;
-  SupportMask mask_out;
-  if (active) {
-    mask_in = SupportMask(n_states);
-    mask_in.reset_to_support(iterate);
-    mask_out = SupportMask(n_states);
-    // The stale mask of scratch is empty, so scratch must be exactly
-    // zero everywhere on entry to the first active step.
-    std::fill(scratch.begin(), scratch.end(), 0.0);
-  }
-  p.warm_kernel_caches(forward || active);
-
-  double dropped = 0.0;
+  op.begin(iterate, scratch);
   bool cutoff = false;
   for (std::size_t n = 1; n <= max_right; ++n) {
     CSRL_COUNT("uniformisation/steps", 1);
     const StepLatencySample step_latency;
-    const bool want_diff = options.steady_state_detection;
-    double diff;
-    if (active) {
-      diff = forward ? p.multiply_left_active(iterate, scratch, mask_in,
-                                              mask_out, pendings,
-                                              block_pendings, want_diff)
-                     : p.multiply_active(iterate, scratch, mask_in, mask_out,
-                                         pendings, block_pendings, want_diff);
-      if (options.support_epsilon > 0.0) {
-        mask_out.remove_if_not([&](std::size_t i) {
-          const double v = scratch[i];
-          if (v != 0.0 && std::abs(v) < options.support_epsilon) {
-            dropped += std::abs(v);
-            scratch[i] = 0.0;
-            return false;
-          }
-          return true;
-        });
-      }
-    } else if (forward) {
-      // One iterate in flight: batched horizons already ride the fused
-      // pendings.
-      // lint:allow spmm-blocking (single power iterate per step)
-      diff = p.multiply_left_fused(iterate, scratch, pendings,
-                                   block_pendings, want_diff);
-    } else {
-      // lint:allow spmm-blocking (single power iterate per step)
-      diff = p.multiply_fused(iterate, scratch, pendings, block_pendings,
-                              want_diff);
-    }
+    const double diff = op.step(iterate, scratch, pendings, block_pendings,
+                                options.steady_state_detection);
     pendings.clear();
     // The steady-state check compares the *full* vector (the fused diff
     // is a max-reduction over every entry, serial or parallel alike, and
@@ -219,21 +293,23 @@ void accumulate_series(const CsrMatrix& p, bool forward,
               remaining += windows[i].weight(m);
           block_weights[i] = remaining;
         }
-        for (std::size_t i = 0; i < n_states; ++i) {
-          const double s = scratch[i];
-          double* out = block_acc.data() + i * num_windows;
+        for (std::size_t j = 0; j < readouts; ++j) {
+          const double s = scratch[j * stride];
+          double* out = block_acc.data() + j * num_windows;
           CSRL_PRAGMA_SIMD
           for (std::size_t w = 0; w < num_windows; ++w)
             out[w] += block_weights[w] * s;
         }
       } else {
-        for (std::size_t i = 0; i < windows.size(); ++i) {
+        for (std::size_t i = 0; i < num_windows; ++i) {
           if (windows[i].right < n) continue;
           double remaining = 0.0;
           for (std::size_t m = std::max(n, windows[i].left);
                m <= windows[i].right; ++m)
             remaining += windows[i].weight(m);
-          axpy(remaining, scratch, *results[i]);
+          double* out = results[i]->data();
+          for (std::size_t j = 0; j < readouts; ++j)
+            out[j] += remaining * scratch[j * stride];
         }
       }
       iterate.swap(scratch);
@@ -242,26 +318,14 @@ void accumulate_series(const CsrMatrix& p, bool forward,
       break;
     }
     iterate.swap(scratch);
-    if (active) {
-      // After the swap the out-mask names the support of the new
-      // iterate and the in-mask names the stale non-zeros of the new
-      // scratch — exactly the entry invariant of the next step.
-      std::swap(mask_in, mask_out);
-      // Hand over to the dense kernels once the frontier stops being
-      // sparse; they overwrite scratch in full, so the masks simply
-      // retire.  The handover never changes bits, only traversal order
-      // of identical per-element operations.
-      if (static_cast<double>(mask_in.size()) >
-          options.support_crossover * static_cast<double>(n_states))
-        active = false;
-    }
+    op.swapped();
     if (blocked) {
       for (std::size_t i = 0; i < num_windows; ++i)
         block_weights[i] = (n >= windows[i].left && n <= windows[i].right)
                                ? windows[i].weight(n)
                                : 0.0;
     } else {
-      for (std::size_t i = 0; i < windows.size(); ++i)
+      for (std::size_t i = 0; i < num_windows; ++i)
         if (n >= windows[i].left && n <= windows[i].right)
           // lint:allow hot-alloc (capacity reserved to num_windows at setup; the runtime LoopGuard pins series-loop allocations to zero)
           pendings.push_back({windows[i].weight(n), results[i]->data()});
@@ -270,56 +334,63 @@ void accumulate_series(const CsrMatrix& p, bool forward,
   if (!cutoff) {
     if (blocked) {
       // Flush the last pending block of weights against the final iterate.
-      for (std::size_t i = 0; i < n_states; ++i) {
-        const double xi = iterate[i];
-        double* out = block_acc.data() + i * num_windows;
+      for (std::size_t j = 0; j < readouts; ++j) {
+        const double xj = iterate[j * stride];
+        double* out = block_acc.data() + j * num_windows;
         CSRL_PRAGMA_SIMD
         for (std::size_t w = 0; w < num_windows; ++w)
-          out[w] += block_weights[w] * xi;
+          out[w] += block_weights[w] * xj;
       }
     } else {
       for (const FusedAxpy& pending : pendings)
-        axpy(pending.weight, iterate,
-             std::span<double>(pending.out, n_states));
+        for (std::size_t j = 0; j < readouts; ++j)
+          pending.out[j] += pending.weight * iterate[j * stride];
     }
   }
   if (options.support_epsilon > 0.0)
-    CSRL_HIST("uniformisation/truncation_dropped", dropped);
-  if (options.budget != nullptr) options.budget->support_dropped += dropped;
+    CSRL_HIST("uniformisation/truncation_dropped", op.dropped());
+  if (options.budget != nullptr)
+    options.budget->support_dropped += op.dropped();
 }
 
 /// Shared wrapper for every entry point: splits degenerate horizons
 /// (t == 0, empty or fully absorbing chain) from the series horizons,
 /// builds the per-horizon windows, leases the iteration buffers and runs
-/// the series loop.  `start` is the t = 0 vector (initial distribution
-/// or terminal values); `forward` selects distribution pushing (y = x P)
-/// over value backpropagation (y = P x).
-std::vector<std::vector<double>> run_batch(const Ctmc& chain,
-                                           std::span<const double> start,
+/// the series loop.  `start` is the t = 0 iterate (initial distribution
+/// or terminal values, over every lane of a phase chain); results are
+/// read at the positions j * stride of the iterate — a degenerate
+/// horizon reads `start` itself.  `make_step(lambda)` builds the step
+/// operator for the resolved uniformisation rate.
+template <typename MakeStep>
+std::vector<std::vector<double>> run_batch(std::span<const double> start,
+                                           std::size_t stride,
+                                           double max_exit_rate,
                                            std::span<const double> times,
                                            const TransientOptions& options,
-                                           const char* what, bool forward) {
-  const std::size_t n = chain.num_states();
-  if (start.size() != n)
-    throw ModelError(std::string(what) + ": vector size mismatch");
+                                           const char* what,
+                                           MakeStep&& make_step) {
   for (double t : times)
     if (!(t >= 0.0) || !std::isfinite(t))
       // lint:allow hot-throw (argument validation at entry, before any series work)
       throw ModelError(std::string(what) + ": times must be finite and >= 0");
+  const std::size_t readouts = start.size() / stride;
 
   std::vector<std::vector<double>> results(times.size());
   std::vector<std::size_t> series;
   for (std::size_t i = 0; i < times.size(); ++i) {
-    if (times[i] == 0.0 || n == 0 || chain.max_exit_rate() == 0.0)
-      results[i].assign(start.begin(), start.end());
-    else
+    if (times[i] == 0.0 || start.empty() || max_exit_rate == 0.0) {
+      results[i].assign(readouts, 0.0);
+      for (std::size_t j = 0; j < readouts; ++j)
+        results[i][j] = start[j * stride];
+    } else {
       // lint:allow hot-alloc (horizon scan at entry, before the series loop)
       series.push_back(i);
+    }
   }
   if (series.empty()) return results;
 
-  const double lambda = resolve_rate(chain, options);
-  const CsrMatrix p = chain.uniformised_dtmc(lambda);
+  const double lambda = resolve_rate(max_exit_rate, options);
+  auto op = make_step(lambda);
 
   std::vector<PoissonWeights> windows;
   windows.reserve(series.size());
@@ -328,7 +399,7 @@ std::vector<std::vector<double>> run_batch(const Ctmc& chain,
   for (std::size_t i : series) {
     // lint:allow hot-alloc (per-horizon window setup into capacity reserved above, before the series loop)
     windows.push_back(poisson_weights(lambda * times[i], options.epsilon));
-    results[i].assign(n, 0.0);
+    results[i].assign(readouts, 0.0);
     // lint:allow hot-alloc (per-horizon setup into capacity reserved above, before the series loop)
     outs.push_back(&results[i]);
   }
@@ -336,27 +407,26 @@ std::vector<std::vector<double>> run_batch(const Ctmc& chain,
   // With more than one live horizon (and blocking not disabled via
   // rhs_block == 1) the per-horizon Poisson accumulators travel as one
   // interleaved block: every step updates all of them in one contiguous
-  // lane loop per row instead of one strided pass per horizon.  The
+  // lane loop per readout instead of one strided pass per horizon.  The
   // unpacked lanes are bitwise identical to the unblocked accumulators
   // (see accumulate_series), so the knob changes speed only.
   const std::size_t num_windows = series.size();
-  const bool block_horizons =
-      num_windows > 1 && resolve_rhs_block(options.rhs_block) > 1;
+  const bool block_horizons = num_windows > 1 && op.blockable() &&
+                              resolve_rhs_block(options.rhs_block) > 1;
 
   // The guard observes the whole series phase: against a warmed arena
   // the leases reuse retired buffers and the loop itself performs no
   // arena allocation, so the counter reports zero (tests pin this).
   Workspace::LoopGuard guard(options.workspace);
-  Workspace::Lease iterate_lease(options.workspace, n);
-  Workspace::Lease scratch_lease(options.workspace, n);
+  Workspace::Lease iterate_lease(options.workspace, start.size());
+  Workspace::Lease scratch_lease(options.workspace, start.size());
   Workspace::Lease acc_lease(options.workspace,
-                             block_horizons ? n * num_windows : 0);
+                             block_horizons ? readouts * num_windows : 0);
   Workspace::Lease weights_lease(options.workspace,
                                  block_horizons ? num_windows : 0);
   std::vector<double>& iterate = iterate_lease.get();
   iterate.assign(start.begin(), start.end());
-  accumulate_series(p, forward, iterate, scratch_lease.get(), windows, outs,
-                    options,
+  accumulate_series(op, iterate, scratch_lease.get(), windows, outs, options,
                     block_horizons ? acc_lease.span() : std::span<double>{},
                     block_horizons ? weights_lease.span()
                                    : std::span<double>{});
@@ -364,11 +434,28 @@ std::vector<std::vector<double>> run_batch(const Ctmc& chain,
     const std::span<const double> acc = acc_lease.span();
     for (std::size_t w = 0; w < num_windows; ++w) {
       std::vector<double>& out = *outs[w];
-      for (std::size_t i = 0; i < n; ++i) out[i] = acc[i * num_windows + w];
+      for (std::size_t j = 0; j < readouts; ++j)
+        out[j] = acc[j * num_windows + w];
     }
   }
   CSRL_COUNT("uniformisation/allocs_in_loop", guard.heap_allocations());
   return results;
+}
+
+/// run_batch over a CSR chain; `forward` selects distribution pushing
+/// (y = x P) over value backpropagation (y = P x).
+std::vector<std::vector<double>> run_chain(const Ctmc& chain,
+                                           std::span<const double> start,
+                                           std::span<const double> times,
+                                           const TransientOptions& options,
+                                           const char* what, bool forward) {
+  if (start.size() != chain.num_states())
+    throw ModelError(std::string(what) + ": vector size mismatch");
+  return run_batch(start, 1, chain.max_exit_rate(), times, options, what,
+                   [&](double lambda) {
+                     return CsrStep(chain.uniformised_dtmc(lambda), forward,
+                                    options);
+                   });
 }
 
 }  // namespace
@@ -394,7 +481,7 @@ std::vector<double> transient_distribution(const Ctmc& chain,
   CSRL_SPAN("ctmc/transient/forward");
 
   const double times[1] = {t};
-  auto results = run_batch(chain, initial, times, options,
+  auto results = run_chain(chain, initial, times, options,
                            "transient_distribution", /*forward=*/true);
   std::vector<double> result = std::move(results[0]);
   // P is stochastic, so each entry stays within the initial total mass
@@ -429,7 +516,7 @@ std::vector<double> transient_backward(const Ctmc& chain,
   CSRL_SPAN("ctmc/transient/backward");
 
   const double times[1] = {t};
-  auto results = run_batch(chain, terminal, times, options,
+  auto results = run_chain(chain, terminal, times, options,
                            "transient_backward", /*forward=*/false);
   std::vector<double> result = std::move(results[0]);
   // E_s[v(X_t)] is a convex-combination-of-v per step, so whenever the
@@ -455,8 +542,35 @@ std::vector<std::vector<double>> transient_reach_batch(
   if (target.size() != chain.num_states())
     throw ModelError("transient_reach_batch: target universe size mismatch");
   CSRL_SPAN("ctmc/transient/backward_batch");
-  auto results = run_batch(chain, target.indicator(), times, options,
+  auto results = run_chain(chain, target.indicator(), times, options,
                            "transient_reach_batch", /*forward=*/false);
+  CSRL_CONTRACT(
+      [&] {
+        for (const auto& result : results)
+          if (!within_probability_bounds(result, 1.0, 1e-9)) return false;
+        return true;
+      }(),
+      "transient_reach_batch: an occupancy probability left [0, 1]");
+  return results;
+}
+
+std::vector<std::vector<double>> transient_reach_batch(
+    const PhaseChain& chain, const StateSet& target,
+    std::span<const double> times, const TransientOptions& options) {
+  const std::size_t n = chain.num_states();
+  const std::size_t k = chain.phases();
+  if (target.size() != n)
+    throw ModelError("transient_reach_batch: target universe size mismatch");
+  CSRL_SPAN("ctmc/transient/backward_batch");
+  // Terminal values: every phase of a target state (the sink, never a
+  // target, is not stored).
+  std::vector<double> terminal(n * k, 0.0);
+  for (std::size_t s : target.members())
+    std::fill_n(terminal.begin() + static_cast<std::ptrdiff_t>(s * k), k, 1.0);
+  auto results = run_batch(terminal, k, chain.max_exit_rate(), times, options,
+                           "transient_reach_batch", [&](double lambda) {
+                             return PhaseStep(chain.uniformised(lambda));
+                           });
   CSRL_CONTRACT(
       [&] {
         for (const auto& result : results)

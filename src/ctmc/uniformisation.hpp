@@ -13,6 +13,7 @@
 
 namespace csrl {
 
+class PhaseChain;
 class Workspace;
 
 /// Accumulator for the active-support truncation error (see
@@ -44,12 +45,15 @@ struct TransientOptions {
   /// (matrix/support.hpp), switching to the dense fused kernel once it
   /// covers support_crossover of the state space.  Engages only for
   /// non-negative start vectors (all library uses); results are bitwise
-  /// identical to the dense path whenever support_epsilon is 0.
+  /// identical to the dense path whenever support_epsilon is 0.  Runs on
+  /// a phase chain are always dense.
   bool active_support = true;
   /// Drop frontier entries with magnitude below this threshold.  The
   /// dropped mass accumulates into `budget` (and the obs histogram
   /// "uniformisation/truncation_dropped") as a sound deviation bound; 0
-  /// drops nothing and reproduces the dense output bit for bit.
+  /// drops nothing and reproduces the dense output bit for bit.  Runs on
+  /// a phase chain drop nothing at any value: they are dense and exact
+  /// and add 0 to the budget.
   double support_epsilon = 0.0;
   /// Frontier density (fraction of states) above which the active mode
   /// hands over to the dense kernel.
@@ -119,5 +123,20 @@ std::vector<double> transient_reach(const Ctmc& chain, const StateSet& target,
 std::vector<std::vector<double>> transient_reach_batch(
     const Ctmc& chain, const StateSet& target, std::span<const double> times,
     const TransientOptions& options = {});
+
+/// transient_reach_batch on a phase chain (ctmc/phase_chain.hpp):
+/// result[i][s] is the probability, starting in phase 0 of base state s,
+/// of occupying any phase of a target state at times[i].  It bitwise
+/// equals transient_reach_batch on the explicitly expanded
+/// (n*k + 1)-state chain with every phase of the target states as its
+/// target, read at index s * k: the phase kernel performs the CSR
+/// kernel's per-lane arithmetic (matrix/phase_operator.hpp) and the same
+/// steps, windows, blocking and steady-state cutoff apply.  The Poisson
+/// accumulators, the steady-state fold and the final flush read only
+/// the n phase-0 lanes; the steady-state diff still covers every lane.
+/// Dense always: active_support and support_epsilon have no effect.
+std::vector<std::vector<double>> transient_reach_batch(
+    const PhaseChain& chain, const StateSet& target,
+    std::span<const double> times, const TransientOptions& options = {});
 
 }  // namespace csrl

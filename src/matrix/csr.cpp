@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "matrix/kernel_tuning.hpp"
-#include "matrix/simd.hpp"
 #include "obs/obs.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
@@ -17,23 +16,10 @@ namespace csrl {
 
 namespace {
 
+using kernel_tuning::apply_block_pendings;
 using kernel_tuning::atomic_max;
 using kernel_tuning::kChunksPerThread;
 using kernel_tuning::kParallelNnzThreshold;
-
-/// Apply every blocked epilogue at position `r` from the scalar source
-/// `xr`: out[r * stride + b] += weights[b] * xr per lane.  The lane loop
-/// is contiguous and lane-independent, so SIMD cannot reassociate any
-/// lane's sum — annotated, and bitwise equal to the scalar loop.
-inline void apply_block_pendings(std::span<const FusedBlockAxpy> pendings,
-                                 std::size_t r, double xr) {
-  for (const FusedBlockAxpy& p : pendings) {
-    double* out = p.out + r * p.stride;
-    const double* w = p.weights;
-    CSRL_PRAGMA_SIMD
-    for (std::size_t b = 0; b < p.width; ++b) out[b] += w[b] * xr;
-  }
-}
 
 /// Deterministic cost accounting (DESIGN.md 3h).  The charges are pure
 /// functions of structural dimensions — touched nnz, touched rows, lane
@@ -375,14 +361,13 @@ double CsrMatrix::multiply_fused(std::span<const double> x,
 double CsrMatrix::multiply_left_fused(std::span<const double> x,
                                       std::span<double> y,
                                       std::span<const FusedAxpy> pendings,
-                                      std::span<const FusedBlockAxpy> block_pendings,
                                       bool want_diff) const {
   if (rows_ != cols_ || x.size() != rows_ || y.size() != cols_)
     throw ModelError("CsrMatrix::multiply_left_fused: dimension mismatch");
   CSRL_COUNT("spmv/multiply_left", 1);
   CSRL_COUNT("matrix/spmv/rows_active", rows_);
   charge_spmv_cost(nnz(), rows_);
-  charge_epilogue_cost(rows_, epilogue_lanes(pendings, block_pendings));
+  charge_epilogue_cost(rows_, pendings.size());
 
   // Gather along the transpose: each column's contributions accumulate
   // in ascending original-row order, the exact sequence the serial
@@ -400,7 +385,6 @@ double CsrMatrix::multiply_left_fused(std::span<const double> x,
       y[col] = acc;
       const double xc = x[col];
       for (const FusedAxpy& p : pendings) p.out[col] += p.weight * xc;
-      apply_block_pendings(block_pendings, col, xc);
       if (want_diff) local = std::max(local, std::abs(acc - xc));
     }
     return local;
@@ -480,7 +464,6 @@ double CsrMatrix::multiply_left_active(std::span<const double> x,
                                        std::span<double> y,
                                        const SupportMask& in, SupportMask& out,
                                        std::span<const FusedAxpy> pendings,
-                                       std::span<const FusedBlockAxpy> block_pendings,
                                        bool want_diff) const {
   if (rows_ != cols_ || x.size() != rows_ || y.size() != cols_ ||
       in.universe() != rows_ || out.universe() != rows_)
@@ -492,7 +475,7 @@ double CsrMatrix::multiply_left_active(std::span<const double> x,
     for (std::size_t r : in.members())
       touched += row_ptr_[r + 1] - row_ptr_[r];
     charge_spmv_cost(touched, in.size());
-    charge_epilogue_cost(in.size(), epilogue_lanes(pendings, block_pendings));
+    charge_epilogue_cost(in.size(), pendings.size());
   }
 
   for (std::size_t i : out.members()) y[i] = 0.0;
@@ -503,7 +486,6 @@ double CsrMatrix::multiply_left_active(std::span<const double> x,
   for (std::size_t r : in.members()) {
     const double xr = x[r];
     for (const FusedAxpy& p : pendings) p.out[r] += p.weight * xr;
-    apply_block_pendings(block_pendings, r, xr);
     if (xr == 0.0) continue;
     for (std::size_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
       y[entries_[i].col] += xr * entries_[i].value;

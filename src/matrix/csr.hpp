@@ -136,18 +136,18 @@ class CsrMatrix {
     return multiply_fused(x, y, pendings, {}, want_diff);
   }
 
-  /// Fused y = x A; see above.
+  /// Fused y = x A; see above.  Forward runs carry one horizon, so the
+  /// left product takes scalar pendings only.
   double multiply_left_fused(std::span<const double> x, std::span<double> y,
                              std::span<const FusedAxpy> pendings,
-                             bool want_diff) const {
-    return multiply_left_fused(x, y, pendings, {}, want_diff);
-  }
+                             bool want_diff) const;
 
-  // Forms that additionally carry blocked epilogues (FusedBlockAxpy in
-  // matrix/support.hpp): for every row r the kernel sweeps, each block
-  // pending adds weights[b] * x[r] into its interleaved accumulator
-  // out[r * stride + b] for all lanes b — one contiguous, SIMD-friendly
-  // lane loop per row instead of one strided scalar store per pending.
+  // The right product can additionally carry blocked epilogues
+  // (FusedBlockAxpy in matrix/support.hpp): for every row r the kernel
+  // sweeps, each block pending adds weights[b] * x[r] into its
+  // interleaved accumulator out[r * stride + b] for all lanes b — one
+  // contiguous, SIMD-friendly lane loop per row instead of one strided
+  // scalar store per pending.
   // The per-lane arithmetic is the identical out += w * x of a scalar
   // FusedAxpy, so carrying W accumulators blocked or as W scalar
   // pendings produces the same bits.
@@ -156,11 +156,6 @@ class CsrMatrix {
                         std::span<const FusedAxpy> pendings,
                         std::span<const FusedBlockAxpy> block_pendings,
                         bool want_diff) const;
-
-  double multiply_left_fused(std::span<const double> x, std::span<double> y,
-                             std::span<const FusedAxpy> pendings,
-                             std::span<const FusedBlockAxpy> block_pendings,
-                             bool want_diff) const;
 
   // -- Blocked multi-RHS (SpMM) kernel (matrix/spmm.cpp) -------------------
   //
@@ -205,30 +200,23 @@ class CsrMatrix {
   }
 
   /// Active y = x A: scatters only the frontier rows, in ascending order
-  /// exactly like the dense serial scatter.
+  /// exactly like the dense serial scatter.  Scalar pendings only, like
+  /// multiply_left_fused.
   double multiply_left_active(std::span<const double> x, std::span<double> y,
                               const SupportMask& in, SupportMask& out,
                               std::span<const FusedAxpy> pendings,
-                              bool want_diff) const {
-    return multiply_left_active(x, y, in, out, pendings, {}, want_diff);
-  }
+                              bool want_diff) const;
 
-  // Active forms carrying blocked epilogues as well: block pendings are
-  // applied over the `in` frontier only, matching the dense blocked
-  // kernels bit for bit for non-negative x (off-frontier positions would
-  // only ever contribute exact +0.0 terms).
+  // The active right product carrying blocked epilogues as well: block
+  // pendings are applied over the `in` frontier only, matching the dense
+  // blocked kernel bit for bit for non-negative x (off-frontier positions
+  // would only ever contribute exact +0.0 terms).
 
   double multiply_active(std::span<const double> x, std::span<double> y,
                          const SupportMask& in, SupportMask& out,
                          std::span<const FusedAxpy> pendings,
                          std::span<const FusedBlockAxpy> block_pendings,
                          bool want_diff) const;
-
-  double multiply_left_active(std::span<const double> x, std::span<double> y,
-                              const SupportMask& in, SupportMask& out,
-                              std::span<const FusedAxpy> pendings,
-                              std::span<const FusedBlockAxpy> block_pendings,
-                              bool want_diff) const;
 
   /// Pre-build the lazy caches (row partition and, when `transpose`, the
   /// cached transpose with its partition) that the kernels above create

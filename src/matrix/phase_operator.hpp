@@ -1,0 +1,89 @@
+// Phase-lane operators: a matrix over n states x k phase lanes, stored
+// as n rows of lane bands instead of an (n*k)-row CSR.
+//
+// A phase-expanded chain (ctmc/phase_chain.hpp) numbers its state (s, i)
+// as s * k + i, so lane i of every state sits next to lanes i-1 and i+1.
+// Row (s, i) of such a chain is, for nearly every lane, the same n-state
+// row shifted by one lane: a term of state s that reads state c at lane
+// offset m reads x[c * k + i + m] for every lane i it applies to.  A band
+// stores that term once:
+//
+//   y[s * k + i] += coef * x[source * k + shift + i]   for i in [lo, hi),
+//
+// and the kernel runs it as one contiguous, vectorizable lane loop.  A
+// state's bands are sorted by (source, shift), which for every single
+// lane is the ascending column order of the expanded CSR row; each lane
+// therefore accumulates exactly the terms of that row, starting from
+// +0.0, in exactly the CSR kernel's order — the same bits as the CSR
+// product over the expanded chain (SIMD runs lanes side by side, never a
+// reordered sum within one lane; matrix/simd.hpp).
+#pragma once
+
+#include <cstddef>
+#include <span>
+#include <vector>
+
+#include "matrix/support.hpp"
+
+namespace csrl {
+
+/// One band of a phase-operator row (see file comment).
+struct PhaseBand {
+  std::size_t source = 0;  // state c whose lanes are read
+  std::size_t shift = 0;   // lane offset m: lane i reads lane i + m
+  std::size_t lo = 0;      // first lane that receives the term
+  std::size_t hi = 0;      // one past the last lane
+  double coef = 0.0;
+};
+
+/// Immutable band-structured operator over num_states() x phases() lanes.
+class PhaseOperator {
+ public:
+  PhaseOperator() = default;
+
+  /// `row_ptr` (size n + 1, non-decreasing, from 0 to bands.size())
+  /// delimits each state's bands.  Within a state, bands must be sorted
+  /// by (source, shift) with disjoint lane ranges for equal keys, and
+  /// satisfy lo < hi, hi + shift <= phases and source < n.  Throws
+  /// ModelError otherwise.
+  PhaseOperator(std::size_t phases, std::vector<std::size_t> row_ptr,
+                std::vector<PhaseBand> bands);
+
+  std::size_t num_states() const { return row_ptr_.size() - 1; }
+  std::size_t phases() const { return phases_; }
+  /// Length of the vectors the operator acts on: num_states() * phases().
+  std::size_t size() const { return num_states() * phases_; }
+
+  /// The bands of state `s`.  Precondition: s < num_states().
+  std::span<const PhaseBand> bands(std::size_t s) const {
+    return {bands_.data() + row_ptr_[s], row_ptr_[s + 1] - row_ptr_[s]};
+  }
+
+  /// Fused y = A x with a phase-0 readout, the phase form of
+  /// CsrMatrix::multiply_fused: the product, the deferred Poisson axpys
+  /// of the previous step and the steady-state max-diff ride one pass.
+  /// Pendings read lane 0 only — for every state s,
+  /// out[s] += weight * x[s * phases()] (scalar) and
+  /// out[s * stride + b] += weights[b] * x[s * phases()] (blocked) — so
+  /// accumulators hold num_states() entries, not size().  The diff,
+  /// max |y - x| over every lane, is returned (0.0 when !want_diff).
+  /// x and y have size() entries and must not alias each other or the
+  /// pending targets.  States are processed in independent tiles on the
+  /// shared pool once the lane work is large enough; every tile computes
+  /// the same per-lane operations, so the result is bit-identical at any
+  /// thread count.
+  double multiply_phase_fused(std::span<const double> x, std::span<double> y,
+                              std::span<const FusedAxpy> pendings,
+                              std::span<const FusedBlockAxpy> block_pendings,
+                              bool want_diff) const;
+
+ private:
+  std::size_t phases_ = 1;
+  std::vector<std::size_t> row_ptr_ = {0};
+  std::vector<PhaseBand> bands_;
+  /// Lane-band terms summed over every band (the multiply-add count of
+  /// one product).
+  std::size_t lane_terms_ = 0;
+};
+
+}  // namespace csrl

@@ -1,0 +1,277 @@
+// The pseudo-Erlang engine's phase-lane runs against the explicit
+// expansion.
+//
+// ErlangEngine never builds the (n*k + 1)-state chain: it runs
+// uniformisation as k contiguous lanes over the n-state model
+// (ctmc/phase_chain.hpp, matrix/phase_operator.hpp) and reads phase 0.
+// Every test here compares its lattice bit for bit (memcmp) with the old
+// construction, kept in tests/erlang_expansion_oracle.hpp: expansion by
+// CsrBuilder, transient_reach_batch on the CSR chain, phase-0 readout.
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "core/engines/erlang_engine.hpp"
+#include "ctmc/phase_chain.hpp"
+#include "erlang_expansion_oracle.hpp"
+#include "models/adhoc.hpp"
+#include "models/synthetic.hpp"
+#include "mrm/lumping.hpp"
+#include "mrm/transform.hpp"
+#include "obs/obs.hpp"
+#include "util/error.hpp"
+#include "util/thread_pool.hpp"
+
+namespace csrl {
+namespace {
+
+using Lattice = std::vector<std::vector<double>>;
+
+/// memcmp of two lattices, cell by cell.
+void expect_bitwise_equal(const Lattice& got, const Lattice& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t g = 0; g < got.size(); ++g) {
+    ASSERT_EQ(got[g].size(), want[g].size()) << what << ", cell " << g;
+    EXPECT_EQ(std::memcmp(got[g].data(), want[g].data(),
+                          got[g].size() * sizeof(double)),
+              0)
+        << what << ": cell " << g << " differs from the expansion";
+  }
+}
+
+/// The engine's lattice against the oracle's, same options.
+void expect_matches_expansion(const Mrm& model, const std::vector<double>& times,
+                              const std::vector<double>& rewards,
+                              const StateSet& target, std::size_t k,
+                              const TransientOptions& options,
+                              const std::string& what) {
+  const ErlangEngine engine(k, options);
+  expect_bitwise_equal(
+      engine.joint_probability_all_starts_grid(model, times, rewards, target),
+      oracle::erlang_lattice(model, times, rewards, target, k, options),
+      what + ", k = " + std::to_string(k));
+}
+
+StateSet states(std::size_t n, std::initializer_list<std::size_t> members) {
+  StateSet set(n);
+  for (std::size_t s : members) set.insert(s);
+  return set;
+}
+
+StateSet last_states(const Mrm& model, std::size_t count) {
+  StateSet target(model.num_states());
+  for (std::size_t s = model.num_states() - count; s < model.num_states(); ++s)
+    target.insert(s);
+  return target;
+}
+
+/// `model` with its state order reversed, so every forward arc becomes
+/// one into a lower index (a term before the diagonal of its row).
+Mrm reversed(const Mrm& model) {
+  std::vector<std::size_t> perm(model.num_states());
+  for (std::size_t s = 0; s < perm.size(); ++s)
+    perm[s] = perm.size() - 1 - s;
+  return permute_states(model, perm);
+}
+
+/// The two impulse models of test_impulse_rewards.cpp: 0 -> 1 at rate a
+/// with impulse iota and no rate rewards, and 0 branching to 1
+/// (impulse 1) and 2 (impulse 3) with rate reward 1 everywhere.
+Mrm impulse_hit_model(double a, double iota) {
+  CsrBuilder b(2, 2);
+  b.add(0, 1, a);
+  CsrBuilder imp(2, 2);
+  imp.add(0, 1, iota);
+  return Mrm(Ctmc(b.build()), {0.0, 0.0}, Labelling(2), 0)
+      .with_impulses(imp.build());
+}
+
+Mrm branching_impulse_model() {
+  CsrBuilder b(3, 3);
+  b.add(0, 1, 1.0);
+  b.add(0, 2, 1.0);
+  CsrBuilder imp(3, 3);
+  imp.add(0, 1, 1.0);
+  imp.add(0, 2, 3.0);
+  return Mrm(Ctmc(b.build()), {1.0, 1.0, 1.0}, Labelling(3), 0)
+      .with_impulses(imp.build());
+}
+
+TEST(ErlangPhaseOperator, Q3ReducedAtOneTwoAnd256Phases) {
+  const Mrm model = build_q3_reduced_mrm();
+  const StateSet target = states(5, {3});
+  // Time-major 3 x 3 on the paper's Figure 1 ranges, one cell (t = 0)
+  // trivial.
+  const std::vector<double> times{0.0, 12.0, 24.0};
+  const std::vector<double> rewards{150.0, 400.0, 600.0};
+  for (std::size_t k : {1, 2, 256})
+    expect_matches_expansion(model, times, rewards, target, k, {},
+                             "Q3 reduced");
+}
+
+/// Two copies of the tandem queue (3, 3) whose twin states switch into
+/// each other at rate 1: lumping merges every twin pair and keeps the
+/// switching as a self-loop on each quotient state.
+Mrm switching_twin_tandem() {
+  const Mrm base = tandem_queue_mrm(3, 3, 2.0, 2.5, 2.0);
+  const std::size_t n = base.num_states();
+  CsrBuilder rates(2 * n, 2 * n);
+  std::vector<double> rewards(2 * n);
+  for (std::size_t c = 0; c < 2; ++c)
+    for (std::size_t s = 0; s < n; ++s) {
+      for (const CsrEntry& e : base.rates().row(s))
+        rates.add(c * n + s, c * n + e.col, e.value);
+      rates.add(c * n + s, (1 - c) * n + s, 1.0);
+      rewards[c * n + s] = base.reward(s);
+    }
+  return Mrm(Ctmc(rates.build()), std::move(rewards), Labelling(2 * n), 0);
+}
+
+TEST(ErlangPhaseOperator, LumpedTandemQuotients) {
+  // The replicated tandem queue lumps back to the plain queue (the shape
+  // of the benchmark's Figure-1 lattices); the switching twins lump to a
+  // quotient with a self-loop on every state, which exercises the merged
+  // diagonal (self-loop rate plus uniformisation complement).
+  const Mrm replicated =
+      lump(replicated_mrm(tandem_queue_mrm(3, 3, 2.0, 2.5, 2.0), 4)).quotient;
+  const Mrm twins = lump(switching_twin_tandem()).quotient;
+  std::size_t self_loops = 0;
+  for (std::size_t s = 0; s < twins.num_states(); ++s)
+    if (twins.rates().at(s, s) > 0.0) ++self_loops;
+  ASSERT_GT(self_loops, 0u) << "the quotient must exercise the merged diagonal";
+  for (const Mrm* quotient : {&replicated, &twins}) {
+    const StateSet target = last_states(*quotient, 4);
+    const std::vector<double> times{1.0, 2.0};
+    const std::vector<double> rewards{0.6 * quotient->max_reward(),
+                                      1.4 * quotient->max_reward()};
+    for (std::size_t k : {16, 64})
+      expect_matches_expansion(*quotient, times, rewards, target, k, {},
+                               quotient == &twins ? "lumped twin tandem"
+                                                  : "lumped tandem");
+  }
+}
+
+TEST(ErlangPhaseOperator, ImpulseModelsIncludingSpillToSink) {
+  // Budgets below and above the impulses: jump windows that fit inside
+  // the lanes and ones that spill into the sink.  The reversed copies put
+  // every arc before the diagonal of its row.
+  const std::vector<double> times{0.5, 1.5, 2.0};
+  const std::vector<double> rewards{1.0, 3.0, 3.5};
+  const Mrm hit = impulse_hit_model(1.0, 2.0);
+  const Mrm branching = branching_impulse_model();
+  for (std::size_t k : {8, 64}) {
+    expect_matches_expansion(hit, times, rewards, states(2, {1}), k, {},
+                             "impulse hit");
+    expect_matches_expansion(reversed(hit), times, rewards, states(2, {0}), k,
+                             {}, "impulse hit, reversed");
+    expect_matches_expansion(branching, times, rewards, states(3, {1, 2}), k,
+                             {}, "branching impulses");
+    expect_matches_expansion(reversed(branching), times, rewards,
+                             states(3, {0, 1}), k, {},
+                             "branching impulses, reversed");
+  }
+}
+
+/// random_mrm(60) with its last eight states made absorbing (keeping
+/// their rewards) and some zero-reward states.
+Mrm random_with_absorbing() {
+  const Mrm model = random_mrm(7, 60, 0.05, 4.0, 3);
+  return make_absorbing(model, last_states(model, 8), /*zero_reward=*/false);
+}
+
+TEST(ErlangPhaseOperator, RandomModelWithZeroRewardAndAbsorbingStates) {
+  const Mrm model = random_with_absorbing();
+  std::size_t zero_reward = 0;
+  std::size_t absorbing = 0;
+  for (std::size_t s = 0; s < model.num_states(); ++s) {
+    if (model.reward(s) == 0.0) ++zero_reward;
+    if (model.chain().is_absorbing(s)) ++absorbing;
+  }
+  ASSERT_GT(zero_reward, 0u);
+  ASSERT_GT(absorbing, 0u);
+  const std::vector<double> times{0.25, 0.5, 1.0};
+  const std::vector<double> rewards{0.3, 0.9, 2.0};
+  for (std::size_t k : {3, 32})
+    expect_matches_expansion(model, times, rewards, last_states(model, 6), k,
+                             {}, "random_mrm(60)");
+}
+
+TEST(ErlangPhaseOperator, SteadyStateCutoffFoldsTheSameTail) {
+  // Long horizons on a model that drains into absorbing zero-reward
+  // targets: the iterate converges long before the Poisson windows end,
+  // so the run folds the remaining mass at the cutoff step.
+  const Mrm base = random_mrm(7, 60, 0.05, 4.0, 3);
+  const StateSet target = last_states(base, 8);
+  const Mrm model = make_absorbing(base, target, /*zero_reward=*/true);
+  const std::vector<double> times{5.0, 40.0, 60.0};
+  const std::vector<double> rewards{20.0, 90.0};
+  const obs::ScopedRecording rec(true);
+  const obs::MetricsSnapshot before = obs::snapshot_metrics();
+  expect_matches_expansion(model, times, rewards, target, 8, {},
+                           "steady-state cutoff");
+#ifndef CSRL_OBS_DISABLED
+  EXPECT_GT(obs::metrics_delta(before, obs::snapshot_metrics())
+                .counter("uniformisation/steady_state_cutoffs"),
+            0u);
+#endif
+}
+
+TEST(ErlangPhaseOperator, BitwiseAcrossBlockWidthsAndThreads) {
+  // rhs_block 1 carries scalar pendings, 8 one interleaved block; the
+  // 600-state model at k = 32 has enough lane work to take the parallel
+  // tile path at 4 threads.
+  const Mrm small = build_q3_reduced_mrm();
+  const Mrm large = random_mrm(13, 600, 0.01, 2.0, 3);
+  const std::vector<double> times{0.5, 1.0, 2.0};
+  for (std::size_t threads : {1, 4}) {
+    ThreadPool::set_global_threads(threads);
+    for (std::size_t width : {1, 8}) {
+      TransientOptions options;
+      options.rhs_block = width;
+      const std::string what = std::to_string(threads) + " thread(s), width " +
+                               std::to_string(width);
+      expect_matches_expansion(small, {4.0, 12.0, 24.0}, {200.0, 500.0},
+                               states(5, {3}), 16, options,
+                               "Q3 reduced, " + what);
+      expect_matches_expansion(large, times, {0.8, 2.5},
+                               last_states(large, 30), 32, options,
+                               "random_mrm(600), " + what);
+    }
+  }
+  ThreadPool::set_global_threads(1);
+}
+
+TEST(ErlangPhaseOperator, BandsKeepColumnOrderAndMalformedInputThrows) {
+  const Mrm model = build_q3_reduced_mrm();
+  const std::vector<double> advance(model.num_states(), 1.0);
+  const PhaseChain chain(model.chain(), advance, CsrMatrix(), 4);
+  // Within a state, bands run in the column order of the expanded row:
+  // the diagonal (s, 0) before the advance (s, 1).
+  const PhaseOperator p = chain.uniformised(chain.max_exit_rate());
+  for (std::size_t s = 0; s < p.num_states(); ++s) {
+    const auto bands = p.bands(s);
+    for (std::size_t b = 1; b < bands.size(); ++b)
+      EXPECT_TRUE(bands[b - 1].source < bands[b].source ||
+                  (bands[b - 1].source == bands[b].source &&
+                   bands[b - 1].shift <= bands[b].shift))
+          << "state " << s << ", band " << b;
+  }
+
+  const std::vector<double> short_advance(2, 1.0);
+  const std::vector<double> negative(model.num_states(), -1.0);
+  EXPECT_THROW(PhaseChain(model.chain(), advance, CsrMatrix(), 0), ModelError);
+  EXPECT_THROW(PhaseChain(model.chain(), short_advance, CsrMatrix(), 4),
+               ModelError);
+  EXPECT_THROW(PhaseChain(model.chain(), negative, CsrMatrix(), 4), ModelError);
+  EXPECT_THROW((void)chain.uniformised(0.5 * chain.max_exit_rate()),
+               ModelError);
+  EXPECT_THROW(PhaseOperator(2, {0, 1}, {{0, 1, 0, 2, 0.5}}), ModelError);
+  EXPECT_THROW(PhaseOperator(2, {0, 2}, {{0, 1, 0, 1, 0.5}, {0, 0, 0, 1, 0.5}}),
+               ModelError);
+}
+
+}  // namespace
+}  // namespace csrl

@@ -50,9 +50,9 @@ void check_thread_invariance(Fn compute, const char* what) {
   expect_bitwise_equal(serial, parallel, what);
 }
 
-/// A synthetic model big enough to cross the parallel thresholds of both
-/// the SpMV kernels (nnz >= 2^14) and the dense vector ops on the Erlang
-/// engine's expanded chain.
+/// A synthetic model big enough to cross the parallel thresholds of the
+/// SpMV kernels (nnz >= 2^14) and of the Erlang engine's phase-lane
+/// kernel (2^14 lane terms).
 Mrm big_synthetic() { return random_mrm(11, 4000, 0.002, 2.0, 3); }
 
 Mrm small_cluster() {
