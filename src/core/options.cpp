@@ -22,16 +22,16 @@ std::unique_ptr<JointDistributionEngine> make_engine(const CheckOptions& options
   CSRL_SPAN("core/make_engine");
   CSRL_COUNT("engine/instantiations", 1);
 
-  // Sericola takes the multi-RHS block width directly (its grid path
-  // blocks the coefficient products); the pseudo-Erlang engine inherits it
-  // through TransientOptions (its batched uniformisation runs block the
-  // per-horizon accumulators).  The discretisation
-  // engine answers every start state in one adjoint run and has no lanes.
+  // Only the pseudo-Erlang engine reads the rhs_block width, through
+  // TransientOptions (its batched uniformisation runs block the
+  // per-horizon accumulators).  Sericola runs each level's coefficient
+  // products as one lane product over its state-major rows, and the
+  // discretisation engine answers every start state in one adjoint run;
+  // neither has a width to choose.
   switch (options.engine) {
     case P3Engine::kSericola:
       return std::make_unique<SericolaEngine>(options.sericola_epsilon,
-                                              std::move(pool),
-                                              options.transient.rhs_block);
+                                              std::move(pool));
     case P3Engine::kDiscretisation:
       return std::make_unique<DiscretisationEngine>(
           options.discretisation_step, std::move(pool));

@@ -38,10 +38,9 @@ struct CheckOptions {
 
   /// Transient-analysis controls for time-bounded until (P1) and the
   /// duality-based reward-bounded until (P2).  `transient.rhs_block` also
-  /// sets the multi-RHS SpMM block width of the Sericola coefficient
-  /// products and the pseudo-Erlang batched accumulators: 0 = automatic
-  /// (CSRL_RHS_BLOCK, else 8), 1 disables blocking; results are bitwise
-  /// identical at every width.
+  /// sets the block width of the pseudo-Erlang batched accumulators:
+  /// 0 = automatic (CSRL_RHS_BLOCK, else 8), 1 disables blocking; results
+  /// are bitwise identical at every width.
   TransientOptions transient{};
 
   /// Linear-solver controls for unbounded until (P0) and the steady-state

@@ -60,8 +60,7 @@ struct TransientOptions {
   double support_crossover = 0.25;
   /// Block width B of the multi-horizon accumulation: with B > 1 a
   /// batched run carries its per-horizon Poisson accumulators as one
-  /// interleaved block per matrix pass (CheckOptions also hands the same
-  /// width to the Sericola engine's blocked products, matrix/spmm.hpp).
+  /// interleaved block per matrix pass (matrix/spmm.hpp).
   /// 0 = automatic: the
   /// CSRL_RHS_BLOCK environment variable if set, else the bench-chosen
   /// default (kDefaultRhsBlock, currently 8); an explicit value wins

@@ -1,20 +1,9 @@
-// Blocked multi-RHS SpMM support: block-width resolution and row-major
-// block packing.
+// The rhs_block knob: the width of the blocked Poisson accumulators that
+// ride the uniformisation sweeps (ctmc/uniformisation.cpp).
 //
-// The kernels themselves are CsrMatrix members (declared in
-// matrix/csr.hpp, defined in matrix/spmm.cpp).  This header holds the
-// shared plumbing around them:
-//
-//  * resolve_rhs_block() turns the TransientOptions::rhs_block /
-//    CheckOptions knob into an effective block width, honouring the
-//    CSRL_RHS_BLOCK environment variable;
-//  * pack_block()/unpack_block() convert between the engines' natural
-//    one-vector-per-column storage and the kernels' row-major
-//    interleaved blocks (X[i * stride + b] = column b, element i).
-//
-// Packing is an exact element copy, so routing a sweep through
-// pack -> multiply_block -> unpack changes no bits relative to looping
-// multiply() over the columns.
+// The lane-product kernels themselves are CsrMatrix members (declared in
+// matrix/csr.hpp, defined in matrix/spmm.cpp); they read and write the
+// lanes in place and take no width from this knob.
 #pragma once
 
 #include <cstddef>
@@ -22,9 +11,7 @@
 
 namespace csrl {
 
-/// Hard upper bound on the block width.  Keeps one row's lane group
-/// (kMaxRhsBlock doubles) inside a handful of cache lines and bounds the
-/// stack footprint of the kernel's per-lane accumulators.
+/// Hard upper bound on the rhs_block width.
 inline constexpr std::size_t kMaxRhsBlock = 64;
 
 /// Default effective block width when neither the option nor the
@@ -42,19 +29,5 @@ inline constexpr std::size_t kDefaultRhsBlock = 8;
 /// path).  Throws ModelError for a requested or environment value of 0
 /// or above kMaxRhsBlock, or an unparseable environment value.
 std::size_t resolve_rhs_block(std::size_t requested);
-
-/// Gather `cols.size()` state-indexed columns into the row-major block:
-/// block[i * stride + b] = cols[b][i] for i in [row_begin, row_end).
-/// Row-range form so engines can spread the copy over a pool (disjoint
-/// ranges write disjoint block rows).
-void pack_block(std::span<const double* const> cols, std::span<double> block,
-                std::size_t row_begin, std::size_t row_end,
-                std::size_t stride);
-
-/// Scatter the row-major block back into columns:
-/// cols[b][i] = block[i * stride + b] for i in [row_begin, row_end).
-void unpack_block(std::span<const double> block,
-                  std::span<double* const> cols, std::size_t row_begin,
-                  std::size_t row_end, std::size_t stride);
 
 }  // namespace csrl
