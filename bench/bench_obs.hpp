@@ -91,8 +91,8 @@ class BenchObs {
     w.key("schema").value("csrl-bench-obs-v1");
     w.key("bench").value(name_);
     // Kernel configuration of this run, so perf trajectories can be
-    // compared like-for-like: the SIMD instruction set the blocked SpMM
-    // lane loops were compiled for ("scalar" under CSRL_SIMD=OFF) and
+    // compared like-for-like: the SIMD instruction set the lane loops
+    // were compiled for ("scalar" under CSRL_SIMD=OFF) and
     // the effective multi-RHS block width (honouring CSRL_RHS_BLOCK;
     // 0 only if the environment value is invalid).
     w.key("simd_isa").value(csrl::simd_isa());

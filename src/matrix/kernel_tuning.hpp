@@ -1,7 +1,6 @@
 // Internal tuning constants and helpers shared by the SpMV kernels
-// (matrix/csr.cpp), the blocked SpMM kernels (matrix/spmm.cpp) and the
-// phase-lane kernel (matrix/phase_operator.cpp).  Not part of the public
-// API.
+// (matrix/csr.cpp) and the phase-lane kernel (matrix/phase_operator.cpp).
+// Not part of the public API.
 #pragma once
 
 #include <atomic>

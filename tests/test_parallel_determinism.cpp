@@ -81,9 +81,9 @@ TEST(ParallelDeterminism, SericolaAllStartsSynthetic) {
 }
 
 TEST(ParallelDeterminism, SericolaAllStartsSpansSeveralTiles) {
-  // The Sericola sweeps split the states into fixed tiles of 4096; 12 000
-  // states make three tiles, so the level loop really spreads over
-  // workers at 4 threads.
+  // The Sericola level pass splits the states into tiles of at most 1024
+  // states; 12 000 states make at least twelve tiles, so the level loop
+  // really spreads over workers at 4 threads.
   const Mrm model = random_mrm(29, 12000, 0.0004, 2.0, 3);
   const double t = 0.2;
   const double r = 0.4 * model.max_reward() * t;
