@@ -21,12 +21,10 @@
 #include <vector>
 
 #include "matrix/simd.hpp"
-#include "matrix/spmm.hpp"
 #include "obs/json_writer.hpp"
 #include "obs/ledger.hpp"
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
-#include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace csrl_bench {
@@ -92,18 +90,9 @@ class BenchObs {
     w.key("bench").value(name_);
     // Kernel configuration of this run, so perf trajectories can be
     // compared like-for-like: the SIMD instruction set the lane loops
-    // were compiled for ("scalar" under CSRL_SIMD=OFF) and
-    // the effective multi-RHS block width (honouring CSRL_RHS_BLOCK;
-    // 0 only if the environment value is invalid).
+    // were compiled for ("scalar" under CSRL_SIMD=OFF) and the thread
+    // count.
     w.key("simd_isa").value(csrl::simd_isa());
-    std::uint64_t rhs_block = 0;
-    try {
-      rhs_block = csrl::resolve_rhs_block(0);
-    } catch (const csrl::Error&) {
-      // An invalid CSRL_RHS_BLOCK should fail the workload itself, not
-      // the obs write-out.
-    }
-    w.key("rhs_block").value(rhs_block);
     const std::uint64_t threads = csrl::ThreadPool::global().num_threads();
     w.key("threads").value(threads);
     const std::uint64_t spans_dropped = csrl::obs::dropped_span_events();
@@ -149,7 +138,6 @@ class BenchObs {
       csrl::obs::LedgerStamp stamp;
       stamp.bench = name_;
       stamp.simd_isa = csrl::simd_isa();
-      stamp.rhs_block = rhs_block;
       stamp.threads = threads;
 #ifdef CSRL_OBS_DISABLED
       stamp.obs_compiled = false;

@@ -43,8 +43,8 @@ Graph-based (new in this framework):
 
 The hot set is rooted at the kernel entry points by name (multiply*,
 including the phase-lane multiply_phase_fused and the CSR lane product
-multiply_lanes_row, apply_block_pendings, accumulate_series, the solver
-sweeps, run_batch, all_starts_points) and closed over calls to
+multiply_lanes_row, accumulate_series, the solver sweeps, run_batch,
+all_starts_points) and closed over calls to
 functions defined in the analyzed tree, resolved same-file, then
 same-directory, then unique-global.  Scheduling boundaries
 (parallel_for / parallel_reduce) and Workspace arena channels
@@ -259,8 +259,8 @@ def legacy_pass(ctx):
             findings.append(finding(
                 ctx, line, "spmm-blocking",
                 "one-RHS product inside a loop body (group the right-hand"
-                " sides through the blocked multi-RHS kernels of"
-                " matrix/spmm.hpp, or waive with the loop's single-vector"
+                " sides through the lane product multiply_lanes_row of"
+                " matrix/spmm.cpp, or waive with the loop's single-vector"
                 " justification)"))
 
     for lineno, (code, _comment) in enumerate(ctx.stripped, start=1):
@@ -435,7 +435,6 @@ HOT_ROOT_PATTERNS = [
         r"^multiply(_left)?_active$",
         r"^multiply_lanes_row$",
         r"^multiply_phase_fused$",
-        r"^apply_block_pendings$",
         r"^accumulate_series$",
         r"^jacobi_sweep$",
         r"^gauss_seidel_sweep$",

@@ -41,12 +41,11 @@ std::vector<std::vector<double>> ErlangEngine::joint_probability_all_starts_grid
     const std::size_t n = model.num_states();
     // One arena serves every batched transient run of the sweep: every
     // column's iterates have the same n * k lanes, so the first column
-    // warms it and the rest iterate without heap traffic.  The transient
-    // options' rhs_block rides along: each column's batched run carries
-    // all of its live horizons as one interleaved accumulator block per
-    // step (ctmc/uniformisation.cpp), so a column costs about one operator
-    // stream regardless of how many horizons share it.  (Columns cannot
-    // be blocked with each other — every reward bound is its own chain.)
+    // warms it and the rest iterate without heap traffic.  Each column's
+    // batched run shares one operator stream among all of its horizons
+    // (ctmc/uniformisation.cpp); a horizon adds only its n phase-0
+    // readout updates per step.  Columns cannot share a run — every
+    // reward bound is its own chain.
     Workspace grid_workspace;
     TransientOptions transient = transient_;
     if (transient.workspace == nullptr) transient.workspace = &grid_workspace;

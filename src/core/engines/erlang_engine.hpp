@@ -53,7 +53,9 @@ class ErlangEngine : public JointDistributionEngine {
   /// Batched lattice evaluation.  Each reward column is one phase chain
   /// (the advance rate depends on the bound), and the column's time axis
   /// rides one batched uniformisation run (a single vector-power sequence
-  /// with per-horizon Poisson windows) instead of a run per point.
+  /// with per-horizon Poisson windows, each horizon's running sum carried
+  /// as one scalar pending on the phase-0 readouts) instead of a run per
+  /// point.
   std::vector<std::vector<double>> joint_probability_all_starts_grid(
       const Mrm& model, std::span<const double> times,
       std::span<const double> rewards, const StateSet& target) const override;

@@ -22,12 +22,11 @@ std::unique_ptr<JointDistributionEngine> make_engine(const CheckOptions& options
   CSRL_SPAN("core/make_engine");
   CSRL_COUNT("engine/instantiations", 1);
 
-  // Only the pseudo-Erlang engine reads the rhs_block width, through
-  // TransientOptions (its batched uniformisation runs block the
-  // per-horizon accumulators).  Sericola runs each level's coefficient
-  // products as one lane product over its state-major rows, and the
-  // discretisation engine answers every start state in one adjoint run;
-  // neither has a width to choose.
+  // Of the P3 engines only the pseudo-Erlang engine reads
+  // TransientOptions (its lattice columns are batched uniformisation
+  // runs).  Sericola runs each level's coefficient products as one lane
+  // product over its state-major rows, and the discretisation engine
+  // answers every start state in one adjoint run.
   switch (options.engine) {
     case P3Engine::kSericola:
       return std::make_unique<SericolaEngine>(options.sericola_epsilon,

@@ -36,11 +36,9 @@ struct CheckOptions {
   /// the reward structure with it (see DiscretisationEngine).
   double discretisation_step = 1.0 / 64.0;
 
-  /// Transient-analysis controls for time-bounded until (P1) and the
-  /// duality-based reward-bounded until (P2).  `transient.rhs_block` also
-  /// sets the block width of the pseudo-Erlang batched accumulators:
-  /// 0 = automatic (CSRL_RHS_BLOCK, else 8), 1 disables blocking; results
-  /// are bitwise identical at every width.
+  /// Transient-analysis controls for time-bounded until (P1), the
+  /// duality-based reward-bounded until (P2) and the pseudo-Erlang
+  /// engine's phase-chain runs (P3).
   TransientOptions transient{};
 
   /// Linear-solver controls for unbounded until (P0) and the steady-state

@@ -1,6 +1,7 @@
 #include "ctmc/foxglynn.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <deque>
 #include <string>
 
@@ -10,6 +11,18 @@
 #include "util/math.hpp"
 
 namespace csrl {
+
+namespace {
+
+/// Round-trip text for error messages (std::to_string prints 1e-16 as
+/// 0.000000).
+std::string show(double x) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.17g", x);
+  return buffer;
+}
+
+}  // namespace
 
 double poisson_pmf(std::size_t n, double lambda) {
   if (lambda < 0.0) throw NumericalError("poisson_pmf: negative rate");
@@ -41,6 +54,10 @@ PoissonWeights poisson_weights(double lambda_t, double epsilon) {
     throw NumericalError("poisson_weights: negative lambda*t");
   if (!(epsilon > 0.0 && epsilon < 1.0))
     throw NumericalError("poisson_weights: epsilon must be in (0, 1)");
+  if (epsilon < kMinPoissonEpsilon)
+    throw NumericalError("poisson_weights: epsilon = " + show(epsilon) +
+                         " is below the floor " + show(kMinPoissonEpsilon) +
+                         "; a tighter tail mass cannot be certified");
   // The window walks integer indices outward from floor(lambda_t).  Above
   // 2^53 doubles no longer hold every integer, so that walk is inexact
   // (and past 2^64 the size_t conversion is undefined): refuse instead of
@@ -105,22 +122,28 @@ PoissonWeights poisson_weights(double lambda_t, double epsilon) {
     }
   }
 
+  // The window must really hold >= 1 - epsilon of the Poisson mass:
+  // otherwise every truncation-error bound built on it is void.  The
+  // check is O(1), so it holds in every build.
+  if (!(total >= target))
+    throw NumericalError(
+        "poisson_weights: window total " + show(total) +
+        " falls short of 1 - epsilon for lambda*t = " + show(lambda_t) +
+        ", epsilon = " + show(epsilon));
+
   result.left = left;
   result.right = right;
   result.weights.assign(window.begin(), window.end());
   result.total = total;
-  // Normalisation contract: the window must really hold >= 1 - epsilon of
-  // the Poisson mass (otherwise every truncation-error bound built on it
-  // is void), must never exceed 1 by more than accumulated rounding, and
-  // each weight must be a valid probability.
+  // Normalisation contract: the total must never exceed 1 by more than
+  // accumulated rounding, and each weight must be a valid probability.
   CSRL_CONTRACT(
       [&] {
         if (result.weights.size() != result.right - result.left + 1)
           return false;
         for (double w : result.weights)
           if (!(w >= 0.0) || !(w <= 1.0) || !std::isfinite(w)) return false;
-        return result.total >= 1.0 - epsilon - 1e-15 &&
-               result.total <= 1.0 + 1e-12;
+        return result.total <= 1.0 + 1e-12;
       }(),
       "poisson_weights: window [" + std::to_string(result.left) + ", " +
           std::to_string(result.right) + "] with total " +

@@ -46,9 +46,17 @@ struct PoissonWeights {
 /// log space.  Exposed for tests and for the next-operator closed forms.
 double poisson_pmf(std::size_t n, double lambda);
 
+/// Smallest tail mass poisson_weights accepts.  The window's Kahan-summed
+/// total carries a few ulps of 1 of rounding, so a tighter epsilon cannot
+/// be certified: the walk would run out to the underflow floor (1.5e6
+/// weights at lambda_t = 1e6 and epsilon = 1e-16) and still fall short.
+inline constexpr double kMinPoissonEpsilon = 1e-15;
+
 /// Compute the truncation window for Poisson(lambda_t) with tail mass at
-/// most `epsilon`.  Requires lambda_t >= 0 and 0 < epsilon < 1.  For
-/// lambda_t == 0 the window is {0} with weight 1.
+/// most `epsilon`.  Requires lambda_t >= 0 and
+/// kMinPoissonEpsilon <= epsilon < 1.  For lambda_t == 0 the window is
+/// {0} with weight 1.  Throws NumericalError for arguments outside those
+/// ranges and whenever the window's total falls short of 1 - epsilon.
 PoissonWeights poisson_weights(double lambda_t, double epsilon);
 
 }  // namespace csrl

@@ -7,8 +7,6 @@
 
 #include "ctmc/foxglynn.hpp"
 #include "ctmc/phase_chain.hpp"
-#include "matrix/simd.hpp"
-#include "matrix/spmm.hpp"
 #include "matrix/support.hpp"
 #include "obs/obs.hpp"
 #include "util/contracts.hpp"
@@ -75,8 +73,7 @@ struct StepLatencySample {
 /// perturbs every later iterate by at most ||d||_1 in L1 (P is
 /// substochastic), and the Poisson weights sum to at most 1, so the
 /// total is a sound bound on the L1 (forward) / max-norm (backward)
-/// deviation of every result from its epsilon = 0 run.  Forward runs
-/// carry scalar pendings only (blockable() is false).
+/// deviation of every result from its epsilon = 0 run.
 class CsrStep {
  public:
   CsrStep(CsrMatrix p, bool forward, const TransientOptions& options)
@@ -84,7 +81,6 @@ class CsrStep {
 
   /// Readouts sit at every position: results are full vectors.
   std::size_t stride() const { return 1; }
-  bool blockable() const { return !forward_; }
   double dropped() const { return dropped_; }
 
   /// Enter the loop with the start iterate; `scratch` is the other
@@ -112,15 +108,13 @@ class CsrStep {
 
   /// y = one fused step from x; returns the steady-state diff.
   double step(std::span<const double> x, std::vector<double>& y,
-              std::span<const FusedAxpy> pendings,
-              std::span<const FusedBlockAxpy> block_pendings,
-              bool want_diff) {
+              std::span<const FusedAxpy> pendings, bool want_diff) {
     if (active_) {
       const double diff =
           forward_ ? p_.multiply_left_active(x, y, mask_in_, mask_out_,
                                              pendings, want_diff)
                    : p_.multiply_active(x, y, mask_in_, mask_out_, pendings,
-                                        block_pendings, want_diff);
+                                        want_diff);
       if (options_.support_epsilon > 0.0) {
         mask_out_.remove_if_not([&](std::size_t i) {
           const double v = y[i];
@@ -140,7 +134,7 @@ class CsrStep {
       // lint:allow spmm-blocking (single power iterate per step)
       return p_.multiply_left_fused(x, y, pendings, want_diff);
     // lint:allow spmm-blocking (single power iterate per step)
-    return p_.multiply_fused(x, y, pendings, block_pendings, want_diff);
+    return p_.multiply_fused(x, y, pendings, want_diff);
   }
 
   /// The iterate buffers were swapped.  The out-mask now names the
@@ -176,16 +170,12 @@ class PhaseStep {
   explicit PhaseStep(PhaseOperator op) : op_(std::move(op)) {}
 
   std::size_t stride() const { return op_.phases(); }
-  bool blockable() const { return true; }
   double dropped() const { return 0.0; }
   void begin(std::span<const double>, std::vector<double>&) {}
 
   double step(std::span<const double> x, std::vector<double>& y,
-              std::span<const FusedAxpy> pendings,
-              std::span<const FusedBlockAxpy> block_pendings,
-              bool want_diff) {
-    return op_.multiply_phase_fused(x, y, pendings, block_pendings,
-                                    want_diff);
+              std::span<const FusedAxpy> pendings, bool want_diff) {
+    return op_.multiply_phase_fused(x, y, pendings, want_diff);
   }
 
   void swapped() {}
@@ -213,25 +203,14 @@ class PhaseStep {
 /// weight n is pended, so the remaining-mass fold (which starts at n)
 /// attributes the window tail exactly as the unfused loop did.
 ///
-/// Blocked accumulation: with `block_acc` non-empty (size readouts * W,
-/// W = windows.size(), paired with `block_weights` of size W) the
-/// per-window running sums live interleaved in block_acc[j * W + w]
-/// instead of in *results[w], and all W Poisson axpys of one step ride
-/// the traversal as ONE FusedBlockAxpy — a contiguous, vectorizable
-/// lane loop per readout instead of W strided scalar passes.  Every lane
-/// performs the identical out += weight * x sequence (steps outside a
-/// window carry lane weight 0.0, whose exact +0.0 add is a bit-level
-/// no-op on accumulators that start at +0.0 and can never reach -0.0 by
-/// addition), so the unpacked lanes equal the unblocked accumulators
-/// bit for bit; the caller unpacks into results afterwards.
+/// Each live window rides a step as one scalar FusedAxpy pending;
+/// windows that have ended or not yet begun carry none.
 template <typename Step>
 void accumulate_series(Step& op, std::vector<double>& iterate,
                        std::vector<double>& scratch,
                        const std::vector<PoissonWeights>& windows,
                        const std::vector<std::vector<double>*>& results,
-                       const TransientOptions& options,
-                       std::span<double> block_acc = {},
-                       std::span<double> block_weights = {}) {
+                       const TransientOptions& options) {
   const std::size_t stride = op.stride();
   const std::size_t readouts = iterate.size() / stride;
   const std::size_t num_windows = windows.size();
@@ -242,34 +221,20 @@ void accumulate_series(Step& op, std::vector<double>& iterate,
   // Fox-Glynn guarantees at least one weight for every lambda*t >= 0, but
   // a degenerate window (e.g. from a pathologically tiny lambda*t) must
   // not read past the end — guard the anchor access defensively.
-  const bool blocked = !block_acc.empty();
   std::vector<FusedAxpy> pendings;
-  FusedBlockAxpy block_pending;
-  std::span<const FusedBlockAxpy> block_pendings{};
-  if (blocked) {
-    std::fill(block_acc.begin(), block_acc.end(), 0.0);
-    for (std::size_t i = 0; i < num_windows; ++i)
-      block_weights[i] = (windows[i].left == 0 && !windows[i].weights.empty())
-                             ? windows[i].weights[0]
-                             : 0.0;
-    block_pending = {block_weights.data(), block_acc.data(), num_windows,
-                     num_windows};
-    block_pendings = {&block_pending, 1};
-  } else {
-    pendings.reserve(num_windows);
-    for (std::size_t i = 0; i < num_windows; ++i)
-      if (windows[i].left == 0 && !windows[i].weights.empty())
-        // lint:allow hot-alloc (append into capacity reserved to num_windows just above; never reallocates)
-        pendings.push_back({windows[i].weights[0], results[i]->data()});
-  }
+  pendings.reserve(num_windows);
+  for (std::size_t i = 0; i < num_windows; ++i)
+    if (windows[i].left == 0 && !windows[i].weights.empty())
+      // lint:allow hot-alloc (append into capacity reserved to num_windows just above; never reallocates)
+      pendings.push_back({windows[i].weights[0], results[i]->data()});
 
   op.begin(iterate, scratch);
   bool cutoff = false;
   for (std::size_t n = 1; n <= max_right; ++n) {
     CSRL_COUNT("uniformisation/steps", 1);
     const StepLatencySample step_latency;
-    const double diff = op.step(iterate, scratch, pendings, block_pendings,
-                                options.steady_state_detection);
+    const double diff =
+        op.step(iterate, scratch, pendings, options.steady_state_detection);
     pendings.clear();
     // The steady-state check compares the *full* vector (the fused diff
     // is a max-reduction over every entry, serial or parallel alike, and
@@ -282,35 +247,15 @@ void accumulate_series(Step& op, std::vector<double>& iterate,
       // same vector, so the rest of each still-running window's Poisson
       // mass multiplies it.  A horizon whose window ended before this
       // step already received its full series.
-      if (blocked) {
-        // One blocked fold: lane weights are the remaining window masses
-        // (0.0 for windows that already ended — an exact +0.0 add).
-        for (std::size_t i = 0; i < num_windows; ++i) {
-          double remaining = 0.0;
-          if (windows[i].right >= n)
-            for (std::size_t m = std::max(n, windows[i].left);
-                 m <= windows[i].right; ++m)
-              remaining += windows[i].weight(m);
-          block_weights[i] = remaining;
-        }
-        for (std::size_t j = 0; j < readouts; ++j) {
-          const double s = scratch[j * stride];
-          double* out = block_acc.data() + j * num_windows;
-          CSRL_PRAGMA_SIMD
-          for (std::size_t w = 0; w < num_windows; ++w)
-            out[w] += block_weights[w] * s;
-        }
-      } else {
-        for (std::size_t i = 0; i < num_windows; ++i) {
-          if (windows[i].right < n) continue;
-          double remaining = 0.0;
-          for (std::size_t m = std::max(n, windows[i].left);
-               m <= windows[i].right; ++m)
-            remaining += windows[i].weight(m);
-          double* out = results[i]->data();
-          for (std::size_t j = 0; j < readouts; ++j)
-            out[j] += remaining * scratch[j * stride];
-        }
+      for (std::size_t i = 0; i < num_windows; ++i) {
+        if (windows[i].right < n) continue;
+        double remaining = 0.0;
+        for (std::size_t m = std::max(n, windows[i].left);
+             m <= windows[i].right; ++m)
+          remaining += windows[i].weight(m);
+        double* out = results[i]->data();
+        for (std::size_t j = 0; j < readouts; ++j)
+          out[j] += remaining * scratch[j * stride];
       }
       iterate.swap(scratch);
       CSRL_COUNT("uniformisation/steady_state_cutoffs", 1);
@@ -319,34 +264,15 @@ void accumulate_series(Step& op, std::vector<double>& iterate,
     }
     iterate.swap(scratch);
     op.swapped();
-    if (blocked) {
-      for (std::size_t i = 0; i < num_windows; ++i)
-        block_weights[i] = (n >= windows[i].left && n <= windows[i].right)
-                               ? windows[i].weight(n)
-                               : 0.0;
-    } else {
-      for (std::size_t i = 0; i < num_windows; ++i)
-        if (n >= windows[i].left && n <= windows[i].right)
-          // lint:allow hot-alloc (capacity reserved to num_windows at setup; the runtime LoopGuard pins series-loop allocations to zero)
-          pendings.push_back({windows[i].weight(n), results[i]->data()});
-    }
+    for (std::size_t i = 0; i < num_windows; ++i)
+      if (n >= windows[i].left && n <= windows[i].right)
+        // lint:allow hot-alloc (capacity reserved to num_windows at setup; the runtime LoopGuard pins series-loop allocations to zero)
+        pendings.push_back({windows[i].weight(n), results[i]->data()});
   }
-  if (!cutoff) {
-    if (blocked) {
-      // Flush the last pending block of weights against the final iterate.
-      for (std::size_t j = 0; j < readouts; ++j) {
-        const double xj = iterate[j * stride];
-        double* out = block_acc.data() + j * num_windows;
-        CSRL_PRAGMA_SIMD
-        for (std::size_t w = 0; w < num_windows; ++w)
-          out[w] += block_weights[w] * xj;
-      }
-    } else {
-      for (const FusedAxpy& pending : pendings)
-        for (std::size_t j = 0; j < readouts; ++j)
-          pending.out[j] += pending.weight * iterate[j * stride];
-    }
-  }
+  if (!cutoff)
+    for (const FusedAxpy& pending : pendings)
+      for (std::size_t j = 0; j < readouts; ++j)
+        pending.out[j] += pending.weight * iterate[j * stride];
   if (options.support_epsilon > 0.0)
     CSRL_HIST("uniformisation/truncation_dropped", op.dropped());
   if (options.budget != nullptr)
@@ -404,40 +330,15 @@ std::vector<std::vector<double>> run_batch(std::span<const double> start,
     outs.push_back(&results[i]);
   }
 
-  // With more than one live horizon (and blocking not disabled via
-  // rhs_block == 1) the per-horizon Poisson accumulators travel as one
-  // interleaved block: every step updates all of them in one contiguous
-  // lane loop per readout instead of one strided pass per horizon.  The
-  // unpacked lanes are bitwise identical to the unblocked accumulators
-  // (see accumulate_series), so the knob changes speed only.
-  const std::size_t num_windows = series.size();
-  const bool block_horizons = num_windows > 1 && op.blockable() &&
-                              resolve_rhs_block(options.rhs_block) > 1;
-
   // The guard observes the whole series phase: against a warmed arena
   // the leases reuse retired buffers and the loop itself performs no
   // arena allocation, so the counter reports zero (tests pin this).
   Workspace::LoopGuard guard(options.workspace);
   Workspace::Lease iterate_lease(options.workspace, start.size());
   Workspace::Lease scratch_lease(options.workspace, start.size());
-  Workspace::Lease acc_lease(options.workspace,
-                             block_horizons ? readouts * num_windows : 0);
-  Workspace::Lease weights_lease(options.workspace,
-                                 block_horizons ? num_windows : 0);
   std::vector<double>& iterate = iterate_lease.get();
   iterate.assign(start.begin(), start.end());
-  accumulate_series(op, iterate, scratch_lease.get(), windows, outs, options,
-                    block_horizons ? acc_lease.span() : std::span<double>{},
-                    block_horizons ? weights_lease.span()
-                                   : std::span<double>{});
-  if (block_horizons) {
-    const std::span<const double> acc = acc_lease.span();
-    for (std::size_t w = 0; w < num_windows; ++w) {
-      std::vector<double>& out = *outs[w];
-      for (std::size_t j = 0; j < readouts; ++j)
-        out[j] = acc[j * num_windows + w];
-    }
-  }
+  accumulate_series(op, iterate, scratch_lease.get(), windows, outs, options);
   CSRL_COUNT("uniformisation/allocs_in_loop", guard.heap_allocations());
   return results;
 }

@@ -58,17 +58,6 @@ struct TransientOptions {
   /// Frontier density (fraction of states) above which the active mode
   /// hands over to the dense kernel.
   double support_crossover = 0.25;
-  /// Block width B of the multi-horizon accumulation: with B > 1 a
-  /// batched run carries its per-horizon Poisson accumulators as one
-  /// interleaved block per matrix pass (matrix/spmm.hpp).
-  /// 0 = automatic: the
-  /// CSRL_RHS_BLOCK environment variable if set, else the bench-chosen
-  /// default (kDefaultRhsBlock, currently 8); an explicit value wins
-  /// over the environment, exactly the num_threads pattern.  1 disables
-  /// blocking (the one-RHS paths).  Values above kMaxRhsBlock (64) — or
-  /// an environment value of 0 — are rejected.  Results are bitwise
-  /// identical at every width.
-  std::size_t rhs_block = 0;
   /// Optional scratch arena (util/workspace.hpp): series buffers are
   /// leased from it instead of allocated per call, so a warmed arena
   /// serves a whole batched grid without heap traffic.  Not owned; may
@@ -130,7 +119,7 @@ std::vector<std::vector<double>> transient_reach_batch(
 /// (n*k + 1)-state chain with every phase of the target states as its
 /// target, read at index s * k: the phase kernel performs the CSR
 /// kernel's per-lane arithmetic (matrix/phase_operator.hpp) and the same
-/// steps, windows, blocking and steady-state cutoff apply.  The Poisson
+/// steps, windows, pendings and steady-state cutoff apply.  The Poisson
 /// accumulators, the steady-state fold and the final flush read only
 /// the n phase-0 lanes; the steady-state diff still covers every lane.
 /// Dense always: active_support and support_epsilon have no effect.

@@ -16,7 +16,6 @@ namespace csrl {
 
 namespace {
 
-using kernel_tuning::apply_block_pendings;
 using kernel_tuning::atomic_max;
 using kernel_tuning::kChunksPerThread;
 using kernel_tuning::kParallelNnzThreshold;
@@ -42,15 +41,6 @@ inline void charge_epilogue_cost([[maybe_unused]] std::uint64_t positions,
                                  [[maybe_unused]] std::uint64_t lanes) {
   CSRL_COUNT("cost/epilogue/flops", 2 * positions * lanes);
   CSRL_COUNT("cost/epilogue/bytes", 16 * positions * lanes);
-}
-
-/// Total accumulator lanes the fused epilogues of one pass update.
-inline std::uint64_t epilogue_lanes(
-    std::span<const FusedAxpy> pendings,
-    std::span<const FusedBlockAxpy> block_pendings) {
-  std::uint64_t lanes = pendings.size();
-  for (const FusedBlockAxpy& p : block_pendings) lanes += p.width;
-  return lanes;
 }
 
 }  // namespace
@@ -319,14 +309,13 @@ void CsrMatrix::multiply_left(std::span<const double> x, std::span<double> y) co
 double CsrMatrix::multiply_fused(std::span<const double> x,
                                  std::span<double> y,
                                  std::span<const FusedAxpy> pendings,
-                                 std::span<const FusedBlockAxpy> block_pendings,
                                  bool want_diff) const {
   if (rows_ != cols_ || x.size() != cols_ || y.size() != rows_)
     throw ModelError("CsrMatrix::multiply_fused: dimension mismatch");
   CSRL_COUNT("spmv/multiply", 1);
   CSRL_COUNT("matrix/spmv/rows_active", rows_);
   charge_spmv_cost(nnz(), rows_);
-  charge_epilogue_cost(rows_, epilogue_lanes(pendings, block_pendings));
+  charge_epilogue_cost(rows_, pendings.size());
 
   const auto process_rows = [&](std::size_t row_begin, std::size_t row_end) {
     double local = 0.0;
@@ -337,7 +326,6 @@ double CsrMatrix::multiply_fused(std::span<const double> x,
       y[r] = acc;
       const double xr = x[r];
       for (const FusedAxpy& p : pendings) p.out[r] += p.weight * xr;
-      apply_block_pendings(block_pendings, r, xr);
       if (want_diff) local = std::max(local, std::abs(acc - xr));
     }
     return local;
@@ -409,7 +397,6 @@ double CsrMatrix::multiply_active(std::span<const double> x,
                                   std::span<double> y, const SupportMask& in,
                                   SupportMask& out,
                                   std::span<const FusedAxpy> pendings,
-                                  std::span<const FusedBlockAxpy> block_pendings,
                                   bool want_diff) const {
   if (rows_ != cols_ || x.size() != cols_ || y.size() != rows_ ||
       in.universe() != rows_ || out.universe() != rows_)
@@ -433,7 +420,7 @@ double CsrMatrix::multiply_active(std::span<const double> x,
     for (std::size_t r : out.members())
       touched += row_ptr_[r + 1] - row_ptr_[r];
     charge_spmv_cost(touched, out.size());
-    charge_epilogue_cost(in.size(), epilogue_lanes(pendings, block_pendings));
+    charge_epilogue_cost(in.size(), pendings.size());
   }
 
   // Full-row gathers for the touched rows: off-frontier columns hold an
@@ -447,8 +434,6 @@ double CsrMatrix::multiply_active(std::span<const double> x,
   }
   for (const FusedAxpy& p : pendings)
     for (std::size_t i : in.members()) p.out[i] += p.weight * x[i];
-  for (std::size_t i : in.members())
-    apply_block_pendings(block_pendings, i, x[i]);
 
   double diff = 0.0;
   if (want_diff) {

@@ -132,30 +132,12 @@ class CsrMatrix {
   /// Fused y = A x; see above.
   double multiply_fused(std::span<const double> x, std::span<double> y,
                         std::span<const FusedAxpy> pendings,
-                        bool want_diff) const {
-    return multiply_fused(x, y, pendings, {}, want_diff);
-  }
+                        bool want_diff) const;
 
-  /// Fused y = x A; see above.  Forward runs carry one horizon, so the
-  /// left product takes scalar pendings only.
+  /// Fused y = x A; see above.
   double multiply_left_fused(std::span<const double> x, std::span<double> y,
                              std::span<const FusedAxpy> pendings,
                              bool want_diff) const;
-
-  // The right product can additionally carry blocked epilogues
-  // (FusedBlockAxpy in matrix/support.hpp): for every row r the kernel
-  // sweeps, each block pending adds weights[b] * x[r] into its
-  // interleaved accumulator out[r * stride + b] for all lanes b — one
-  // contiguous, SIMD-friendly lane loop per row instead of one strided
-  // scalar store per pending.
-  // The per-lane arithmetic is the identical out += w * x of a scalar
-  // FusedAxpy, so carrying W accumulators blocked or as W scalar
-  // pendings produces the same bits.
-
-  double multiply_fused(std::span<const double> x, std::span<double> y,
-                        std::span<const FusedAxpy> pendings,
-                        std::span<const FusedBlockAxpy> block_pendings,
-                        bool want_diff) const;
 
   // -- Lane products (matrix/spmm.cpp) -------------------------------------
   //
@@ -207,28 +189,14 @@ class CsrMatrix {
   double multiply_active(std::span<const double> x, std::span<double> y,
                          const SupportMask& in, SupportMask& out,
                          std::span<const FusedAxpy> pendings,
-                         bool want_diff) const {
-    return multiply_active(x, y, in, out, pendings, {}, want_diff);
-  }
+                         bool want_diff) const;
 
   /// Active y = x A: scatters only the frontier rows, in ascending order
-  /// exactly like the dense serial scatter.  Scalar pendings only, like
-  /// multiply_left_fused.
+  /// exactly like the dense serial scatter.
   double multiply_left_active(std::span<const double> x, std::span<double> y,
                               const SupportMask& in, SupportMask& out,
                               std::span<const FusedAxpy> pendings,
                               bool want_diff) const;
-
-  // The active right product carrying blocked epilogues as well: block
-  // pendings are applied over the `in` frontier only, matching the dense
-  // blocked kernel bit for bit for non-negative x (off-frontier positions
-  // would only ever contribute exact +0.0 terms).
-
-  double multiply_active(std::span<const double> x, std::span<double> y,
-                         const SupportMask& in, SupportMask& out,
-                         std::span<const FusedAxpy> pendings,
-                         std::span<const FusedBlockAxpy> block_pendings,
-                         bool want_diff) const;
 
   /// Pre-build the lazy caches (row partition and, when `transpose`, the
   /// cached transpose with its partition) that the kernels above create

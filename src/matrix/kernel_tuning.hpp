@@ -5,10 +5,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <span>
-
-#include "matrix/simd.hpp"
-#include "matrix/support.hpp"
 
 namespace csrl::kernel_tuning {
 
@@ -28,20 +24,6 @@ inline void atomic_max(std::atomic<double>& slot, double value) {
   while (value > current &&
          !slot.compare_exchange_weak(current, value,
                                      std::memory_order_relaxed)) {
-  }
-}
-
-/// Apply every blocked epilogue at position `r` from the scalar source
-/// `xr`: out[r * stride + b] += weights[b] * xr per lane.  The lane loop
-/// is contiguous and lane-independent, so SIMD cannot reassociate any
-/// lane's sum — annotated, and bitwise equal to the scalar loop.
-inline void apply_block_pendings(std::span<const FusedBlockAxpy> pendings,
-                                 std::size_t r, double xr) {
-  for (const FusedBlockAxpy& p : pendings) {
-    double* out = p.out + r * p.stride;
-    const double* w = p.weights;
-    CSRL_PRAGMA_SIMD
-    for (std::size_t b = 0; b < p.width; ++b) out[b] += w[b] * xr;
   }
 }
 

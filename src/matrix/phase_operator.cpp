@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -17,7 +16,6 @@ namespace csrl {
 
 namespace {
 
-using kernel_tuning::apply_block_pendings;
 using kernel_tuning::atomic_max;
 using kernel_tuning::kChunksPerThread;
 using kernel_tuning::kParallelNnzThreshold;
@@ -56,8 +54,7 @@ PhaseOperator::PhaseOperator(std::size_t phases,
 
 double PhaseOperator::multiply_phase_fused(
     std::span<const double> x, std::span<double> y,
-    std::span<const FusedAxpy> pendings,
-    std::span<const FusedBlockAxpy> block_pendings, bool want_diff) const {
+    std::span<const FusedAxpy> pendings, bool want_diff) const {
   const std::size_t k = phases_;
   if (x.size() != size() || y.size() != size())
     throw ModelError("PhaseOperator::multiply_phase_fused: dimension mismatch");
@@ -73,10 +70,8 @@ double PhaseOperator::multiply_phase_fused(
   CSRL_COUNT("cost/phase/flops", 2 * lane_terms_);
   CSRL_COUNT("cost/phase/bytes",
              8 * lane_terms_ + sizeof(PhaseBand) * bands_.size() + 8 * size());
-  std::uint64_t lanes = pendings.size();
-  for (const FusedBlockAxpy& p : block_pendings) lanes += p.width;
-  CSRL_COUNT("cost/epilogue/flops", 2 * n * lanes);
-  CSRL_COUNT("cost/epilogue/bytes", 16 * n * lanes);
+  CSRL_COUNT("cost/epilogue/flops", 2 * n * pendings.size());
+  CSRL_COUNT("cost/epilogue/bytes", 16 * n * pendings.size());
 
   const auto process_states = [&](std::size_t state_begin,
                                   std::size_t state_end) {
@@ -93,7 +88,6 @@ double PhaseOperator::multiply_phase_fused(
       const double* xself = x.data() + s * k;
       const double x0 = xself[0];
       for (const FusedAxpy& p : pendings) p.out[s] += p.weight * x0;
-      apply_block_pendings(block_pendings, s, x0);
       if (want_diff)
         for (std::size_t i = 0; i < k; ++i)
           local = std::max(local, std::abs(ys[i] - xself[i]));

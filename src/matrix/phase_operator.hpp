@@ -63,10 +63,9 @@ class PhaseOperator {
   /// CsrMatrix::multiply_fused: the product, the deferred Poisson axpys
   /// of the previous step and the steady-state max-diff ride one pass.
   /// Pendings read lane 0 only — for every state s,
-  /// out[s] += weight * x[s * phases()] (scalar) and
-  /// out[s * stride + b] += weights[b] * x[s * phases()] (blocked) — so
-  /// accumulators hold num_states() entries, not size().  The diff,
-  /// max |y - x| over every lane, is returned (0.0 when !want_diff).
+  /// out[s] += weight * x[s * phases()] — so accumulators hold
+  /// num_states() entries, not size().  The diff, max |y - x| over every
+  /// lane, is returned (0.0 when !want_diff).
   /// x and y have size() entries and must not alias each other or the
   /// pending targets.  States are processed in independent tiles on the
   /// shared pool once the lane work is large enough; every tile computes
@@ -74,7 +73,6 @@ class PhaseOperator {
   /// thread count.
   double multiply_phase_fused(std::span<const double> x, std::span<double> y,
                               std::span<const FusedAxpy> pendings,
-                              std::span<const FusedBlockAxpy> block_pendings,
                               bool want_diff) const;
 
  private:

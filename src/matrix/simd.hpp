@@ -1,7 +1,8 @@
-// SIMD gear for the blocked multi-RHS (SpMM) kernels.
+// SIMD gear for the lane kernels.
 //
-// The block kernels in matrix/spmm.cpp vectorize across the B lanes of a
-// row-major vector block: every lane accumulates its own terms in exactly
+// The lane products (matrix/spmm.cpp), the phase-lane kernel
+// (matrix/phase_operator.cpp) and Sericola's coefficient sweeps vectorize
+// across independent lanes: every lane accumulates its own terms in exactly
 // the association order of the one-RHS kernel, and SIMD only ever runs
 // *lanes* side by side — never a reduction within one lane's sum.  A
 // vector add/multiply of independent lanes performs the identical IEEE

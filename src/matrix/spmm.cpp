@@ -1,5 +1,4 @@
-// Lane products for CsrMatrix (declared in matrix/csr.hpp) and the
-// rhs_block knob's resolution (matrix/spmm.hpp).
+// Lane products for CsrMatrix (declared in matrix/csr.hpp).
 //
 // Layout and identity argument (DESIGN.md section 3f): the vectors are
 // state-major — x[j * stride + l] is lane l of state j — so one stored
@@ -13,15 +12,11 @@
 // eight-lane register tiles run as four two-lane vectors; SIMD only ever
 // runs independent lanes side by side, never within one lane's sum, so
 // the vectorized and the scalar gear agree bit for bit.
-#include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "matrix/csr.hpp"
 #include "matrix/simd.hpp"
-#include "matrix/spmm.hpp"
 #include "obs/obs.hpp"
-#include "util/error.hpp"
 
 namespace csrl {
 
@@ -41,24 +36,6 @@ LanePair load_pair(const double* p) {
 
 }  // namespace
 #endif
-
-std::size_t resolve_rhs_block(std::size_t requested) {
-  if (requested == 0) {
-    const char* env = std::getenv("CSRL_RHS_BLOCK");
-    if (env == nullptr || *env == '\0') return kDefaultRhsBlock;
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || parsed == 0 || parsed > kMaxRhsBlock)
-      throw ModelError(
-          "CSRL_RHS_BLOCK must be an integer in [1, " +
-          std::to_string(kMaxRhsBlock) + "], got \"" + env + "\"");
-    return static_cast<std::size_t>(parsed);
-  }
-  if (requested > kMaxRhsBlock)
-    throw ModelError("rhs_block must lie in [1, " +
-                     std::to_string(kMaxRhsBlock) + "] (0 = automatic)");
-  return requested;
-}
 
 void CsrMatrix::multiply_lanes_row(std::size_t r, const double* x,
                                    std::size_t stride, std::size_t width,

@@ -29,26 +29,6 @@ struct FusedAxpy {
   double* out = nullptr;
 };
 
-/// Blocked form of FusedAxpy: one per-lane-weighted running-sum update
-/// into a row-major vector block (matrix/spmm.hpp), applied during the
-/// same traversal as the product.  For every position i the kernel
-/// touches and every lane b < width,
-///
-///   out[i * stride + b] += weights[b] * source_b(i),
-///
-/// where source_b(i) is the iterate x[i]: one vector feeding several
-/// interleaved accumulators, e.g. the per-horizon Poisson sums of a
-/// batched uniformisation run.  Lanes whose update is not wanted at this
-/// step carry weight 0.0 — with the non-negative accumulators of the
-/// series loop the added exact +0.0 leaves every bit unchanged
-/// (DESIGN.md 3f).
-struct FusedBlockAxpy {
-  const double* weights = nullptr;  // per-lane weights, size >= width
-  double* out = nullptr;            // row-major interleaved accumulator
-  std::size_t width = 0;
-  std::size_t stride = 0;
-};
-
 /// Conservative superset of the non-zero positions of one iterate.
 class SupportMask {
  public:

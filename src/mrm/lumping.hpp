@@ -72,10 +72,10 @@ LumpingResult lump(const Mrm& model);
 
 /// Resolve the CheckOptions::lump knob: an explicit value wins; unset
 /// falls back to the CSRL_LUMP environment variable ("0" or "1"), else
-/// off.  Unlike resolve_rhs_block, a malformed environment value warns on
-/// stderr and falls back to off instead of throwing — lumping is a
-/// transparent optimisation and a typo in the environment must never turn
-/// a correct run into an error.
+/// off.  A malformed environment value warns on stderr and falls back
+/// to off instead of throwing — lumping is a transparent optimisation
+/// and a typo in the environment must never turn a correct run into an
+/// error.
 bool resolve_lump(std::optional<bool> requested) noexcept;
 
 }  // namespace csrl

@@ -82,7 +82,6 @@ std::string ledger_line(const LedgerStamp& stamp,
   w.key("git_sha").value(build_git_sha());
   w.key("build").begin_object();
   w.key("simd_isa").value(stamp.simd_isa);
-  w.key("rhs_block").value(stamp.rhs_block);
   w.key("threads").value(stamp.threads);
   w.key("obs_compiled").value(stamp.obs_compiled);
   w.end_object();

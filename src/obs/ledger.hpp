@@ -4,19 +4,18 @@
 // Every bench binary (through BenchObs in bench/bench_obs.hpp) appends
 // a "csrl-bench-ledger-v1" line to BENCH_history.jsonl stamping its
 // report with the git SHA the binary was built from, the build
-// configuration that shaped the numbers (SIMD ISA, RHS block width,
-// thread count, whether obs sites were compiled in) and a hardware
-// fingerprint — everything scripts/perf needs to decide which historical
-// entries are comparable before fitting noise bands over their medians.
+// configuration that shaped the numbers (SIMD ISA, thread count, whether
+// obs sites were compiled in) and a hardware fingerprint — everything
+// scripts/perf needs to decide which historical entries are comparable
+// before fitting noise bands over their medians.
 // Deterministic counters (spmv counts, cost model totals) are valid
 // across hardware and thread counts by design; wall-clock entries are
 // only banded against entries with a matching fingerprint.
 //
 // Layering: obs sits at the bottom of the include DAG, below util and
 // matrix, so the build-flag fields it cannot discover itself (the SIMD
-// ISA string lives in matrix/simd.hpp, the block width in
-// matrix/spmm.hpp) arrive caller-provided in LedgerStamp.  The git SHA
-// and hardware fingerprint are resolved here.
+// ISA string lives in matrix/simd.hpp) arrive caller-provided in
+// LedgerStamp.  The git SHA and hardware fingerprint are resolved here.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +25,11 @@ namespace csrl {
 namespace obs {
 
 /// Caller-provided build configuration for one ledger line.  BenchObs
-/// fills it from csrl::simd_isa(), resolve_rhs_block() and the thread
-/// pool; fields default to "unknown"/0 so partial stamps still parse.
+/// fills it from csrl::simd_isa() and the thread pool; fields default
+/// to "unknown"/0 so partial stamps still parse.
 struct LedgerStamp {
   std::string bench;       // bench name, e.g. "kernels"
   std::string simd_isa;    // e.g. "avx2", "scalar"
-  std::uint64_t rhs_block = 0;
   std::uint64_t threads = 0;
   bool obs_compiled = true;
 };

@@ -53,12 +53,12 @@ struct RunReport {
   std::uint64_t spmv_count = 0;
   double solver_residual = 0.0;
 
-  /// Blocked multi-RHS SpMM usage (matrix/spmm.cpp): the number of block
-  /// products the run issued and the total column (lane) count they
-  /// carried.  spmm_columns / spmm_block_products is the achieved mean
-  /// block width; both are 0 when every product ran the one-RHS path.
-  /// The per-lane SpMV work of block products is already folded into
-  /// spmv_count (block kernels bump the spmv counters by their width).
+  /// Lane-product usage (matrix/spmm.cpp): the number of lane products
+  /// the run issued and the total lane count they carried.
+  /// spmm_columns / spmm_block_products is the achieved mean width; both
+  /// are 0 when every product ran the one-RHS path.  The per-lane SpMV
+  /// work is already folded into spmv_count (a lane product bumps the
+  /// spmv counters by its width).
   std::uint64_t spmm_block_products = 0;
   std::uint64_t spmm_columns = 0;
 
@@ -76,7 +76,7 @@ struct RunReport {
 
   /// Deterministic cost accounting: flop and memory-traffic totals the
   /// kernels computed from their structural dimensions (nnz, rows,
-  /// block widths, sweep counts) — pure functions of the run, identical
+  /// lane widths, sweep counts) — pure functions of the run, identical
   /// across machines, thread counts and reps, so perf gates can compare
   /// them exactly where wall time only supports noise bands.  The
   /// traffic model is documented per kernel family in DESIGN.md §3h.

@@ -118,7 +118,7 @@ struct ServiceOptions {
   std::size_t max_batch = 0;
 
   /// Base CheckOptions for every checker the service builds (engine
-  /// choice, epsilons, rhs_block, ...).  lump and reorder_states are
+  /// choice, epsilons, transient options, ...).  lump and reorder_states are
   /// honoured at model registration (quotient and renumbered copy are
   /// artifact properties, built once and shared by every session).
   CheckOptions check{};

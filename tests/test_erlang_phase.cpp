@@ -9,12 +9,15 @@
 // CsrBuilder, transient_reach_batch on the CSR chain, phase-0 readout.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/engines/erlang_engine.hpp"
+#include "ctmc/foxglynn.hpp"
 #include "ctmc/phase_chain.hpp"
+#include "ctmc/uniformisation.hpp"
 #include "erlang_expansion_oracle.hpp"
 #include "models/adhoc.hpp"
 #include "models/synthetic.hpp"
@@ -217,29 +220,62 @@ TEST(ErlangPhaseOperator, SteadyStateCutoffFoldsTheSameTail) {
                 .counter("uniformisation/steady_state_cutoffs"),
             0u);
 #endif
+
+  // Each column of a multi-horizon run against one single-horizon run per
+  // time, on the phase chain the engine builds for reward bound 20.  The
+  // short horizons' windows end before the cutoff step, the long ones are
+  // folded at it; both must carry exactly the single run's bits.
+  constexpr std::size_t k = 8;
+  const double phase_rate_per_reward = static_cast<double>(k) / rewards[0];
+  std::vector<double> advance(model.num_states());
+  for (std::size_t s = 0; s < model.num_states(); ++s)
+    advance[s] = model.reward(s) * phase_rate_per_reward;
+  const PhaseChain chain(model.chain(), advance,
+                         model.impulse_rewards().scaled(phase_rate_per_reward),
+                         k);
+  const std::vector<double> horizons{0.5, 2.0, 5.0, 40.0, 50.0, 60.0};
+  const obs::MetricsSnapshot batch_before = obs::snapshot_metrics();
+  const Lattice batch = transient_reach_batch(chain, target, horizons);
+  [[maybe_unused]] const std::uint64_t cutoff_step =
+      obs::metrics_delta(batch_before, obs::snapshot_metrics())
+          .counter("uniformisation/steps");
+  Lattice singles;
+  for (double t : horizons) {
+    const double single_time[1] = {t};
+    singles.push_back(transient_reach_batch(chain, target, single_time)[0]);
+  }
+  expect_bitwise_equal(batch, singles, "multi- vs single-horizon columns");
+#ifndef CSRL_OBS_DISABLED
+  // The batch stopped at its cutoff step with some windows over and at
+  // least two still running.
+  const double lambda = chain.max_exit_rate();
+  const TransientOptions defaults;
+  std::size_t ended = 0;
+  std::size_t folded = 0;
+  for (double t : horizons) {
+    if (poisson_weights(lambda * t, defaults.epsilon).right < cutoff_step)
+      ++ended;
+    else
+      ++folded;
+  }
+  EXPECT_GT(ended, 0u) << "cutoff at step " << cutoff_step;
+  EXPECT_GE(folded, 2u) << "cutoff at step " << cutoff_step;
+#endif
 }
 
-TEST(ErlangPhaseOperator, BitwiseAcrossBlockWidthsAndThreads) {
-  // rhs_block 1 carries scalar pendings, 8 one interleaved block; the
-  // 600-state model at k = 32 has enough lane work to take the parallel
-  // tile path at 4 threads.
+TEST(ErlangPhaseOperator, BitwiseAcrossThreads) {
+  // The 600-state model at k = 32 has enough lane work to take the
+  // parallel tile path at 4 threads.
   const Mrm small = build_q3_reduced_mrm();
   const Mrm large = random_mrm(13, 600, 0.01, 2.0, 3);
   const std::vector<double> times{0.5, 1.0, 2.0};
   for (std::size_t threads : {1, 4}) {
     ThreadPool::set_global_threads(threads);
-    for (std::size_t width : {1, 8}) {
-      TransientOptions options;
-      options.rhs_block = width;
-      const std::string what = std::to_string(threads) + " thread(s), width " +
-                               std::to_string(width);
-      expect_matches_expansion(small, {4.0, 12.0, 24.0}, {200.0, 500.0},
-                               states(5, {3}), 16, options,
-                               "Q3 reduced, " + what);
-      expect_matches_expansion(large, times, {0.8, 2.5},
-                               last_states(large, 30), 32, options,
-                               "random_mrm(600), " + what);
-    }
+    const std::string what = std::to_string(threads) + " thread(s)";
+    expect_matches_expansion(small, {4.0, 12.0, 24.0}, {200.0, 500.0},
+                             states(5, {3}), 16, {}, "Q3 reduced, " + what);
+    expect_matches_expansion(large, times, {0.8, 2.5}, last_states(large, 30),
+                             32, {}, "random_mrm(600), " + what);
   }
   ThreadPool::set_global_threads(1);
 }

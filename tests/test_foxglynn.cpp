@@ -119,6 +119,23 @@ TEST(PoissonWeights, LargeRateStaysFinite) {
   for (double v : w.weights) EXPECT_TRUE(std::isfinite(v));
 }
 
+TEST(PoissonWeights, EpsilonAtTheFloorCapturesItsMass) {
+  for (double lt : {0.5, 10.0, 1e3, 1e6}) {
+    const PoissonWeights w = poisson_weights(lt, kMinPoissonEpsilon);
+    EXPECT_GE(w.total, 1.0 - kMinPoissonEpsilon) << "lambda*t=" << lt;
+    EXPECT_LE(w.total, 1.0 + 1e-12) << "lambda*t=" << lt;
+  }
+}
+
+TEST(PoissonWeights, EpsilonBelowTheFloorThrows) {
+  // At 1e-16 the walk would reach the underflow floor (a 1.5e6-weight
+  // window at lambda*t = 1e6) and still hold less than 1 - epsilon; it
+  // is refused before the walk, at every rate.
+  EXPECT_THROW((void)poisson_weights(1e6, 1e-16), NumericalError);
+  EXPECT_THROW((void)poisson_weights(10.0, 1e-16), NumericalError);
+  EXPECT_THROW((void)poisson_weights(0.0, 1e-300), NumericalError);
+}
+
 TEST(PoissonWeights, RateBeyondExactIntegersThrows) {
   // Above 2^53 the window's integer walk is inexact; above 2^64 the index
   // cast is undefined.  Both must be refused, not answered.

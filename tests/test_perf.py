@@ -25,7 +25,6 @@ def obs_doc(counters=None, reps=None, bench="kernels"):
         "schema": "csrl-bench-obs-v1",
         "bench": bench,
         "simd_isa": "sse2",
-        "rhs_block": 8,
         "threads": 1,
         "spans_dropped": 0,
         "reps": reps or [],

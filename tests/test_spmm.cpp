@@ -1,6 +1,5 @@
 // The lane-product kernel (CsrMatrix::multiply_lanes_row,
-// matrix/spmm.cpp) against looped one-RHS products, the Erlang grid
-// across rhs_block widths and the rhs_block resolution rules.
+// matrix/spmm.cpp) against looped one-RHS products.
 //
 // Labelled `tsan` in tests/CMakeLists.txt: the differential sweep runs
 // the rows over the pool at 1 and 4 threads, so under
@@ -9,19 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "core/engines/erlang_engine.hpp"
-#include "ctmc/uniformisation.hpp"
 #include "matrix/csr.hpp"
-#include "matrix/spmm.hpp"
 #include "models/synthetic.hpp"
 #include "obs/obs.hpp"
-#include "util/error.hpp"
-#include "util/state_set.hpp"
 #include "util/thread_pool.hpp"
 
 namespace csrl {
@@ -155,57 +149,6 @@ TEST(SpmmKernels, CountsBlockProductsAndColumns) {
   EXPECT_EQ(delta.counter("cost/spmm/bytes"),
             3u * (16u * nnz + 8u * 32u) + 8u * 109u * (nnz + 32u));
 #endif
-}
-
-// -- Engine grids: rhs_block is bitwise invisible -------------------------
-
-TEST(EngineGrids, ErlangGridBitwiseInvariantAcrossWidths) {
-  const Mrm model = random_mrm(5, 40, 0.06);
-  StateSet target(model.num_states());
-  for (std::size_t s = 0; s < model.num_states(); s += 4) target.insert(s);
-  const std::vector<double> times{0.3, 0.5};
-  const std::vector<double> rewards{0.2, 0.8};
-  TransientOptions one;
-  one.rhs_block = 1;
-  const ErlangEngine one_rhs(8, one);
-  const auto ref = one_rhs.joint_probability_all_starts_grid(model, times,
-                                                             rewards, target);
-  for (std::size_t width : {std::size_t{4}, std::size_t{8}}) {
-    TransientOptions blocked_options;
-    blocked_options.rhs_block = width;
-    const ErlangEngine blocked(8, blocked_options);
-    const auto grid = blocked.joint_probability_all_starts_grid(model, times,
-                                                                rewards,
-                                                                target);
-    ASSERT_EQ(grid.size(), ref.size());
-    for (std::size_t g = 0; g < ref.size(); ++g)
-      expect_bitwise_equal(grid[g], ref[g],
-                           "erlang width " + std::to_string(width));
-  }
-}
-
-// -- rhs_block resolution -------------------------------------------------
-
-TEST(ResolveRhsBlock, ExplicitValuesAndEnvironmentOverride) {
-  ::unsetenv("CSRL_RHS_BLOCK");
-  EXPECT_EQ(resolve_rhs_block(0), kDefaultRhsBlock);
-  EXPECT_EQ(resolve_rhs_block(1), 1u);
-  EXPECT_EQ(resolve_rhs_block(5), 5u);
-  EXPECT_EQ(resolve_rhs_block(kMaxRhsBlock), kMaxRhsBlock);
-  EXPECT_THROW(resolve_rhs_block(kMaxRhsBlock + 1), ModelError);
-
-  ::setenv("CSRL_RHS_BLOCK", "4", 1);
-  EXPECT_EQ(resolve_rhs_block(0), 4u);
-  EXPECT_EQ(resolve_rhs_block(2), 2u) << "explicit width must beat the env";
-
-  for (const char* bad : {"0", "65", "garbage", "8x", "-1"}) {
-    ::setenv("CSRL_RHS_BLOCK", bad, 1);
-    EXPECT_THROW(resolve_rhs_block(0), ModelError) << bad;
-  }
-  ::setenv("CSRL_RHS_BLOCK", "", 1);
-  EXPECT_EQ(resolve_rhs_block(0), kDefaultRhsBlock)
-      << "empty env value falls through to the default";
-  ::unsetenv("CSRL_RHS_BLOCK");
 }
 
 }  // namespace
