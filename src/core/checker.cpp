@@ -5,76 +5,32 @@
 #include "core/artifacts.hpp"
 #include "core/batch.hpp"
 #include "core/engines/discretisation_engine.hpp"
-#include "ctmc/graph.hpp"
-#include "mrm/lumping.hpp"
-#include "mrm/transform.hpp"
 #include "obs/obs.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
 
 namespace csrl {
 
+namespace {
+
+/// The artifacts of a caller-owned model: lumped and reordered exactly as
+/// the service's registered models are, over a non-owning pointer (the
+/// caller keeps `model` alive).  The requested validation level applies
+/// before the passes run, as it does for checking.
+std::shared_ptr<const ModelArtifacts> borrowed_artifacts(
+    const Mrm& model, const CheckOptions& options) {
+  if (options.validate) validation::set_level(*options.validate);
+  return ModelArtifacts::build(
+      std::shared_ptr<const Mrm>(std::shared_ptr<const Mrm>(), &model),
+      options);
+}
+
+}  // namespace
+
 Checker::Checker(const Mrm& model, CheckOptions options,
                  std::shared_ptr<SatCache> sat_cache)
-    : model_(&model),
-      original_model_(&model),
-      options_(options),
-      sat_cache_(std::move(sat_cache)) {
-  // Applied here as well as in make_engine so the P0/P1/P2 pipelines
-  // (which never instantiate a P3 engine) also see the requested level.
-  if (options_.validate) validation::set_level(*options_.validate);
-  if (resolve_lump(options_.lump) && model.num_states() > 0) {
-    // Quotient once at the outermost checker; like reorder_states below
-    // the flag is consumed so checkers built internally on derived models
-    // (e.g. the duality pipeline's dual checker) inherit the quotient and
-    // never lump again — their per-state vectors feed straight back into
-    // this checker's internal computations.
-    LumpingResult lumped = lump(model);
-    to_internal_ = std::move(lumped.block_of);
-    lumped_model_ = std::make_shared<const Mrm>(std::move(lumped.quotient));
-    model_ = lumped_model_.get();
-    lump_info_.enabled = true;
-    lump_info_.original_states = model.num_states();
-    lump_info_.original_transitions = model.rates().nnz();
-    lump_info_.states = model_->num_states();
-    lump_info_.transitions = model_->rates().nnz();
-    lump_info_.sweeps = lumped.stats.sweeps;
-    lump_info_.splits = lumped.stats.splits;
-    lump_info_.states_resigned = lumped.stats.states_resigned;
-    lump_info_.wall_seconds = lumped.stats.wall_seconds;
-  }
-  options_.lump = false;
-  if (options_.reorder_states && model_->num_states() > 0) {
-    // Renumber once at the outermost checker; the flag is consumed so
-    // checkers built internally on derived models (e.g. the duality
-    // pipeline's dual checker) inherit the internal numbering and never
-    // permute again — their per-state vectors feed straight back into
-    // this checker's internal computations.  Applied after lumping, so
-    // the (smaller) quotient is what gets bandwidth-reduced.
-    options_.reorder_states = false;
-    const std::vector<std::size_t> rcm_to_original =
-        reverse_cuthill_mckee(model_->rates());
-    std::vector<std::size_t> rcm_to_internal(rcm_to_original.size());
-    for (std::size_t i = 0; i < rcm_to_original.size(); ++i)
-      rcm_to_internal[rcm_to_original[i]] = i;
-    reordered_model_ =
-        std::make_shared<const Mrm>(permute_states(*model_, rcm_to_original));
-    model_ = reordered_model_.get();
-    if (to_internal_.empty()) {
-      to_internal_ = std::move(rcm_to_internal);
-    } else {
-      for (std::size_t& block : to_internal_)
-        block = rcm_to_internal[block];
-    }
-  }
-  if (!sat_cache_ && options_.cache_sat_sets)
-    sat_cache_ = std::make_shared<SatCache>();
-  // The fingerprint scopes this model's entries in a (possibly shared)
-  // cache; computing it once here keeps sat() fingerprint-free.  The
-  // reordered copy fingerprints differently from the original, so cached
-  // internal-numbering sets can never leak across the two.
-  if (sat_cache_) model_fingerprint_ = model_->fingerprint();
-}
+    : Checker(borrowed_artifacts(model, options), options,
+              std::move(sat_cache)) {}
 
 Checker::Checker(std::shared_ptr<const ModelArtifacts> artifacts,
                  CheckOptions options, std::shared_ptr<SatCache> sat_cache)
@@ -83,11 +39,16 @@ Checker::Checker(std::shared_ptr<const ModelArtifacts> artifacts,
       options_(options),
       sat_cache_(std::move(sat_cache)),
       artifacts_(std::move(artifacts)) {
+  // Applied here as well as in make_engine so the P0/P1/P2 pipelines
+  // (which never instantiate a P3 engine) also see the requested level.
   if (options_.validate) validation::set_level(*options_.validate);
-  // Lumping and reordering were decided when the artifact was built;
-  // consume the flags so internally-derived checkers never quotient or
-  // permute again (see the model constructor above for the rationale).
-  // The artifact keeps the quotient / reordered copies alive.
+  // Lumping and reordering were decided when the artifact was built.
+  // Consume the flags so checkers built internally on derived models
+  // (e.g. the duality pipeline's dual checker) inherit the quotient and
+  // the internal numbering and never quotient or permute again: their
+  // per-state vectors feed straight back into this checker's internal
+  // computations.  The artifact keeps the quotient / reordered copies
+  // alive.
   options_.reorder_states = false;
   options_.lump = false;
   to_internal_ = artifacts_->projection();

@@ -63,7 +63,10 @@ class Checker {
   /// `sat_cache` shares memoised Sat sets across checkers (core/batch.hpp);
   /// entries are keyed by the model fingerprint, so one cache safely serves
   /// checkers bound to different models.  Null gives this checker a private
-  /// cache (or none, when CheckOptions::cache_sat_sets is off).
+  /// cache (or none, when CheckOptions::cache_sat_sets is off).  Builds the
+  /// model's artifacts over a borrowed pointer and delegates to the
+  /// artifacts constructor, so lumping and reordering follow `options`
+  /// exactly as ModelArtifacts::build applies them.
   explicit Checker(const Mrm& model, CheckOptions options = {},
                    std::shared_ptr<SatCache> sat_cache = nullptr);
 
@@ -190,10 +193,6 @@ class Checker {
   // entries within the cache.
   std::shared_ptr<SatCache> sat_cache_;
   std::uint64_t model_fingerprint_ = 0;
-  // Internal copies (CheckOptions::lump / reorder_states), shared so
-  // checkers stay copyable; null when the respective pass is off.
-  std::shared_ptr<const Mrm> lumped_model_;
-  std::shared_ptr<const Mrm> reordered_model_;
   // Composed original index -> internal index projection: the lumping
   // block map, the RCM renumbering, or reorder-of-block composition.
   // Empty when the internal numbering is the public one; injective
@@ -202,9 +201,9 @@ class Checker {
   // Dimensions and refiner accounting of the lumping pass, for the
   // RunReport "lumping" section; enabled is false when lump is off.
   obs::RunReport::Lumping lump_info_;
-  // Engaged by the artifacts constructor only: keeps the shared model
-  // (and its quotient / reordered copies) alive for this checker's
-  // lifetime.
+  // The model's artifacts: they decide lumping and reordering and keep
+  // the quotient / reordered copies alive for this checker's lifetime
+  // (and the model itself, unless the model constructor borrowed it).
   std::shared_ptr<const ModelArtifacts> artifacts_;
 };
 

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "matrix/phase_operator.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 
@@ -23,12 +24,6 @@ std::size_t as_natural(double x, double tol, const char* what) {
   return static_cast<std::size_t>(rounded);
 }
 
-/// State-sweep grain sized so each chunk touches ~this many F cells.
-std::size_t sweep_grain(std::size_t width) {
-  constexpr std::size_t kCellsPerChunk = 1 << 13;
-  return std::max<std::size_t>(1, kCellsPerChunk / std::max<std::size_t>(width, 1));
-}
-
 /// The reward rates as grid shifts rho(s), after checking the scheme's
 /// preconditions: natural rates and E(s) d < 1.
 std::vector<std::size_t> reward_shifts(const Mrm& model, double d) {
@@ -43,23 +38,33 @@ std::vector<std::size_t> reward_shifts(const Mrm& model, double d) {
   return rho;
 }
 
-/// One transition term of the recursion, filed under the state whose
-/// slice it writes.
-struct Arc {
-  std::size_t state;  // the slice it reads: the successor s'
-  double weight;      // R(s, s') * d
-  std::size_t shift;  // rho(s) + iota(s, s')/d
-};
-
-/// Per-state arc lists of the adjoint recursions: state s gathers from
-/// its successors.  With impulse rewards (the Section-6 extension) a
-/// firing additionally displaces the reward index by iota/d, which must
-/// therefore sit on the grid.
-std::vector<std::vector<Arc>> recursion_arcs(const Mrm& model,
-                                             std::span<const std::size_t> rho,
-                                             double d) {
-  std::vector<std::vector<Arc>> arcs(model.num_states());
-  for (std::size_t s = 0; s < arcs.size(); ++s) {
+/// One step of the adjoint recursions as a lane operator over the
+/// reversed budget axis, lane i = width - 1 - b:
+///
+///   next(s, b) = (1 - E(s) d) cur(s, b - rho(s))
+///              + sum_{s'} R(s, s') d cur(s', b - rho(s) - iota(s, s')/d),
+///
+/// with negative budgets contributing zero.  Reading budget b - shift is
+/// reading lane i + shift, so each term is one band over lanes
+/// [0, width - shift), and a term whose shift reaches the width reads
+/// nothing and is left out.  A state's bands are the self term, then its
+/// arcs in CSR column order: the operator sums them in that order, so
+/// every cell of next adds the same products in the same order at any
+/// thread count.  With impulse rewards (the Section-6 extension) a firing
+/// additionally displaces the budget by iota/d, which must therefore sit
+/// on the grid.
+PhaseOperator recursion_operator(const Mrm& model,
+                                 std::span<const std::size_t> rho, double d,
+                                 std::size_t width) {
+  std::vector<std::size_t> row_ptr{0};
+  row_ptr.reserve(rho.size() + 1);
+  std::vector<PhaseBand> bands;
+  bands.reserve(rho.size() + model.rates().nnz());
+  const auto add = [&](std::size_t source, std::size_t shift, double coef) {
+    if (shift < width) bands.push_back({source, shift, 0, width - shift, coef});
+  };
+  for (std::size_t s = 0; s < rho.size(); ++s) {
+    add(s, rho[s], 1.0 - model.chain().exit_rate(s) * d);
     for (const auto& e : model.rates().row(s)) {
       std::size_t shift = rho[s];
       if (model.has_impulse_rewards()) {
@@ -67,47 +72,19 @@ std::vector<std::vector<Arc>> recursion_arcs(const Mrm& model,
         if (iota > 0.0)
           shift += as_natural(iota / d, 1e-6, "every impulse divided by d");
       }
-      arcs[s].push_back({e.col, e.value * d, shift});
+      add(e.col, shift, e.value * d);
     }
+    row_ptr.push_back(bands.size());
   }
-  return arcs;
+  return PhaseOperator(width, std::move(row_ptr), std::move(bands));
 }
 
-/// One step of the recursion over n slices of `width` cells:
-///
-///   next(s, c) = (1 - E(s) d) cur(s, c - rho(s))
-///              + sum_{arcs a of s} a.weight cur(a.state, c - a.shift),
-///
-/// with negative indices contributing zero.  The step gathers into
-/// next[s ..] from `cur` only, so the states partition into independent
-/// chunks with unchanged per-state arithmetic: results are bit-identical
-/// at any thread count.  Each chunk clears its own slice of next to keep
-/// the gather loop free of branches.
-void recursion_step(ThreadPool& workers, const Mrm& model, double d,
-                    std::span<const std::size_t> rho,
-                    const std::vector<std::vector<Arc>>& arcs,
-                    const std::vector<double>& cur, std::vector<double>& next,
-                    std::size_t width) {
+/// next = step(cur): one sweep of the recursion.
+void sweep(const PhaseOperator& step, std::span<const double> cur,
+           std::span<double> next) {
   CSRL_COUNT("p3/discretisation/sweeps", 1);
   CSRL_HIST_SCOPE("latency/p3_sweep");
-  const std::size_t last = width - 1;
-  workers.parallel_for(0, rho.size(), sweep_grain(width), [&](std::size_t lo,
-                                                              std::size_t hi) {
-    std::fill(next.begin() + static_cast<std::ptrdiff_t>(lo * width),
-              next.begin() + static_cast<std::ptrdiff_t>(hi * width), 0.0);
-    for (std::size_t s = lo; s < hi; ++s) {
-      double* dst = next.data() + s * width;
-      const double stay = 1.0 - model.chain().exit_rate(s) * d;
-      const double* own = cur.data() + s * width;
-      for (std::size_t c = rho[s]; c <= last; ++c)
-        dst[c] = own[c - rho[s]] * stay;
-      for (const Arc& arc : arcs[s]) {
-        const double* src = cur.data() + arc.state * width;
-        for (std::size_t c = arc.shift; c <= last; ++c)
-          dst[c] += src[c - arc.shift] * arc.weight;
-      }
-    }
-  });
+  (void)step.multiply_phase_fused(cur, next, {}, false);
 }
 
 /// A live lattice cell on the d-grid: J = t/d steps, K = r/d reward cells.
@@ -150,9 +127,7 @@ std::pair<std::size_t, std::size_t> grid_extent(
 
 }  // namespace
 
-DiscretisationEngine::DiscretisationEngine(double step,
-                                           std::shared_ptr<ThreadPool> pool)
-    : JointDistributionEngine(std::move(pool)), step_(step) {
+DiscretisationEngine::DiscretisationEngine(double step) : step_(step) {
   if (!(step > 0.0) || !std::isfinite(step))
     throw ModelError("DiscretisationEngine: step must be positive and finite");
 }
@@ -190,7 +165,8 @@ DiscretisationEngine::joint_probability_all_starts_grid(
     const std::vector<std::size_t> rho = reward_shifts(model, d);
     const auto [max_steps, max_budget] = grid_extent(live);
 
-    // H[s * width + b], b the remaining reward budget in cells.
+    // H[s * width + width - 1 - b], b the remaining reward budget in
+    // cells (the reversed axis of recursion_operator).
     const std::size_t width = max_budget + 1;
     std::vector<double> current(n * width);
     std::vector<double> next(n * width);
@@ -198,8 +174,7 @@ DiscretisationEngine::joint_probability_all_starts_grid(
       std::fill_n(current.begin() + static_cast<std::ptrdiff_t>(s * width),
                   width, target.contains(s) ? 1.0 : 0.0);
 
-    const std::vector<std::vector<Arc>> successors =
-        recursion_arcs(model, rho, d);
+    const PhaseOperator step = recursion_operator(model, rho, d, width);
     const auto read_out = [&](std::size_t steps_done) {
       for (const GridCell& cell : live) {
         if (cell.steps != steps_done + 1) continue;
@@ -207,12 +182,12 @@ DiscretisationEngine::joint_probability_all_starts_grid(
         out.assign(n, 0.0);
         for (std::size_t s = 0; s < n; ++s)
           if (rho[s] <= cell.cells)
-            out[s] = current[s * width + (cell.cells - rho[s])];
+            out[s] = current[s * width + width - 1 - (cell.cells - rho[s])];
       }
     };
     read_out(0);
     for (std::size_t m = 1; m < max_steps; ++m) {
-      recursion_step(pool(), model, d, rho, successors, current, next, width);
+      sweep(step, current, next);
       current.swap(next);
       read_out(m);
     }
@@ -242,8 +217,9 @@ std::vector<double> DiscretisationEngine::interval_until_all_starts(
   const std::size_t r_hi = as_natural(reward.hi / d, 1e-6, "r2/d");
   const std::size_t r_lo = as_natural(reward.lo / d, 1e-6, "r1/d");
 
-  // V[s * width + b]: the probability of eventually qualifying from state
-  // s at the current grid instant with remaining budget b = r2/d - k.
+  // V[s * width + width - 1 - b]: the probability of eventually
+  // qualifying from state s at the current grid instant with remaining
+  // budget b = r2/d - k (the reversed axis of recursion_operator).
   // Beyond t2 nothing qualifies, so the run starts from V = 0.
   const std::size_t width = r_hi + 1;
   std::vector<double> current(n * width, 0.0);
@@ -251,37 +227,32 @@ std::vector<double> DiscretisationEngine::interval_until_all_starts(
 
   // The harvest/fail classification at grid instant j is a pointwise
   // map: a Psi-state inside both windows (k >= r1 is b <= r2/d - r1/d)
-  // qualifies, any other !Phi-state is dead.  Each state's slice has one
-  // writer, so the pass is chunked like the step itself.
-  ThreadPool& workers = pool();
+  // qualifies, any other !Phi-state is dead.  It touches the Psi and
+  // !Phi states only, so it runs serially between the sweeps.
   const auto classify = [&](std::size_t j) {
     const bool time_open = j >= t_lo;
-    workers.parallel_for(0, n, sweep_grain(width), [&](std::size_t lo,
-                                                       std::size_t hi) {
-      for (std::size_t s = lo; s < hi; ++s) {
-        double* v = current.data() + s * width;
-        std::size_t harvested = 0;  // budgets [0, harvested) qualify
-        if (psi.contains(s) && time_open && r_lo <= r_hi)
-          harvested = r_hi - r_lo + 1;
-        std::fill_n(v, harvested, 1.0);
-        if (!phi.contains(s)) std::fill(v + harvested, v + width, 0.0);
-      }
-    });
+    for (std::size_t s = 0; s < n; ++s) {
+      double* v = current.data() + s * width;
+      std::size_t harvested = 0;  // budgets [0, harvested) qualify
+      if (psi.contains(s) && time_open && r_lo <= r_hi)
+        harvested = r_hi - r_lo + 1;
+      std::fill(v + width - harvested, v + width, 1.0);
+      if (!phi.contains(s)) std::fill(v, v + width - harvested, 0.0);
+    }
   };
 
-  const std::vector<std::vector<Arc>> successors =
-      recursion_arcs(model, rho, d);
+  const PhaseOperator step = recursion_operator(model, rho, d, width);
   classify(t_hi);
   for (std::size_t j = t_hi; j-- > 0;) {
-    recursion_step(workers, model, d, rho, successors, current, next, width);
+    sweep(step, current, next);
     current.swap(next);
     classify(j);
   }
 
-  // Reading at budget r2/d is reading absolute reward 0.
+  // Reading at budget r2/d (lane 0) is reading absolute reward 0.
   std::vector<double> result(n);
   for (std::size_t s = 0; s < n; ++s)
-    result[s] = std::min(current[s * width + r_hi], 1.0);
+    result[s] = std::min(current[s * width], 1.0);
   return result;
 }
 

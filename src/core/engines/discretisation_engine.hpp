@@ -50,14 +50,13 @@
 
 namespace csrl {
 
-/// Section 4.3's engine.  `step` is the discretisation step d.  The
-/// per-state recurrence sweeps run on `pool` (nullptr = the shared pool);
-/// results are bit-identical at any thread count because each state's
-/// slice of H is written by exactly one chunk.
+/// Section 4.3's engine.  `step` is the discretisation step d.  Each
+/// recursion step is one PhaseOperator product over a reversed budget
+/// axis; results are bit-identical at any thread count because each
+/// state's slice of H sums its bands in one fixed order.
 class DiscretisationEngine : public JointDistributionEngine {
  public:
-  explicit DiscretisationEngine(double step,
-                                std::shared_ptr<ThreadPool> pool = nullptr);
+  explicit DiscretisationEngine(double step);
 
   /// General-window until (the paper's Section-6 outlook: "time- and
   /// reward intervals of a more general nature"): for every start state s,

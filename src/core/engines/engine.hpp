@@ -14,15 +14,12 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "mrm/mrm.hpp"
 #include "util/state_set.hpp"
-#include "util/thread_pool.hpp"
 
 namespace csrl {
 
@@ -57,17 +54,8 @@ class JointDistributionEngine {
   /// Short human-readable name ("sericola", "erlang-256", ...).
   virtual std::string name() const = 0;
 
-  /// The pool this engine's per-state sweeps dispatch on: the one injected
-  /// at construction, or the process-wide shared pool.  Nested formulas
-  /// checked by one Checker therefore reuse a single set of workers.
-  ThreadPool& pool() const {
-    return pool_ ? *pool_ : ThreadPool::global();
-  }
-
  protected:
   JointDistributionEngine() = default;
-  explicit JointDistributionEngine(std::shared_ptr<ThreadPool> pool)
-      : pool_(std::move(pool)) {}
 
   /// The grid postcondition: validate_joint_grid on a lattice the grid
   /// method just computed, with `slack` absorbing the engine's
@@ -78,9 +66,6 @@ class JointDistributionEngine {
                      std::span<const double> rewards, const StateSet& target,
                      const std::vector<std::vector<double>>& grid,
                      double slack) const;
-
- private:
-  std::shared_ptr<ThreadPool> pool_;
 };
 
 /// The lattice-shaped peel every grid method starts with.  Sizes `grid`

@@ -11,11 +11,8 @@
 
 namespace csrl {
 
-ErlangEngine::ErlangEngine(std::size_t phases, TransientOptions transient,
-                           std::shared_ptr<ThreadPool> pool)
-    : JointDistributionEngine(std::move(pool)),
-      phases_(phases),
-      transient_(transient) {
+ErlangEngine::ErlangEngine(std::size_t phases, TransientOptions transient)
+    : phases_(phases), transient_(transient) {
   if (phases_ == 0)
     throw ModelError("ErlangEngine: the number of phases must be positive");
 }

@@ -47,8 +47,7 @@ namespace csrl {
 /// Section 4.2's engine.  `phases` is the Erlang order k.
 class ErlangEngine : public JointDistributionEngine {
  public:
-  explicit ErlangEngine(std::size_t phases, TransientOptions transient = {},
-                        std::shared_ptr<ThreadPool> pool = nullptr);
+  explicit ErlangEngine(std::size_t phases, TransientOptions transient = {});
 
   /// Batched lattice evaluation.  Each reward column is one phase chain
   /// (the advance rate depends on the bound), and the column's time axis

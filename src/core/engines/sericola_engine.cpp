@@ -18,6 +18,7 @@
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
+#include "util/thread_pool.hpp"
 
 namespace csrl {
 
@@ -76,8 +77,7 @@ std::vector<std::pair<double, double>> live_points(
 
 }  // namespace
 
-SericolaEngine::SericolaEngine(double epsilon, std::shared_ptr<ThreadPool> pool)
-    : JointDistributionEngine(std::move(pool)), epsilon_(epsilon) {
+SericolaEngine::SericolaEngine(double epsilon) : epsilon_(epsilon) {
   if (!(epsilon > 0.0 && epsilon < 1.0))
     throw ModelError("SericolaEngine: epsilon must lie in (0, 1)");
 }
@@ -254,7 +254,7 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
   // One lane-major scratch per pool lane: a tile's products and
   // coefficients with lane l of its j-th state at [l * tile_states + j],
   // plus its per-state recursion coefficients (a, b) per reward interval.
-  ThreadPool& workers = pool();
+  const ThreadPool& workers = ThreadPool::global();
   const std::size_t scratch_lanes = std::min(workers.num_threads(), num_tiles);
   const std::size_t scratch_size = (2 * row_lanes + 2 * m + 1) * tile_states;
   std::vector<double> scratch(scratch_lanes * scratch_size, 0.0);

@@ -64,8 +64,7 @@ namespace csrl {
 /// truncation error.
 class SericolaEngine : public JointDistributionEngine {
  public:
-  explicit SericolaEngine(double epsilon = 1e-9,
-                          std::shared_ptr<ThreadPool> pool = nullptr);
+  explicit SericolaEngine(double epsilon = 1e-9);
 
   /// Batched lattice evaluation.  The c(h, n, k) recursion depends on
   /// neither t nor r, so one coefficient pass to the deepest truncation

@@ -12,12 +12,12 @@ namespace csrl {
 std::unique_ptr<JointDistributionEngine> make_engine(const CheckOptions& options) {
   // An explicit thread count re-sizes the process-wide pool; 0 leaves the
   // current pool alone (it resolves CSRL_THREADS / hardware_concurrency on
-  // first use).  The engine captures the pool so every nested formula
-  // checked through the same Checker reuses one set of workers.
+  // first use).  The engines' kernels all run on that one pool, so every
+  // nested formula checked through the same Checker reuses one set of
+  // workers.
   if (options.num_threads != 0)
     ThreadPool::set_global_threads(options.num_threads);
   if (options.validate) validation::set_level(*options.validate);
-  std::shared_ptr<ThreadPool> pool = ThreadPool::global_ptr();
 
   CSRL_SPAN("core/make_engine");
   CSRL_COUNT("engine/instantiations", 1);
@@ -29,14 +29,13 @@ std::unique_ptr<JointDistributionEngine> make_engine(const CheckOptions& options
   // answers every start state in one adjoint run.
   switch (options.engine) {
     case P3Engine::kSericola:
-      return std::make_unique<SericolaEngine>(options.sericola_epsilon,
-                                              std::move(pool));
+      return std::make_unique<SericolaEngine>(options.sericola_epsilon);
     case P3Engine::kDiscretisation:
       return std::make_unique<DiscretisationEngine>(
-          options.discretisation_step, std::move(pool));
+          options.discretisation_step);
     case P3Engine::kErlang:
       return std::make_unique<ErlangEngine>(options.erlang_phases,
-                                            options.transient, std::move(pool));
+                                            options.transient);
   }
   throw Error("make_engine: invalid engine selector");
 }

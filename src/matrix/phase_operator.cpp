@@ -20,10 +20,6 @@ using kernel_tuning::atomic_max;
 using kernel_tuning::kChunksPerThread;
 using kernel_tuning::kParallelNnzThreshold;
 
-bool band_precedes(const PhaseBand& a, const PhaseBand& b) {
-  return a.source != b.source ? a.source < b.source : a.shift < b.shift;
-}
-
 }  // namespace
 
 PhaseOperator::PhaseOperator(std::size_t phases,
@@ -44,9 +40,6 @@ PhaseOperator::PhaseOperator(std::size_t phases,
           band.hi + band.shift > phases_ || !std::isfinite(band.coef))
         throw ModelError("PhaseOperator: invalid band in row " +
                          std::to_string(s));
-      if (b > row_ptr_[s] && band_precedes(band, bands_[b - 1]))
-        throw ModelError("PhaseOperator: bands of row " + std::to_string(s) +
-                         " are not sorted by (source, shift)");
       lane_terms_ += band.hi - band.lo;
     }
   }

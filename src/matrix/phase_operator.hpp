@@ -1,22 +1,23 @@
-// Phase-lane operators: a matrix over n states x k phase lanes, stored
-// as n rows of lane bands instead of an (n*k)-row CSR.
-//
-// A phase-expanded chain (ctmc/phase_chain.hpp) numbers its state (s, i)
-// as s * k + i, so lane i of every state sits next to lanes i-1 and i+1.
-// Row (s, i) of such a chain is, for nearly every lane, the same n-state
-// row shifted by one lane: a term of state s that reads state c at lane
+// Lane operators: a matrix over n states x k lanes, stored as n rows of
+// lane bands instead of an (n*k)-row CSR.  The lanes are the Erlang
+// phases of a phase-expanded chain (ctmc/phase_chain.hpp, state (s, i) at
+// s * k + i) or the remaining reward budgets of the Tijms-Veldman
+// recursion, stored reversed (core/engines/discretisation_engine.cpp).
+// Either way row (s, i) is, for nearly every lane, the same n-state row
+// shifted along the lanes: a term of state s that reads state c at lane
 // offset m reads x[c * k + i + m] for every lane i it applies to.  A band
 // stores that term once:
 //
 //   y[s * k + i] += coef * x[source * k + shift + i]   for i in [lo, hi),
 //
-// and the kernel runs it as one contiguous, vectorizable lane loop.  A
-// state's bands are sorted by (source, shift), which for every single
-// lane is the ascending column order of the expanded CSR row; each lane
-// therefore accumulates exactly the terms of that row, starting from
-// +0.0, in exactly the CSR kernel's order — the same bits as the CSR
-// product over the expanded chain (SIMD runs lanes side by side, never a
-// reordered sum within one lane; matrix/simd.hpp).
+// and the kernel runs it as one contiguous, vectorizable lane loop.  Each
+// lane starts from +0.0 and sums its state's bands in the order given,
+// so the code that lists the bands fixes the summation order: PhaseChain
+// sorts them by (source, shift), the ascending column order of the
+// expanded CSR row (the same bits as the CSR product over the expanded
+// chain); the discretisation engine lists the self term, then the arcs
+// in CSR order.  SIMD runs lanes side by side, never a reordered sum
+// within one lane (matrix/simd.hpp).
 #pragma once
 
 #include <cstddef>
@@ -42,10 +43,9 @@ class PhaseOperator {
   PhaseOperator() = default;
 
   /// `row_ptr` (size n + 1, non-decreasing, from 0 to bands.size())
-  /// delimits each state's bands.  Within a state, bands must be sorted
-  /// by (source, shift) with disjoint lane ranges for equal keys, and
-  /// satisfy lo < hi, hi + shift <= phases and source < n.  Throws
-  /// ModelError otherwise.
+  /// delimits each state's bands, which are summed in the order given.
+  /// Every band must satisfy lo < hi, hi + shift <= phases, source < n and
+  /// a finite coefficient.  Throws ModelError otherwise.
   PhaseOperator(std::size_t phases, std::vector<std::size_t> row_ptr,
                 std::vector<PhaseBand> bands);
 

@@ -95,8 +95,7 @@ class ThreadPool {
   static std::size_t resolve_threads(std::size_t requested);
 
   /// The process-wide shared pool (created lazily).  Shared ownership so a
-  /// re-size cannot pull the pool out from under an engine that captured
-  /// it.
+  /// re-size cannot pull the pool out from under a holder of the pointer.
   static std::shared_ptr<ThreadPool> global_ptr();
   static ThreadPool& global() { return *global_ptr(); }
 

@@ -13,6 +13,7 @@
 #include "models/adhoc.hpp"
 #include "models/synthetic.hpp"
 #include "obs/obs.hpp"
+#include "util/contracts.hpp"
 #include "util/error.hpp"
 #include "util/state_set.hpp"
 #include "util/thread_pool.hpp"
@@ -235,7 +236,9 @@ TEST(SericolaEngine, GridMatchesOneColumnOracleBitwise) {
 // Structure of the Sericola level loop, read from the obs counters: one
 // jump level is one state-local pass (one pool region over the state
 // tiles, no fork-join per (h, k, class) slot or per product group) and
-// one lane product.
+// one lane product.  The measured calls pin validation at the basic
+// level: the paranoid recompute (CSRL_VALIDATE=2) runs the engine again
+// inside the measured window.
 
 TEST(SericolaStructure, OneThreadPassMakesNoPerSlotForkJoins) {
 #ifdef CSRL_OBS_DISABLED
@@ -250,11 +253,14 @@ TEST(SericolaStructure, OneThreadPassMakesNoPerSlotForkJoins) {
   StateSet target(model.num_states());
   for (std::size_t s = 0; s < model.num_states(); s += 11) target.insert(s);
   const SericolaEngine engine(1e-6);
-  obs::ScopedRecording recording;
-  const obs::MetricsSnapshot before = obs::snapshot_metrics();
-  (void)engine.joint_probability_all_starts(model, 0.2, 0.3, target);
-  const obs::MetricsSnapshot delta =
-      obs::metrics_delta(before, obs::snapshot_metrics());
+  obs::MetricsSnapshot delta;
+  {
+    const ScopedValidation basic(ValidationLevel::kBasic);
+    obs::ScopedRecording recording;
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
+    (void)engine.joint_probability_all_starts(model, 0.2, 0.3, target);
+    delta = obs::metrics_delta(before, obs::snapshot_metrics());
+  }
   ThreadPool::set_global_threads(threads);
 
   const std::uint64_t levels = delta.counter("p3/sericola/jump_levels");
@@ -264,6 +270,44 @@ TEST(SericolaStructure, OneThreadPassMakesNoPerSlotForkJoins) {
   EXPECT_LE(regions, levels) << "over " << levels << " jump levels";
   // Level 0 has no products; every later level runs exactly one.
   EXPECT_EQ(delta.counter("matrix/spmm/block_products"), levels - 1);
+#endif
+}
+
+// Structure of the Tijms-Veldman step: every sweep is one PhaseOperator
+// product over the budget lanes, which runs inline below the operator's
+// lane-work threshold and as at most one pool region above it.
+
+TEST(DiscretisationStructure, SweepsAreLaneProductsTiledByLaneWork) {
+#ifdef CSRL_OBS_DISABLED
+  GTEST_SKIP() << "observability compiled out";
+#else
+  const std::size_t threads = ThreadPool::global().num_threads();
+  ThreadPool::set_global_threads(4);
+  const Mrm model = build_q3_reduced_mrm();
+  const StateSet target = single(model.num_states(), 3);
+  const DiscretisationEngine engine(1.0 / 32.0);
+  const auto measure = [&](double t, double r) {
+    const ScopedValidation basic(ValidationLevel::kBasic);
+    obs::ScopedRecording recording;
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
+    (void)engine.joint_probability_all_starts(model, t, r, target);
+    return obs::metrics_delta(before, obs::snapshot_metrics());
+  };
+  // r = 10: 321 budget lanes under at most 13 bands, below
+  // kParallelNnzThreshold (2^14) lane terms.  r = 300: 9601 lanes.
+  const obs::MetricsSnapshot small = measure(1.0, 10.0);
+  const obs::MetricsSnapshot large = measure(2.0, 300.0);
+  ThreadPool::set_global_threads(threads);
+
+  const std::uint64_t small_sweeps = small.counter("p3/discretisation/sweeps");
+  EXPECT_EQ(small_sweeps, 31u);  // t/d - 1
+  EXPECT_EQ(small.counter("spmv/multiply"), small_sweeps);
+  EXPECT_EQ(small.counter("pool/dispatches"), 0u);
+  const std::uint64_t large_sweeps = large.counter("p3/discretisation/sweeps");
+  EXPECT_EQ(large_sweeps, 63u);
+  EXPECT_EQ(large.counter("spmv/multiply"), large_sweeps);
+  EXPECT_GT(large.counter("pool/dispatches"), 0u);
+  EXPECT_LE(large.counter("pool/dispatches"), large_sweeps);
 #endif
 }
 

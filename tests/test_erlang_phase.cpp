@@ -305,8 +305,6 @@ TEST(ErlangPhaseOperator, BandsKeepColumnOrderAndMalformedInputThrows) {
   EXPECT_THROW((void)chain.uniformised(0.5 * chain.max_exit_rate()),
                ModelError);
   EXPECT_THROW(PhaseOperator(2, {0, 1}, {{0, 1, 0, 2, 0.5}}), ModelError);
-  EXPECT_THROW(PhaseOperator(2, {0, 2}, {{0, 1, 0, 1, 0.5}, {0, 0, 0, 1, 0.5}}),
-               ModelError);
 }
 
 }  // namespace

@@ -288,7 +288,7 @@ TEST(ParallelDeterminism, MakeEnginePlumbsThreadCount) {
   CheckOptions parallel_options = serial_options;
   parallel_options.num_threads = kManyThreads;
   const auto parallel_engine = make_engine(parallel_options);
-  EXPECT_EQ(parallel_engine->pool().num_threads(), kManyThreads);
+  EXPECT_EQ(ThreadPool::global().num_threads(), kManyThreads);
   const std::vector<double> parallel =
       parallel_engine->joint_probability_all_starts(model, t, r, target);
 
