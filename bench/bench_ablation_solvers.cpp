@@ -1,13 +1,30 @@
 // Ablation (DESIGN.md): iterative-solver choice for the embedded linear
 // systems (unbounded until, property class P0) — Jacobi vs Gauss-Seidel vs
-// SOR — and the effect of the Fox-Glynn-style Poisson window vs a naive
-// fixed-length series on transient analysis.
-#include <benchmark/benchmark.h>
-
+// SOR — the Fox-Glynn-style Poisson window, and what steady-state
+// detection costs and saves in the uniformisation series.
+//
+// Every row is a BenchObs::timed_reps median of 5 after one warmup:
+//   * p0_<method>_side<n>: P=? [ !full2 U full1 ] on the n x n tandem
+//     queue under Jacobi, Gauss-Seidel and SOR(1.2);
+//   * poisson_window_lt<n>: the Fox-Glynn window at lambda*t = n;
+//   * transient_t5000_detection_{off,on}: one backward transient run on
+//     the 16 x 16 tandem queue over a horizon long enough for the
+//     steady-state cutoff to fire, so detection saves most of the series;
+//   * erlang256_tandem_detection_{off,on}: one Erlang-256 lattice column
+//     on the 81-state tandem queue as a phase chain (four horizons in
+//     [1, 2] at reward bound 12.8), where the cutoff never fires, so the
+//     pair prices the convergence scan the phase kernel carries per step.
+// Each detection row prints its uniformisation steps and cutoffs per run.
+// The BenchObs guard writes BENCH_ablation_solvers_obs.json and appends a
+// ledger line.
+#include <cstdint>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/checker.hpp"
 #include "ctmc/foxglynn.hpp"
+#include "ctmc/phase_chain.hpp"
 #include "ctmc/uniformisation.hpp"
 #include "logic/parser.hpp"
 #include "models/synthetic.hpp"
@@ -19,110 +36,104 @@ namespace {
 
 using namespace csrl;
 
-Mrm workload(std::size_t states) {
+Mrm workload(std::size_t side) {
   // Tandem queue: the forward bias makes Gauss-Seidel ordering matter.
-  const std::size_t side = states;
   return tandem_queue_mrm(side, side, 1.0, 1.5, 1.2);
 }
 
-void print_comparison() {
+void p0_rows(csrl_bench::BenchObs& obs_guard) {
   std::printf("=== Ablation: linear solvers for unbounded until (P0) ===\n");
-  const FormulaPtr formula = parse_formula("P=? [ !full2 U blocked ]");
-  std::printf("%9s  %10s  %12s  %10s\n", "states", "jacobi", "gauss-seidel",
-              "sor(1.2)");
-  for (std::size_t side : {8u, 16u, 32u, 48u}) {
+  const FormulaPtr formula = parse_formula("P=? [ !full2 U full1 ]");
+  struct Method {
+    const char* name;
+    LinearMethod method;
+  };
+  for (std::size_t side : {8u, 16u}) {
     const Mrm model = workload(side);
-    std::printf("%9zu", model.num_states());
-    for (LinearMethod method : {LinearMethod::kJacobi, LinearMethod::kGaussSeidel,
-                                LinearMethod::kSor}) {
+    for (const Method& m : {Method{"jacobi", LinearMethod::kJacobi},
+                            Method{"gauss_seidel", LinearMethod::kGaussSeidel},
+                            Method{"sor", LinearMethod::kSor}}) {
       CheckOptions options;
-      options.solver.method = method;
+      options.solver.method = m.method;
       options.solver.omega = 1.2;
       const Checker checker(model, options);
-      WallTimer timer;
-      const double value = checker.value_initially(*formula);
-      benchmark::DoNotOptimize(value);
-      std::printf("  %7.2f ms", timer.seconds() * 1e3);
+      const double value = obs_guard.timed_reps(
+          std::string("p0_") + m.name + "_side" + std::to_string(side),
+          [&] { return checker.value_initially(*formula); });
+      std::printf("        %zu states, probability %.10f\n", model.num_states(),
+                  value);
     }
-    std::printf("\n");
   }
   std::printf("\n");
 }
 
-void solve_with(benchmark::State& state, LinearMethod method, double omega) {
-  const auto side = static_cast<std::size_t>(state.range(0));
-  const Mrm model = workload(side);
-  CheckOptions options;
-  options.solver.method = method;
-  options.solver.omega = omega;
-  const Checker checker(model, options);
-  const FormulaPtr formula = parse_formula("P=? [ !full2 U blocked ]");
-  double value = 0.0;
-  for (auto _ : state) {
-    value = checker.value_initially(*formula);
-    benchmark::DoNotOptimize(value);
+void poisson_window_rows(csrl_bench::BenchObs& obs_guard) {
+  std::printf("=== Ablation: adaptive Poisson window ===\n");
+  for (int lt : {100, 1000, 10000}) {
+    const PoissonWeights w = obs_guard.timed_reps(
+        "poisson_window_lt" + std::to_string(lt),
+        [lt] { return poisson_weights(static_cast<double>(lt), 1e-10); });
+    std::printf("        window [%zu, %zu], %zu weights\n", w.left, w.right,
+                w.right - w.left + 1);
   }
-  state.counters["probability"] = value;
+  std::printf("\n");
 }
 
-void BM_P0_Jacobi(benchmark::State& state) {
-  solve_with(state, LinearMethod::kJacobi, 1.0);
-}
-void BM_P0_GaussSeidel(benchmark::State& state) {
-  solve_with(state, LinearMethod::kGaussSeidel, 1.0);
-}
-void BM_P0_Sor(benchmark::State& state) {
-  solve_with(state, LinearMethod::kSor, 1.2);
-}
-BENCHMARK(BM_P0_Jacobi)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_P0_GaussSeidel)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_P0_Sor)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
-
-// Poisson-window ablation: the adaptive window vs always starting at n=0.
-void BM_PoissonWindowAdaptive(benchmark::State& state) {
-  const double lt = static_cast<double>(state.range(0));
-  for (auto _ : state) {
-    const PoissonWeights w = poisson_weights(lt, 1e-10);
-    benchmark::DoNotOptimize(w.total);
-    state.counters["window"] = static_cast<double>(w.right - w.left + 1);
+/// Time `run` with steady-state detection off and on, printing the
+/// uniformisation steps and cutoffs of one run of each.
+template <typename Run>
+void detection_pair(csrl_bench::BenchObs& obs_guard, const std::string& label,
+                    Run&& run) {
+  for (bool detection : {false, true}) {
+    TransientOptions options;
+    options.steady_state_detection = detection;
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
+    (void)run(options);
+    const obs::MetricsSnapshot delta =
+        obs::metrics_delta(before, obs::snapshot_metrics());
+    obs_guard.timed_reps(label + (detection ? "_detection_on" : "_detection_off"),
+                         [&] { return run(options); });
+    std::printf("        %llu uniformisation steps, %llu cutoffs per run\n",
+                static_cast<unsigned long long>(
+                    delta.counter("uniformisation/steps")),
+                static_cast<unsigned long long>(
+                    delta.counter("uniformisation/steady_state_cutoffs")));
   }
 }
-BENCHMARK(BM_PoissonWindowAdaptive)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BM_TransientLargeHorizon(benchmark::State& state) {
-  // Steady-state detection makes long horizons cheap; toggling it off
-  // shows the cost of the full series.
-  const Mrm model = workload(16);
-  TransientOptions options;
-  options.steady_state_detection = state.range(0) != 0;
-  StateSet target(model.num_states());
+void detection_rows(csrl_bench::BenchObs& obs_guard) {
+  std::printf("=== Ablation: steady-state detection ===\n");
+  const Mrm tandem = workload(16);
+  StateSet target(tandem.num_states());
   target.insert(0);
-  double value = 0.0;
-  for (auto _ : state) {
-    value = transient_reach(model.chain(), target, 500.0, options)[0];
-    benchmark::DoNotOptimize(value);
-  }
-  state.counters["probability"] = value;
+  detection_pair(obs_guard, "transient_t5000", [&](const TransientOptions& o) {
+    return transient_reach(tandem.chain(), target, 5000.0, o)[0];
+  });
+
+  // One Erlang-256 column of the Figure-1 tandem lattice (the lumped
+  // quotient of bench_table3_erlang's tandem rows has these 81 states):
+  // phase rate rho(s) k / r, target full2, read at phase 0 of state 0.
+  const std::size_t phases = 256;
+  const double reward_bound = 0.8 * 16.0;
+  const Mrm small = tandem_queue_mrm(8, 8, 2.0, 2.5, 2.0);
+  std::vector<double> advance(small.num_states());
+  for (std::size_t s = 0; s < small.num_states(); ++s)
+    advance[s] = small.reward(s) * static_cast<double>(phases) / reward_bound;
+  const PhaseChain chain(small.chain(), advance, CsrMatrix(), phases);
+  const StateSet& full2 = small.labelling().states_with("full2");
+  const std::vector<double> times{1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0};
+  detection_pair(obs_guard, "erlang256_tandem", [&](const TransientOptions& o) {
+    return transient_reach_batch(chain, full2, times, o)[0][0];
+  });
+  std::printf("\n");
 }
-BENCHMARK(BM_TransientLargeHorizon)->Arg(0)->Arg(1)->Unit(
-    benchmark::kMillisecond);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   csrl_bench::BenchObs obs_guard("ablation_solvers");
-  print_comparison();
-  {
-    const Mrm model = workload(32);
-    const FormulaPtr formula = parse_formula("P=? [ !full2 U blocked ]");
-    CheckOptions options;
-    options.solver.method = LinearMethod::kGaussSeidel;
-    const Checker checker(model, options);
-    obs_guard.timed_reps("p0_gauss_seidel_side32", [&] {
-      return checker.value_initially(*formula);
-    });
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  p0_rows(obs_guard);
+  poisson_window_rows(obs_guard);
+  detection_rows(obs_guard);
   return 0;
 }

@@ -13,12 +13,16 @@
 // rate grows by k*rho_max/r and every step touches k lanes per state).
 //
 // Below the table, timed rows (median of 5 after one warmup, via
-// BenchObs::timed_reps, with the run's uniformisation/steps) cover the
-// Q3 sweep at k = 1, 4, 16, 64, 256 and 1024 and two larger Erlang-256
-// workloads: a Figure-1-shaped 4 x 4 lattice on the lumped tandem queue
-// (8 x 8 replicated 512 times, 81 quotient states) and one until query
-// on the cluster model with 8 workstations per side.  The BenchObs
-// guard writes BENCH_table3_erlang_obs.json and appends a ledger line.
+// BenchObs::timed_reps, with the run's uniformisation steps and
+// steady-state cutoffs) cover the Q3 sweep at k = 1, 4, 16, 64, 256 and
+// 1024 and two larger Erlang-256 workloads: a Figure-1-shaped 4 x 4
+// lattice on the lumped tandem queue (8 x 8 replicated 512 times, 81
+// quotient states) and one until query on the cluster model with 8
+// workstations per side.  The table and the rows go to
+// BENCH_table3_erlang.json; the BenchObs guard writes
+// BENCH_table3_erlang_obs.json, whose cost/phase, uniformisation/steps
+// and steady_state_cutoffs counters CI gates exactly against
+// bench/baselines, and appends a ledger line.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -59,8 +63,23 @@ double sericola_reference() {
       reduced, kTimeBoundHours, kRewardBoundMah, success)[reduced.initial_state()];
 }
 
-void print_table() {
-  const double reference = sericola_reference();
+/// One row of the printed table.
+struct TableRow {
+  std::size_t k;
+  double value;
+  double rel_err;
+  double ms;
+};
+
+/// One timed row: its label and the per-run counts.
+struct TimedRow {
+  std::string label;
+  std::uint64_t steps;
+  std::uint64_t cutoffs;
+};
+
+std::vector<TableRow> print_table(double reference) {
+  std::vector<TableRow> rows;
   std::printf("=== Table 3: pseudo-Erlang approximation ===\n");
   std::printf("Q3 on the reduced 5-state MRM; reference (Sericola 1e-10): "
               "%.8f\n", reference);
@@ -68,38 +87,94 @@ void print_table() {
   for (std::size_t k = 1; k <= 1024; k *= 2) {
     WallTimer timer;
     const double value = erlang_once(k);
-    const double seconds = timer.seconds();
+    const double ms = timer.seconds() * 1e3;
+    rows.push_back({k, value, std::abs(value - reference) / reference, ms});
     std::printf("%6zu  %.8f %7.2f%% %9.2f ms\n", k, value,
-                100.0 * std::abs(value - reference) / reference,
-                seconds * 1e3);
+                100.0 * rows.back().rel_err, ms);
   }
   std::printf("\n");
+  return rows;
 }
 
 /// Time `fn` with timed_reps under `label` and print its uniformisation
-/// steps per run (the step count is deterministic, so one extra run
-/// measures it).
+/// steps and steady-state cutoffs per run (the counts are deterministic,
+/// so one extra run measures them).
 template <typename Fn>
-void timed_row(csrl_bench::BenchObs& obs_guard, const std::string& label,
-               Fn&& fn) {
+TimedRow timed_row(csrl_bench::BenchObs& obs_guard, const std::string& label,
+                   Fn&& fn) {
   const obs::MetricsSnapshot before = obs::snapshot_metrics();
   fn();
-  const std::uint64_t steps = obs::metrics_delta(before, obs::snapshot_metrics())
-                                  .counter("uniformisation/steps");
+  const obs::MetricsSnapshot delta =
+      obs::metrics_delta(before, obs::snapshot_metrics());
+  const TimedRow row{label, delta.counter("uniformisation/steps"),
+                     delta.counter("uniformisation/steady_state_cutoffs")};
   obs_guard.timed_reps(label, fn);
-  std::printf("        %-32s %llu uniformisation steps per run\n",
-              label.c_str(), static_cast<unsigned long long>(steps));
+  std::printf("        %-32s %llu uniformisation steps, %llu cutoffs per "
+              "run\n",
+              label.c_str(), static_cast<unsigned long long>(row.steps),
+              static_cast<unsigned long long>(row.cutoffs));
+  return row;
+}
+
+/// BENCH_table3_erlang.json: the table, then each timed row with its
+/// counts and its timed_reps median and minimum.
+bool write_report(double reference, const std::vector<TableRow>& table,
+                  const std::vector<TimedRow>& rows,
+                  const csrl_bench::BenchObs& obs_guard) {
+  obs::JsonWriter w;
+  w.begin_object();
+  w.key("schema").value("csrl-bench-table3-erlang-v1");
+  w.key("bench").value("table3_erlang");
+  w.key("reference").value(reference);
+  w.key("table").begin_array();
+  for (const TableRow& r : table) {
+    w.begin_object();
+    w.key("k").value(static_cast<std::uint64_t>(r.k));
+    w.key("value").value(r.value);
+    w.key("rel_err").value(r.rel_err);
+    w.key("ms").value(r.ms);
+    w.end_object();
+  }
+  w.end_array();
+  w.key("reps").begin_array();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const csrl_bench::BenchObs::RepStats& stats = obs_guard.reps()[i];
+    w.begin_object();
+    w.key("name").value(rows[i].label);
+    w.key("steps").value(rows[i].steps);
+    w.key("steady_state_cutoffs").value(rows[i].cutoffs);
+    w.key("reps").value(static_cast<std::uint64_t>(stats.reps));
+    w.key("median_ms").value(stats.median_ms);
+    w.key("min_ms").value(stats.min_ms);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  const std::string text = std::move(w).str();
+  const char* path = "BENCH_table3_erlang.json";
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path);
+    return false;
+  }
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fputc('\n', f);
+  std::fclose(f);
+  std::printf("wrote %s\n", path);
+  return true;
 }
 
 }  // namespace
 
 int main() {
   csrl_bench::BenchObs obs_guard("table3_erlang");
-  print_table();
+  const double reference = sericola_reference();
+  const std::vector<TableRow> table = print_table(reference);
 
+  std::vector<TimedRow> rows;
   for (std::size_t k : {1, 4, 16, 64, 256, 1024})
-    timed_row(obs_guard, "erlang_q3_k" + std::to_string(k),
-              [k] { return erlang_once(k); });
+    rows.push_back(timed_row(obs_guard, "erlang_q3_k" + std::to_string(k),
+                             [k] { return erlang_once(k); }));
 
   // Figure-1 shape on the lumped tandem queue: times in [1, 2], reward
   // bounds binding at every time (r <= 0.9 rho_max t_min).
@@ -118,8 +193,9 @@ int main() {
     const double binding = 16.0 * 1.0;  // rho_max * t_min
     query.rewards = {0.6 * binding, 0.7 * binding, 0.8 * binding,
                      0.9 * binding};
-    timed_row(obs_guard, "erlang256_tandem_4x4",
-              [&] { return checker.until_grid(query).per_state[0][0]; });
+    rows.push_back(timed_row(obs_guard, "erlang256_tandem_4x4", [&] {
+      return checker.until_grid(query).per_state[0][0];
+    }));
   }
 
   // One until query on cluster(8): premium lost within t = 30 while the
@@ -135,8 +211,8 @@ int main() {
     const Checker checker(cluster, options);
     const FormulaPtr query =
         parse_formula("P=? [ premium U[0,30]{0,390} !premium ]");
-    timed_row(obs_guard, "erlang256_cluster8",
-              [&] { return checker.check(*query).value; });
+    rows.push_back(timed_row(obs_guard, "erlang256_cluster8",
+                             [&] { return checker.check(*query).value; }));
   }
-  return 0;
+  return write_report(reference, table, rows, obs_guard) ? 0 : 1;
 }

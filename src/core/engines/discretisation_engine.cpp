@@ -84,7 +84,7 @@ void sweep(const PhaseOperator& step, std::span<const double> cur,
            std::span<double> next) {
   CSRL_COUNT("p3/discretisation/sweeps", 1);
   CSRL_HIST_SCOPE("latency/p3_sweep");
-  (void)step.multiply_phase_fused(cur, next, {}, false);
+  (void)step.multiply_phase_fused(cur, next, {}, kNoConvergenceScan);
 }
 
 /// A live lattice cell on the d-grid: J = t/d steps, K = r/d reward cells.

@@ -106,15 +106,15 @@ class CsrStep {
     p_.warm_kernel_caches(forward_ || active_);
   }
 
-  /// y = one fused step from x; returns the steady-state diff.
-  double step(std::span<const double> x, std::vector<double>& y,
-              std::span<const FusedAxpy> pendings, bool want_diff) {
+  /// y = one fused step from x; returns the convergence verdict.
+  bool step(std::span<const double> x, std::vector<double>& y,
+            std::span<const FusedAxpy> pendings, double tolerance) {
     if (active_) {
-      const double diff =
+      const bool converged =
           forward_ ? p_.multiply_left_active(x, y, mask_in_, mask_out_,
-                                             pendings, want_diff)
+                                             pendings, tolerance)
                    : p_.multiply_active(x, y, mask_in_, mask_out_, pendings,
-                                        want_diff);
+                                        tolerance);
       if (options_.support_epsilon > 0.0) {
         mask_out_.remove_if_not([&](std::size_t i) {
           const double v = y[i];
@@ -126,15 +126,15 @@ class CsrStep {
           return true;
         });
       }
-      return diff;
+      return converged;
     }
     // One iterate in flight: batched horizons already ride the fused
     // pendings.
     if (forward_)
       // lint:allow spmm-blocking (single power iterate per step)
-      return p_.multiply_left_fused(x, y, pendings, want_diff);
+      return p_.multiply_left_fused(x, y, pendings, tolerance);
     // lint:allow spmm-blocking (single power iterate per step)
-    return p_.multiply_fused(x, y, pendings, want_diff);
+    return p_.multiply_fused(x, y, pendings, tolerance);
   }
 
   /// The iterate buffers were swapped.  The out-mask now names the
@@ -173,9 +173,9 @@ class PhaseStep {
   double dropped() const { return 0.0; }
   void begin(std::span<const double>, std::vector<double>&) {}
 
-  double step(std::span<const double> x, std::vector<double>& y,
-              std::span<const FusedAxpy> pendings, bool want_diff) {
-    return op_.multiply_phase_fused(x, y, pendings, want_diff);
+  bool step(std::span<const double> x, std::vector<double>& y,
+            std::span<const FusedAxpy> pendings, double tolerance) {
+    return op_.multiply_phase_fused(x, y, pendings, tolerance);
   }
 
   void swapped() {}
@@ -228,21 +228,21 @@ void accumulate_series(Step& op, std::vector<double>& iterate,
       // lint:allow hot-alloc (append into capacity reserved to num_windows just above; never reallocates)
       pendings.push_back({windows[i].weights[0], results[i]->data()});
 
+  const double tolerance = options.steady_state_detection
+                               ? options.steady_state_tolerance
+                               : kNoConvergenceScan;
   op.begin(iterate, scratch);
   bool cutoff = false;
   for (std::size_t n = 1; n <= max_right; ++n) {
     CSRL_COUNT("uniformisation/steps", 1);
     const StepLatencySample step_latency;
-    const double diff =
-        op.step(iterate, scratch, pendings, options.steady_state_detection);
+    const bool converged = op.step(iterate, scratch, pendings, tolerance);
     pendings.clear();
-    // The steady-state check compares the *full* vector (the fused diff
-    // is a max-reduction over every entry, serial or parallel alike, and
-    // the active kernels account for positions entering or leaving the
-    // frontier), so convergence decisions are identical at any thread
-    // count and in either mode.
-    if (options.steady_state_detection &&
-        diff <= options.steady_state_tolerance) {
+    // The verdict covers the *full* vector (serial or parallel alike,
+    // and the active kernels account for positions entering or leaving
+    // the frontier), so convergence decisions are identical at any
+    // thread count and in either mode.
+    if (converged) {
       // The iterate has converged: every further power of P yields the
       // same vector, so the rest of each still-running window's Poisson
       // mass multiplies it.  A horizon whose window ended before this

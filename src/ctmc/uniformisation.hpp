@@ -121,7 +121,8 @@ std::vector<std::vector<double>> transient_reach_batch(
 /// kernel's per-lane arithmetic (matrix/phase_operator.hpp) and the same
 /// steps, windows, pendings and steady-state cutoff apply.  The Poisson
 /// accumulators, the steady-state fold and the final flush read only
-/// the n phase-0 lanes; the steady-state diff still covers every lane.
+/// the n phase-0 lanes; the convergence predicate still covers every
+/// lane.
 /// Dense always: active_support and support_epsilon have no effect.
 std::vector<std::vector<double>> transient_reach_batch(
     const PhaseChain& chain, const StateSet& target,

@@ -1,7 +1,6 @@
 #include "matrix/csr.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -16,9 +15,9 @@ namespace csrl {
 
 namespace {
 
-using kernel_tuning::atomic_max;
 using kernel_tuning::kChunksPerThread;
 using kernel_tuning::kParallelNnzThreshold;
+using kernel_tuning::tiles_converged;
 
 /// Deterministic cost accounting (DESIGN.md 3h).  The charges are pure
 /// functions of structural dimensions — touched nnz, touched rows, lane
@@ -41,6 +40,20 @@ inline void charge_epilogue_cost([[maybe_unused]] std::uint64_t positions,
                                  [[maybe_unused]] std::uint64_t lanes) {
   CSRL_COUNT("cost/epilogue/flops", 2 * positions * lanes);
   CSRL_COUNT("cost/epilogue/bytes", 16 * positions * lanes);
+}
+
+/// The convergence verdict of an active step.  Off both masks x and y
+/// are exact zeros; an entry that left the frontier (in `in`, not in
+/// `out`) has y = 0 and moved by |x|.
+bool active_converged(std::span<const double> x, std::span<const double> y,
+                      const SupportMask& in, const SupportMask& out,
+                      double tolerance) {
+  if (!(tolerance >= 0.0)) return false;
+  for (std::size_t r : out.members())
+    if (!(std::abs(y[r] - x[r]) <= tolerance)) return false;
+  for (std::size_t i : in.members())
+    if (!out.contains(i) && !(std::abs(x[i]) <= tolerance)) return false;
+  return true;
 }
 
 }  // namespace
@@ -306,10 +319,10 @@ void CsrMatrix::multiply_left(std::span<const double> x, std::span<double> y) co
       });
 }
 
-double CsrMatrix::multiply_fused(std::span<const double> x,
-                                 std::span<double> y,
-                                 std::span<const FusedAxpy> pendings,
-                                 bool want_diff) const {
+bool CsrMatrix::multiply_fused(std::span<const double> x,
+                               std::span<double> y,
+                               std::span<const FusedAxpy> pendings,
+                               double tolerance) const {
   if (rows_ != cols_ || x.size() != cols_ || y.size() != rows_)
     throw ModelError("CsrMatrix::multiply_fused: dimension mismatch");
   CSRL_COUNT("spmv/multiply", 1);
@@ -317,8 +330,8 @@ double CsrMatrix::multiply_fused(std::span<const double> x,
   charge_spmv_cost(nnz(), rows_);
   charge_epilogue_cost(rows_, pendings.size());
 
-  const auto process_rows = [&](std::size_t row_begin, std::size_t row_end) {
-    double local = 0.0;
+  const auto process_rows = [&](std::size_t row_begin, std::size_t row_end,
+                                bool scan) {
     for (std::size_t r = row_begin; r < row_end; ++r) {
       double acc = 0.0;
       for (std::size_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i)
@@ -326,30 +339,27 @@ double CsrMatrix::multiply_fused(std::span<const double> x,
       y[r] = acc;
       const double xr = x[r];
       for (const FusedAxpy& p : pendings) p.out[r] += p.weight * xr;
-      if (want_diff) local = std::max(local, std::abs(acc - xr));
+      scan = scan && std::abs(acc - xr) <= tolerance;
     }
-    return local;
+    return scan;
   };
 
   const ThreadPool& pool = ThreadPool::global();
   if (pool.num_threads() == 1 || nnz() < kParallelNnzThreshold)
-    return process_rows(0, rows_);
+    return process_rows(0, rows_, tolerance >= 0.0);
 
-  std::atomic<double> diff{0.0};
   const auto chunks = row_chunks(pool.num_threads() * kChunksPerThread);
-  pool.parallel_for(0, chunks->size() - 1, 1,
-                    [&](std::size_t chunk_begin, std::size_t chunk_end) {
-                      for (std::size_t c = chunk_begin; c < chunk_end; ++c)
-                        atomic_max(diff, process_rows((*chunks)[c],
-                                                      (*chunks)[c + 1]));
-                    });
-  return diff.load(std::memory_order_relaxed);
+  return tiles_converged(pool, chunks->size() - 1, tolerance >= 0.0,
+                         [&](std::size_t c, bool scan) {
+                           return process_rows((*chunks)[c], (*chunks)[c + 1],
+                                               scan);
+                         });
 }
 
-double CsrMatrix::multiply_left_fused(std::span<const double> x,
-                                      std::span<double> y,
-                                      std::span<const FusedAxpy> pendings,
-                                      bool want_diff) const {
+bool CsrMatrix::multiply_left_fused(std::span<const double> x,
+                                    std::span<double> y,
+                                    std::span<const FusedAxpy> pendings,
+                                    double tolerance) const {
   if (rows_ != cols_ || x.size() != rows_ || y.size() != cols_)
     throw ModelError("CsrMatrix::multiply_left_fused: dimension mismatch");
   CSRL_COUNT("spmv/multiply_left", 1);
@@ -362,8 +372,8 @@ double CsrMatrix::multiply_left_fused(std::span<const double> x,
   // scatter of multiply_left performs (including the x == 0 skip), so
   // the bits match the unfused kernel at any thread count.
   const CsrMatrix& t = cached_transpose();
-  const auto process_cols = [&](std::size_t col_begin, std::size_t col_end) {
-    double local = 0.0;
+  const auto process_cols = [&](std::size_t col_begin, std::size_t col_end,
+                                bool scan) {
     for (std::size_t col = col_begin; col < col_end; ++col) {
       double acc = 0.0;
       for (const CsrEntry& e : t.row_unchecked(col)) {
@@ -373,31 +383,28 @@ double CsrMatrix::multiply_left_fused(std::span<const double> x,
       y[col] = acc;
       const double xc = x[col];
       for (const FusedAxpy& p : pendings) p.out[col] += p.weight * xc;
-      if (want_diff) local = std::max(local, std::abs(acc - xc));
+      scan = scan && std::abs(acc - xc) <= tolerance;
     }
-    return local;
+    return scan;
   };
 
   const ThreadPool& pool = ThreadPool::global();
   if (pool.num_threads() == 1 || nnz() < kParallelNnzThreshold)
-    return process_cols(0, cols_);
+    return process_cols(0, cols_, tolerance >= 0.0);
 
-  std::atomic<double> diff{0.0};
   const auto chunks = t.row_chunks(pool.num_threads() * kChunksPerThread);
-  pool.parallel_for(0, chunks->size() - 1, 1,
-                    [&](std::size_t chunk_begin, std::size_t chunk_end) {
-                      for (std::size_t c = chunk_begin; c < chunk_end; ++c)
-                        atomic_max(diff, process_cols((*chunks)[c],
-                                                      (*chunks)[c + 1]));
-                    });
-  return diff.load(std::memory_order_relaxed);
+  return tiles_converged(pool, chunks->size() - 1, tolerance >= 0.0,
+                         [&](std::size_t c, bool scan) {
+                           return process_cols((*chunks)[c], (*chunks)[c + 1],
+                                               scan);
+                         });
 }
 
-double CsrMatrix::multiply_active(std::span<const double> x,
-                                  std::span<double> y, const SupportMask& in,
-                                  SupportMask& out,
-                                  std::span<const FusedAxpy> pendings,
-                                  bool want_diff) const {
+bool CsrMatrix::multiply_active(std::span<const double> x,
+                                std::span<double> y, const SupportMask& in,
+                                SupportMask& out,
+                                std::span<const FusedAxpy> pendings,
+                                double tolerance) const {
   if (rows_ != cols_ || x.size() != cols_ || y.size() != rows_ ||
       in.universe() != rows_ || out.universe() != rows_)
     throw ModelError("CsrMatrix::multiply_active: dimension mismatch");
@@ -434,22 +441,14 @@ double CsrMatrix::multiply_active(std::span<const double> x,
   }
   for (const FusedAxpy& p : pendings)
     for (std::size_t i : in.members()) p.out[i] += p.weight * x[i];
-
-  double diff = 0.0;
-  if (want_diff) {
-    for (std::size_t r : out.members())
-      diff = std::max(diff, std::abs(y[r] - x[r]));
-    for (std::size_t i : in.members())
-      if (!out.contains(i)) diff = std::max(diff, std::abs(x[i]));
-  }
-  return diff;
+  return active_converged(x, y, in, out, tolerance);
 }
 
-double CsrMatrix::multiply_left_active(std::span<const double> x,
-                                       std::span<double> y,
-                                       const SupportMask& in, SupportMask& out,
-                                       std::span<const FusedAxpy> pendings,
-                                       bool want_diff) const {
+bool CsrMatrix::multiply_left_active(std::span<const double> x,
+                                     std::span<double> y,
+                                     const SupportMask& in, SupportMask& out,
+                                     std::span<const FusedAxpy> pendings,
+                                     double tolerance) const {
   if (rows_ != cols_ || x.size() != rows_ || y.size() != cols_ ||
       in.universe() != rows_ || out.universe() != rows_)
     throw ModelError("CsrMatrix::multiply_left_active: dimension mismatch");
@@ -477,16 +476,8 @@ double CsrMatrix::multiply_left_active(std::span<const double> x,
       out.insert(entries_[i].col);
     }
   }
-
-  double diff = 0.0;
-  if (want_diff) {
-    for (std::size_t i : out.members())
-      diff = std::max(diff, std::abs(y[i] - x[i]));
-    for (std::size_t i : in.members())
-      if (!out.contains(i)) diff = std::max(diff, std::abs(x[i]));
-  }
   out.sort();
-  return diff;
+  return active_converged(x, y, in, out, tolerance);
 }
 
 void CsrMatrix::warm_kernel_caches(bool transpose) const {

@@ -118,26 +118,26 @@ class CsrMatrix {
   //
   // One memory traversal instead of three for the uniformisation loop:
   // the product, the deferred Poisson-weight axpys of the previous step
-  // (`pendings`: out[i] += weight * x[i]) and the steady-state max-diff
-  // reduction (max_i |y[i] - x[i]|, returned; 0.0 when !want_diff) all
-  // ride the same pass over the vectors.  Requires a square matrix and
-  // x/y/pending targets of size rows() with no aliasing between them.
-  // Every per-element operation matches the unfused kernels exactly, so
-  // results are bit-identical to separate multiply + axpy + max_abs_diff
-  // calls, serial or pooled (the diff is a max-reduction, which is
-  // order-independent).  multiply_left_fused gathers along the cached
-  // transpose even on one lane — the same per-element accumulation order
-  // as the serial scatter, hence the same bits.
+  // (`pendings`: out[i] += weight * x[i]) and the convergence predicate
+  // (returned; see kNoConvergenceScan) all ride the same pass over the
+  // vectors.  Requires a square matrix and x/y/pending targets of size
+  // rows() with no aliasing between them.  Every per-element operation
+  // matches the unfused kernels exactly, so results are bit-identical to
+  // separate multiply + axpy calls, serial or pooled, and so is the
+  // verdict (the row chunks share one flag).  multiply_left_fused
+  // gathers along the cached transpose even on one lane — the same
+  // per-element accumulation order as the serial scatter, hence the
+  // same bits.
 
   /// Fused y = A x; see above.
-  double multiply_fused(std::span<const double> x, std::span<double> y,
-                        std::span<const FusedAxpy> pendings,
-                        bool want_diff) const;
+  bool multiply_fused(std::span<const double> x, std::span<double> y,
+                      std::span<const FusedAxpy> pendings,
+                      double tolerance) const;
 
   /// Fused y = x A; see above.
-  double multiply_left_fused(std::span<const double> x, std::span<double> y,
-                             std::span<const FusedAxpy> pendings,
-                             bool want_diff) const;
+  bool multiply_left_fused(std::span<const double> x, std::span<double> y,
+                           std::span<const FusedAxpy> pendings,
+                           double tolerance) const;
 
   // -- Lane products (matrix/spmm.cpp) -------------------------------------
   //
@@ -178,7 +178,7 @@ class CsrMatrix {
   // +0.0.  On entry `out` must mask every position where y may hold a
   // stale non-zero (the kernels zero those); on return it masks the new
   // support of y, sorted.  With non-negative x and pending targets the
-  // result vector, the pending updates and the returned diff are all
+  // result vector, the pending updates and the returned verdict are all
   // bit-identical to the dense fused kernels: skipped positions would
   // only ever add exact +0.0 terms.  Serial (the frontier regime is
   // dispatch-bound, not bandwidth-bound); zero heap allocations.
@@ -186,17 +186,17 @@ class CsrMatrix {
   /// Active y = A x: visits only the rows that can see the frontier
   /// (predecessors of `in`, via the cached transpose — call
   /// warm_kernel_caches first so the loop stays allocation-free).
-  double multiply_active(std::span<const double> x, std::span<double> y,
-                         const SupportMask& in, SupportMask& out,
-                         std::span<const FusedAxpy> pendings,
-                         bool want_diff) const;
+  bool multiply_active(std::span<const double> x, std::span<double> y,
+                       const SupportMask& in, SupportMask& out,
+                       std::span<const FusedAxpy> pendings,
+                       double tolerance) const;
 
   /// Active y = x A: scatters only the frontier rows, in ascending order
   /// exactly like the dense serial scatter.
-  double multiply_left_active(std::span<const double> x, std::span<double> y,
-                              const SupportMask& in, SupportMask& out,
-                              std::span<const FusedAxpy> pendings,
-                              bool want_diff) const;
+  bool multiply_left_active(std::span<const double> x, std::span<double> y,
+                            const SupportMask& in, SupportMask& out,
+                            std::span<const FusedAxpy> pendings,
+                            double tolerance) const;
 
   /// Pre-build the lazy caches (row partition and, when `transpose`, the
   /// cached transpose with its partition) that the kernels above create

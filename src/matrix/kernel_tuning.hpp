@@ -6,6 +6,8 @@
 #include <atomic>
 #include <cstddef>
 
+#include "util/thread_pool.hpp"
+
 namespace csrl::kernel_tuning {
 
 /// Below this many stored entries a product is cheaper than a dispatch.
@@ -15,16 +17,21 @@ constexpr std::size_t kParallelNnzThreshold = 1 << 14;
 /// can even out row-structure imbalance that nnz balancing misses.
 constexpr std::size_t kChunksPerThread = 4;
 
-/// Merge a chunk-local max into the shared reduction slot.  max is
-/// associative, commutative and exact, so the merge order across chunks
-/// cannot change the result — the parallel diff is bit-identical to the
-/// serial one.
-inline void atomic_max(std::atomic<double>& slot, double value) {
-  double current = slot.load(std::memory_order_relaxed);
-  while (value > current &&
-         !slot.compare_exchange_weak(current, value,
-                                     std::memory_order_relaxed)) {
-  }
+/// Run `tile(t, scan)`, which computes tile t in full and returns `scan`
+/// && none of its entries moved, for every t < tiles on `pool`.  The tiles
+/// share one verdict flag; a tile that starts after another cleared it
+/// skips its comparisons.  The verdict, `scan` && no entry moved, is the
+/// serial one whatever the tile order.
+template <typename Tile>
+bool tiles_converged(const ThreadPool& pool, std::size_t tiles, bool scan,
+                     Tile&& tile) {
+  std::atomic<bool> converged{scan};
+  pool.parallel_for(0, tiles, 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t t = begin; t < end; ++t)
+      if (!tile(t, converged.load(std::memory_order_relaxed)))
+        converged.store(false, std::memory_order_relaxed);
+  });
+  return converged.load(std::memory_order_relaxed);
 }
 
 }  // namespace csrl::kernel_tuning

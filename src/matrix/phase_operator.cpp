@@ -1,7 +1,6 @@
 #include "matrix/phase_operator.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -16,9 +15,9 @@ namespace csrl {
 
 namespace {
 
-using kernel_tuning::atomic_max;
 using kernel_tuning::kChunksPerThread;
 using kernel_tuning::kParallelNnzThreshold;
+using kernel_tuning::tiles_converged;
 
 }  // namespace
 
@@ -45,9 +44,10 @@ PhaseOperator::PhaseOperator(std::size_t phases,
   }
 }
 
-double PhaseOperator::multiply_phase_fused(
-    std::span<const double> x, std::span<double> y,
-    std::span<const FusedAxpy> pendings, bool want_diff) const {
+bool PhaseOperator::multiply_phase_fused(std::span<const double> x,
+                                         std::span<double> y,
+                                         std::span<const FusedAxpy> pendings,
+                                         double tolerance) const {
   const std::size_t k = phases_;
   if (x.size() != size() || y.size() != size())
     throw ModelError("PhaseOperator::multiply_phase_fused: dimension mismatch");
@@ -66,9 +66,10 @@ double PhaseOperator::multiply_phase_fused(
   CSRL_COUNT("cost/epilogue/flops", 2 * n * pendings.size());
   CSRL_COUNT("cost/epilogue/bytes", 16 * n * pendings.size());
 
+  // Returns `scan` && no lane of the range moved: the comparisons stop at
+  // the first lane with !(|y - x| <= tolerance), which a NaN also fails.
   const auto process_states = [&](std::size_t state_begin,
-                                  std::size_t state_end) {
-    double local = 0.0;
+                                  std::size_t state_end, bool scan) {
     for (std::size_t s = state_begin; s < state_end; ++s) {
       double* ys = y.data() + s * k;
       std::fill(ys, ys + k, 0.0);
@@ -81,20 +82,20 @@ double PhaseOperator::multiply_phase_fused(
       const double* xself = x.data() + s * k;
       const double x0 = xself[0];
       for (const FusedAxpy& p : pendings) p.out[s] += p.weight * x0;
-      if (want_diff)
-        for (std::size_t i = 0; i < k; ++i)
-          local = std::max(local, std::abs(ys[i] - xself[i]));
+      for (std::size_t i = 0; scan && i < k; ++i)
+        scan = std::abs(ys[i] - xself[i]) <= tolerance;
     }
-    return local;
+    return scan;
   };
 
   const ThreadPool& pool = ThreadPool::global();
   if (pool.num_threads() == 1 || lane_terms_ < kParallelNnzThreshold)
-    return process_states(0, n);
+    return process_states(0, n, tolerance >= 0.0);
 
   // States are independent rows: any tiling yields the same bits, and
-  // the diff is an exact max-reduction.  Tile t starts at the first state
-  // past t equal shares of the bands (each band drives up to k lanes).
+  // the verdict is the same conjunction.  Tile t starts at the first
+  // state past t equal shares of the bands (each band drives up to k
+  // lanes).
   const std::size_t target = pool.num_threads() * kChunksPerThread;
   const auto tile_start = [&](std::size_t tile) -> std::size_t {
     if (tile >= target) return n;
@@ -103,17 +104,11 @@ double PhaseOperator::multiply_phase_fused(
         std::lower_bound(row_ptr_.begin(), row_ptr_.end() - 1, want) -
         row_ptr_.begin());
   };
-  std::atomic<double> diff{0.0};
-  pool.parallel_for(0, target, 1,
-                    [&](std::size_t tile_begin, std::size_t tile_end) {
-                      for (std::size_t t = tile_begin; t < tile_end; ++t) {
-                        const std::size_t begin = tile_start(t);
-                        const std::size_t end = tile_start(t + 1);
-                        if (begin < end)
-                          atomic_max(diff, process_states(begin, end));
-                      }
-                    });
-  return diff.load(std::memory_order_relaxed);
+  return tiles_converged(pool, target, tolerance >= 0.0,
+                         [&](std::size_t t, bool scan) {
+                           return process_states(tile_start(t),
+                                                 tile_start(t + 1), scan);
+                         });
 }
 
 }  // namespace csrl

@@ -61,19 +61,18 @@ class PhaseOperator {
 
   /// Fused y = A x with a phase-0 readout, the phase form of
   /// CsrMatrix::multiply_fused: the product, the deferred Poisson axpys
-  /// of the previous step and the steady-state max-diff ride one pass.
-  /// Pendings read lane 0 only — for every state s,
-  /// out[s] += weight * x[s * phases()] — so accumulators hold
-  /// num_states() entries, not size().  The diff, max |y - x| over every
-  /// lane, is returned (0.0 when !want_diff).
+  /// of the previous step and the convergence predicate over every lane
+  /// (returned; see kNoConvergenceScan) ride one pass.  Pendings read
+  /// lane 0 only — for every state s, out[s] += weight * x[s * phases()]
+  /// — so accumulators hold num_states() entries, not size().
   /// x and y have size() entries and must not alias each other or the
   /// pending targets.  States are processed in independent tiles on the
   /// shared pool once the lane work is large enough; every tile computes
-  /// the same per-lane operations, so the result is bit-identical at any
-  /// thread count.
-  double multiply_phase_fused(std::span<const double> x, std::span<double> y,
-                              std::span<const FusedAxpy> pendings,
-                              bool want_diff) const;
+  /// the same per-lane operations, so y and the verdict are bit-identical
+  /// at any thread count.
+  bool multiply_phase_fused(std::span<const double> x, std::span<double> y,
+                            std::span<const FusedAxpy> pendings,
+                            double tolerance) const;
 
  private:
   std::size_t phases_ = 1;

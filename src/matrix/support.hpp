@@ -29,6 +29,12 @@ struct FusedAxpy {
   double* out = nullptr;
 };
 
+/// The fused step kernels (matrix/csr.hpp, matrix/phase_operator.hpp)
+/// return converged: |y - x| <= tolerance for every entry, comparing up
+/// to the first entry that moved (a NaN moved).  A negative tolerance,
+/// such as this one, compares nothing and returns false.
+inline constexpr double kNoConvergenceScan = -1.0;
+
 /// Conservative superset of the non-zero positions of one iterate.
 class SupportMask {
  public:
