@@ -3,10 +3,10 @@
 // A 4096-state birth-death chain started from a point mass has a frontier
 // that grows by one state per uniformisation step, so over a small horizon
 // the active-support path touches a few dozen rows per step while the
-// dense path touches all 4096.  This bench runs both paths at
-// support_epsilon = 0 (forward from the point mass and backward to a
-// single target state), checks the results are bitwise identical, and
-// compares the "matrix/spmv/rows_active" counters.
+// dense path touches all 4096.  This bench runs both paths (forward from
+// the point mass and backward to a single target state), checks the
+// results are bitwise identical, and compares the
+// "matrix/spmv/rows_active" counters.
 //
 // The exit code is the acceptance gate for CI's bench-smoke job: 0 only
 // when both directions are bit-identical AND the active path reduced the
@@ -23,7 +23,6 @@
 #include "obs/json_writer.hpp"
 #include "obs/obs.hpp"
 #include "util/state_set.hpp"
-#include "util/workspace.hpp"
 
 #include "bench_obs.hpp"
 
@@ -60,7 +59,6 @@ int main() {
   dense.active_support = false;
   TransientOptions active;
   active.active_support = true;
-  active.support_epsilon = 0.0;
 
   std::printf("=== Kernel gate: active-support SpMV vs dense ===\n");
   std::printf("birth-death chain, %zu states, point-mass start, t=%.1f\n\n",
@@ -104,16 +102,12 @@ int main() {
   std::printf("reduction: %.1fx, bitwise identical: %s\n\n", ratio,
               identical ? "yes" : "NO");
 
-  // Wall-clock reps: the active path with a warmed workspace arena, the
-  // configuration the engines' grid sweeps run in.
+  // Wall-clock reps of both forward paths.
   obs_guard.timed_reps("dense_forward", [&] {
     return transient_distribution(chain, initial, t, dense)[0];
   });
-  Workspace workspace;
-  TransientOptions active_ws = active;
-  active_ws.workspace = &workspace;
   obs_guard.timed_reps("active_forward", [&] {
-    return transient_distribution(chain, initial, t, active_ws)[0];
+    return transient_distribution(chain, initial, t, active)[0];
   });
 
   obs::JsonWriter w;

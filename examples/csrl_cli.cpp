@@ -11,12 +11,20 @@
 //     --lump                                    check on the bisimulation
 //                                               quotient (same answers)
 //
+//   A numeric option must be a whole token: a finite number for --epsilon
+//   and --step, decimal digits alone for --phases.  Anything else prints
+//   the usage line and exits with status 2.
+//
 //   example:
 //     csrl_cli /tmp/adhoc "P=? [ (Call_Idle | Doze) U[0,24]{0,600} Call_Initiated ]"
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
 
 #include "core/checker.hpp"
@@ -33,8 +41,35 @@ int usage() {
   std::fprintf(stderr,
                "usage: csrl_cli <model-prefix> <formula> [--engine "
                "sericola|erlang|discretisation] [--epsilon e] [--phases k] "
-               "[--step d] [--all-states]\n");
+               "[--step d] [--all-states] [--diagnose] [--lump]\n");
   return 2;
+}
+
+/// The whole of `token` as a finite double; false on an empty token,
+/// trailing characters, a value out of range or a non-finite value.
+bool parse_real(const char* token, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(token, &end);
+  if (end == token || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value))
+    return false;
+  out = value;
+  return true;
+}
+
+/// The whole of `token` as a count of decimal digits; false on a sign,
+/// leading space, trailing characters or a value out of range.
+bool parse_count(const char* token, std::size_t& out) {
+  if (!std::isdigit(static_cast<unsigned char>(token[0]))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(token, &end, 10);
+  if (*end != '\0' || errno == ERANGE ||
+      value > std::numeric_limits<std::size_t>::max())
+    return false;
+  out = static_cast<std::size_t>(value);
+  return true;
 }
 
 }  // namespace
@@ -68,11 +103,11 @@ int main(int argc, char** argv) {
       else
         return usage();
     } else if (arg == "--epsilon") {
-      options.sericola_epsilon = std::strtod(next(), nullptr);
+      if (!parse_real(next(), options.sericola_epsilon)) return usage();
     } else if (arg == "--phases") {
-      options.erlang_phases = std::strtoul(next(), nullptr, 10);
+      if (!parse_count(next(), options.erlang_phases)) return usage();
     } else if (arg == "--step") {
-      options.discretisation_step = std::strtod(next(), nullptr);
+      if (!parse_real(next(), options.discretisation_step)) return usage();
     } else if (arg == "--all-states") {
       all_states = true;
     } else if (arg == "--diagnose") {

@@ -9,8 +9,7 @@ extractor feed
   * a heuristic call graph that computes the transitive closure of the
     hot set (SpMV/SpMM kernels, solver sweeps, uniformisation series,
     Sericola/discretisation sweeps) and statically rejects any reachable
-    allocation, mutex acquisition, throw or I/O call — the static
-    counterpart of the runtime allocs_in_loop == 0 pins.
+    allocation, mutex acquisition, throw or I/O call.
 
 The legacy lint rules (raw-new-delete, float-eq, unordered-iter,
 pragma-once, obs-name, loop-alloc, spmm-blocking) are passes of the same

@@ -47,11 +47,9 @@ multiply_lanes_row, accumulate_series, the solver sweeps, run_batch,
 all_starts_points) and closed over calls to
 functions defined in the analyzed tree, resolved same-file, then
 same-directory, then unique-global.  Scheduling boundaries
-(parallel_for / parallel_reduce) and Workspace arena channels
-(acquire / release) are not followed: work distribution and arena
-leasing happen outside the measured loops by construction, and each has
-its own runtime pin (bit-identical results across thread counts;
-allocs_in_loop == 0).
+(parallel_for / parallel_reduce) are not followed: work distribution
+happens outside the measured loops by construction and has its own
+runtime pin (bit-identical results across thread counts).
 """
 
 import re
@@ -252,7 +250,7 @@ def legacy_pass(ctx):
             findings.append(finding(
                 ctx, line, "loop-alloc",
                 "std::vector<double> constructed inside a loop body"
-                " (hoist it or lease from a Workspace arena)"))
+                " (hoist it out of the loop)"))
 
     if SPMM_BLOCKING_DIRS & parts:
         for line in loop_pattern_lines(ctx.stripped, ONE_RHS_PRODUCT_RE):
@@ -451,15 +449,12 @@ HOT_ROOT_PATTERNS = [
 #   parallel_for / parallel_reduce — scheduling; work distribution sits
 #     outside the measured loops and has its own runtime pin
 #     (bit-identical results across thread counts);
-#   acquire / release — Workspace arena leasing; covered by the
-#     allocs_in_loop == 0 pin via Workspace::LoopGuard;
 #   poisson_weights — Fox-Glynn window construction; runs once per
-#     horizon window in the setup loops *before* the LoopGuard-pinned
-#     series iteration starts, O(right-left) per window, amortised over
-#     the steps-times-nnz series work.  Its own call sites (the
+#     horizon window in the setup loops *before* the series iteration
+#     starts, O(right-left) per window, amortised over the
+#     steps-times-nnz series work.  Its own call sites (the
 #     windows.push_back setup loops) remain visible to the detectors.
-CLOSURE_BOUNDARIES = {"parallel_for", "parallel_reduce", "acquire",
-                      "release", "poisson_weights"}
+CLOSURE_BOUNDARIES = {"parallel_for", "parallel_reduce", "poisson_weights"}
 
 ALLOC_CALLS = {"make_unique", "make_shared", "push_back", "emplace_back",
                "resize", "reserve", "to_string"}

@@ -4,8 +4,7 @@ Diffs bench reports and ledger histories so performance regressions are
 caught mechanically instead of by eyeballing BENCH_*.json:
 
   * **Hard gates** cover the deterministic counters (SpMV/SpMM call and
-    cost-model counts, rows_active, allocs_in_loop, sweep and iteration
-    counters).  The kernels are bit-identical across thread counts by
+    cost-model counts, rows_active, sweep and iteration counters).  The kernels are bit-identical across thread counts by
     construction, so these counters must match exactly between runs of
     the same code — any increase is a regression and fails the check,
     any decrease is an improvement that warrants refreshing the

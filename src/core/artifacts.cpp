@@ -2,9 +2,7 @@
 
 #include <utility>
 
-#include "ctmc/graph.hpp"
 #include "mrm/lumping.hpp"
-#include "mrm/transform.hpp"
 #include "util/error.hpp"
 
 namespace csrl {
@@ -16,42 +14,23 @@ std::shared_ptr<const ModelArtifacts> ModelArtifacts::build(
   artifacts->model_ = std::move(model);
   artifacts->fingerprint_ = artifacts->model_->fingerprint();
   artifacts->internal_fingerprint_ = artifacts->fingerprint_;
-  const Mrm* internal = artifacts->model_.get();
-  if (resolve_lump(options.lump) && internal->num_states() > 0) {
-    LumpingResult lumped = lump(*internal);
+  const Mrm& original = *artifacts->model_;
+  if (resolve_lump(options.lump) && original.num_states() > 0) {
+    LumpingResult lumped = lump(original);
     artifacts->projection_ = std::move(lumped.block_of);
     artifacts->lumping_info_.enabled = true;
-    artifacts->lumping_info_.original_states = internal->num_states();
-    artifacts->lumping_info_.original_transitions = internal->rates().nnz();
+    artifacts->lumping_info_.original_states = original.num_states();
+    artifacts->lumping_info_.original_transitions = original.rates().nnz();
     artifacts->lumping_info_.sweeps = lumped.stats.sweeps;
     artifacts->lumping_info_.splits = lumped.stats.splits;
     artifacts->lumping_info_.states_resigned = lumped.stats.states_resigned;
     artifacts->lumping_info_.wall_seconds = lumped.stats.wall_seconds;
     artifacts->lumped_model_ =
         std::make_shared<const Mrm>(std::move(lumped.quotient));
-    internal = artifacts->lumped_model_.get();
-    artifacts->lumping_info_.states = internal->num_states();
-    artifacts->lumping_info_.transitions = internal->rates().nnz();
-    artifacts->internal_fingerprint_ = internal->fingerprint();
-  }
-  if (options.reorder_states && internal->num_states() > 0) {
-    // Applied after lumping: the (smaller) quotient is what gets
-    // bandwidth-reduced, and the public projection composes both maps.
-    const std::vector<std::size_t> rcm_to_original =
-        reverse_cuthill_mckee(internal->rates());
-    std::vector<std::size_t> rcm_to_internal(rcm_to_original.size());
-    for (std::size_t i = 0; i < rcm_to_original.size(); ++i)
-      rcm_to_internal[rcm_to_original[i]] = i;
-    artifacts->reordered_model_ = std::make_shared<const Mrm>(
-        permute_states(*internal, rcm_to_original));
-    internal = artifacts->reordered_model_.get();
-    if (artifacts->projection_.empty()) {
-      artifacts->projection_ = std::move(rcm_to_internal);
-    } else {
-      for (std::size_t& block : artifacts->projection_)
-        block = rcm_to_internal[block];
-    }
-    artifacts->internal_fingerprint_ = internal->fingerprint();
+    const Mrm& quotient = *artifacts->lumped_model_;
+    artifacts->lumping_info_.states = quotient.num_states();
+    artifacts->lumping_info_.transitions = quotient.rates().nnz();
+    artifacts->internal_fingerprint_ = quotient.fingerprint();
   }
   return artifacts;
 }

@@ -1,10 +1,8 @@
 // Shared immutable per-model checking artifacts.
 //
 // A Checker bound directly to an Mrm recomputes per construction what is
-// really a property of the model: the bit-exact fingerprint (O(nnz)),
-// the bisimulation quotient when lumping is requested, and, when state
-// reordering is requested, the reverse Cuthill-McKee permutation plus the
-// renumbered model copy.  A resident service that builds a fresh
+// really a property of the model: the bit-exact fingerprint (O(nnz)) and
+// the bisimulation quotient when lumping is requested.  A resident service that builds a fresh
 // (stateless) Checker per query batch cannot afford any of these, and
 // more fundamentally the results are immutable facts about the model
 // that every session should share.
@@ -29,18 +27,16 @@
 namespace csrl {
 
 /// Immutable bundle: the model, its fingerprint, and (optionally) the
-/// bisimulation quotient and/or bandwidth-reduced copy a lumping or
-/// reordering checker computes on.  Thread-safe by immutability —
-/// build() returns a shared_ptr<const> and nothing mutates afterwards.
+/// bisimulation quotient a lumping checker computes on.  Thread-safe by
+/// immutability — build() returns a shared_ptr<const> and nothing mutates
+/// afterwards.
 class ModelArtifacts {
  public:
   /// Precompute the artifacts for `model`.  `options` contributes only
-  /// its structural knobs: lump (resolved through CSRL_LUMP) decides
-  /// whether the bisimulation quotient is materialised, reorder_states
-  /// whether the RCM permutation and the renumbered copy are (applied to
-  /// the quotient when both engage).  The model pointer must be
-  /// non-null.  Throws ModelError when lumping is on and impulse rewards
-  /// prevent an exact quotient.
+  /// its structural knob: lump (resolved through CSRL_LUMP) decides
+  /// whether the bisimulation quotient is materialised.  The model
+  /// pointer must be non-null.  Throws ModelError when lumping is on and
+  /// impulse rewards prevent an exact quotient.
   static std::shared_ptr<const ModelArtifacts> build(
       std::shared_ptr<const Mrm> model, const CheckOptions& options = {});
 
@@ -57,34 +53,20 @@ class ModelArtifacts {
   /// Was the bisimulation quotient materialised?
   bool lumped() const { return lumped_model_ != nullptr; }
 
-  /// Were the RCM permutation and the renumbered copy materialised?
-  bool reordered() const { return reordered_model_ != nullptr; }
-
-  /// The model all checking runs on: the renumbered copy when reordered,
-  /// else the quotient when lumped, else the original.
+  /// The model all checking runs on: the quotient when lumped, else the
+  /// original.
   const Mrm& internal_model() const {
-    if (reordered_model_) return *reordered_model_;
-    if (lumped_model_) return *lumped_model_;
-    return *model_;
-  }
-
-  /// Shared ownership of internal_model().
-  std::shared_ptr<const Mrm> internal_model_ptr() const {
-    if (reordered_model_) return reordered_model_;
-    if (lumped_model_) return lumped_model_;
-    return model_;
+    return lumped_model_ ? *lumped_model_ : *model_;
   }
 
   /// Fingerprint of internal_model() — distinct from fingerprint() when
-  /// lumped or reordered, so Sat sets cached in internal numbering can
-  /// never be confused with original-numbering entries of the same model
-  /// (the quotient fingerprints as its own model).
+  /// lumped, so Sat sets cached in internal numbering can never be
+  /// confused with original-numbering entries of the same model (the
+  /// quotient fingerprints as its own model).
   std::uint64_t internal_fingerprint() const { return internal_fingerprint_; }
 
-  /// Composed original index -> internal index projection (the lumping
-  /// block map, the RCM renumbering, or their composition); empty when
-  /// the internal numbering is the public one.  Non-injective when
-  /// lumped.
+  /// Original index -> internal index projection: the lumping block map,
+  /// empty when not lumped.
   const std::vector<std::size_t>& projection() const { return projection_; }
 
   /// Dimensions and refiner accounting of the lumping pass; enabled is
@@ -102,8 +84,7 @@ class ModelArtifacts {
  private:
   std::shared_ptr<const Mrm> model_;
   std::uint64_t fingerprint_ = 0;
-  std::shared_ptr<const Mrm> lumped_model_;     // null unless lumping
-  std::shared_ptr<const Mrm> reordered_model_;  // null unless reordering
+  std::shared_ptr<const Mrm> lumped_model_;  // null unless lumping
   std::uint64_t internal_fingerprint_ = 0;
   std::vector<std::size_t> projection_;
   obs::RunReport::Lumping lumping_info_;

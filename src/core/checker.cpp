@@ -13,8 +13,8 @@ namespace csrl {
 
 namespace {
 
-/// The artifacts of a caller-owned model: lumped and reordered exactly as
-/// the service's registered models are, over a non-owning pointer (the
+/// The artifacts of a caller-owned model: lumped exactly as the service's
+/// registered models are, over a non-owning pointer (the
 /// caller keeps `model` alive).  The requested validation level applies
 /// before the passes run, as it does for checking.
 std::shared_ptr<const ModelArtifacts> borrowed_artifacts(
@@ -42,14 +42,12 @@ Checker::Checker(std::shared_ptr<const ModelArtifacts> artifacts,
   // Applied here as well as in make_engine so the P0/P1/P2 pipelines
   // (which never instantiate a P3 engine) also see the requested level.
   if (options_.validate) validation::set_level(*options_.validate);
-  // Lumping and reordering were decided when the artifact was built.
-  // Consume the flags so checkers built internally on derived models
-  // (e.g. the duality pipeline's dual checker) inherit the quotient and
-  // the internal numbering and never quotient or permute again: their
-  // per-state vectors feed straight back into this checker's internal
-  // computations.  The artifact keeps the quotient / reordered copies
+  // Lumping was decided when the artifact was built.  Consume the flag
+  // so checkers built internally on derived models (e.g. the duality
+  // pipeline's dual checker) inherit the quotient and never quotient
+  // again: their per-state vectors feed straight back into this
+  // checker's internal computations.  The artifact keeps the quotient
   // alive.
-  options_.reorder_states = false;
   options_.lump = false;
   to_internal_ = artifacts_->projection();
   lump_info_ = artifacts_->lumping_info();
@@ -106,9 +104,7 @@ StateSet Checker::map_to_internal(const StateSet& original_set) const {
   // of those the argument holds: an internal state enters the image only
   // when fully covered.  Partial coverage means the set splits a lumping
   // block — it has no internal counterpart, and silently rounding either
-  // way would change the formula's meaning.  (Without lumping the
-  // projection is bijective, every count is 0 or 1, and this is the old
-  // member-by-member translation.)
+  // way would change the formula's meaning.
   std::vector<std::size_t> covered(internal_states, 0);
   std::vector<std::size_t> sizes(internal_states, 0);
   for (const std::size_t block : to_internal_) ++sizes[block];

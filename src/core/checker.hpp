@@ -65,19 +65,19 @@ class Checker {
   /// checkers bound to different models.  Null gives this checker a private
   /// cache (or none, when CheckOptions::cache_sat_sets is off).  Builds the
   /// model's artifacts over a borrowed pointer and delegates to the
-  /// artifacts constructor, so lumping and reordering follow `options`
-  /// exactly as ModelArtifacts::build applies them.
+  /// artifacts constructor, so lumping follows `options` exactly as
+  /// ModelArtifacts::build applies it.
   explicit Checker(const Mrm& model, CheckOptions options = {},
                    std::shared_ptr<SatCache> sat_cache = nullptr);
 
   /// Checker over precomputed shared artifacts (core/artifacts.hpp):
-  /// construction is O(1) — the fingerprint and any state reordering come
-  /// from the artifact, which the checker keeps alive (no outlive
+  /// construction is O(1) — the fingerprint and any quotient come from
+  /// the artifact, which the checker keeps alive (no outlive
   /// obligation on the caller).  This is the stateless-engine form the
   /// resident service uses: one immutable artifact per registered model,
   /// any number of concurrent short-lived checkers on top of it.
-  /// `options.reorder_states` and `options.lump` are ignored here —
-  /// reordering and lumping are decided when the artifact is built.
+  /// `options.lump` is ignored here — lumping is decided when the
+  /// artifact is built.
   explicit Checker(std::shared_ptr<const ModelArtifacts> artifacts,
                    CheckOptions options = {},
                    std::shared_ptr<SatCache> sat_cache = nullptr);
@@ -126,18 +126,17 @@ class Checker {
   /// state.
   std::vector<double> steady_probabilities(const StateSet& phi_states) const;
 
-  /// The model as constructed — with CheckOptions::reorder_states the
-  /// checker computes on an internally renumbered copy, and with
-  /// CheckOptions::lump on the bisimulation quotient, but this (like
-  /// every public result) always speaks the original numbering.
+  /// The model as constructed — with CheckOptions::lump the checker
+  /// computes on the bisimulation quotient, but this (like every public
+  /// result) always speaks the original numbering.
   const Mrm& model() const { return *original_model_; }
   const CheckOptions& options() const { return options_; }
 
  private:
   // The *_internal methods hold the actual checking logic and speak the
-  // internal state numbering (identical to the public one unless
-  // reorder_states or lump engaged).  The public methods above are thin
-  // wrappers that translate arguments and results at the boundary.
+  // internal state numbering (identical to the public one unless lump
+  // engaged).  The public methods above are thin wrappers that translate
+  // arguments and results at the boundary.
   StateSet sat_internal(const Formula& f) const;
   std::vector<double> values_internal(const Formula& f) const;
   std::vector<double> path_probabilities_internal(const PathFormula& p) const;
@@ -147,9 +146,9 @@ class Checker {
   BatchResult until_grid_internal(const BatchQuery& query) const;
 
   // Boundary translation through to_internal_; all three are the
-  // identity when neither lumping nor reordering is in effect.  Values
-  // and sets lift internal -> original by reading every original state's
-  // image (well-defined even when the projection is many-to-one);
+  // identity when lumping is not in effect.  Values and sets lift
+  // internal -> original by reading every original state's image
+  // (well-defined even when the projection is many-to-one);
   // map_to_internal additionally verifies the argument is a union of
   // lumping blocks and throws ModelError otherwise — an original-
   // numbering set that splits a block has no internal counterpart.
@@ -180,10 +179,8 @@ class Checker {
       const StateSet& phi, const StateSet& psi, std::span<const double> times,
       std::span<const double> rewards) const;
 
-  // The model all checking runs on: the constructor argument, the
-  // bisimulation quotient when lump engaged, the bandwidth-reduced copy
-  // when reorder_states engaged, or the quotient-then-reordered
-  // composition of both.
+  // The model all checking runs on: the constructor argument, or the
+  // bisimulation quotient when lump engaged.
   const Mrm* model_;
   // The constructor argument, always; what model() returns.
   const Mrm* original_model_;
@@ -193,17 +190,15 @@ class Checker {
   // entries within the cache.
   std::shared_ptr<SatCache> sat_cache_;
   std::uint64_t model_fingerprint_ = 0;
-  // Composed original index -> internal index projection: the lumping
-  // block map, the RCM renumbering, or reorder-of-block composition.
-  // Empty when the internal numbering is the public one; injective
-  // unless lumping engaged.
+  // Original index -> internal index projection: the lumping block map,
+  // empty when lump is off.
   std::vector<std::size_t> to_internal_;
   // Dimensions and refiner accounting of the lumping pass, for the
   // RunReport "lumping" section; enabled is false when lump is off.
   obs::RunReport::Lumping lump_info_;
-  // The model's artifacts: they decide lumping and reordering and keep
-  // the quotient / reordered copies alive for this checker's lifetime
-  // (and the model itself, unless the model constructor borrowed it).
+  // The model's artifacts: they decide lumping and keep the quotient
+  // alive for this checker's lifetime (and the model itself, unless the
+  // model constructor borrowed it).
   std::shared_ptr<const ModelArtifacts> artifacts_;
 };
 

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "ctmc/uniformisation.hpp"
 #include "matrix/phase_operator.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
@@ -158,8 +159,9 @@ DiscretisationEngine::joint_probability_all_starts_grid(
   const double d = step_;
   std::vector<std::vector<double>> grid;
   const std::vector<GridCell> live = grid_cells(
-      peel_trivial_cells(model, times, rewards, target, grid), times, rewards,
-      d);
+      peel_trivial_cells(model, times, rewards, target, TransientOptions{},
+                         grid),
+      times, rewards, d);
   if (!live.empty()) {
     CSRL_SPAN("p3/discretisation/all_starts_grid");
     const std::vector<std::size_t> rho = reward_shifts(model, d);

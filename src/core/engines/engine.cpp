@@ -49,6 +49,7 @@ namespace {
 /// true and fills `out` if (t, r) is one.
 bool joint_all_starts_trivial_case(const Mrm& model, double t, double r,
                                    const StateSet& target,
+                                   const TransientOptions& transient,
                                    std::vector<double>& out) {
   if (!(t >= 0.0) || !std::isfinite(t))
     throw ModelError(
@@ -71,7 +72,7 @@ bool joint_all_starts_trivial_case(const Mrm& model, double t, double r,
   // at or above that level never binds and plain transient analysis is
   // exact.
   if (!model.has_impulse_rewards() && r >= model.max_reward() * t) {
-    out = transient_reach(model.chain(), target, t);
+    out = transient_reach(model.chain(), target, t, transient);
     return true;
   }
 
@@ -94,7 +95,7 @@ bool joint_all_starts_trivial_case(const Mrm& model, double t, double r,
     }
     const Ctmc frozen(rates.build());
     const std::vector<double> extended =
-        transient_reach(frozen, zero_reward_targets, t);
+        transient_reach(frozen, zero_reward_targets, t, transient);
     out.assign(extended.begin(), extended.begin() + static_cast<long>(n));
     for (std::size_t s = 0; s < n; ++s)
       if (model.reward(s) > 0.0) out[s] = 0.0;
@@ -109,13 +110,14 @@ bool joint_all_starts_trivial_case(const Mrm& model, double t, double r,
 std::vector<std::size_t> peel_trivial_cells(
     const Mrm& model, std::span<const double> times,
     std::span<const double> rewards, const StateSet& target,
+    const TransientOptions& transient,
     std::vector<std::vector<double>>& grid) {
   grid.assign(times.size() * rewards.size(), {});
   std::vector<std::size_t> live;
   for (std::size_t g = 0; g < grid.size(); ++g) {
     if (joint_all_starts_trivial_case(model, times[g / rewards.size()],
                                       rewards[g % rewards.size()], target,
-                                      grid[g]))
+                                      transient, grid[g]))
       CSRL_COUNT("p3/trivial_cases", 1);
     else
       live.push_back(g);

@@ -23,6 +23,8 @@
 
 namespace csrl {
 
+struct TransientOptions;
+
 /// A procedure computing the joint state/accumulated-reward distribution.
 ///
 /// The contract has the one shape the checker's Sat recursion needs: an
@@ -73,13 +75,15 @@ class JointDistributionEngine {
 /// every trivial cell exactly: t == 0 (no reward accumulated yet), r large
 /// enough that the reward bound cannot bind (plain transient analysis),
 /// and r == 0 (transient analysis with positive-reward states frozen).
-/// Returns the slots i * rewards.size() + j of the remaining (live)
-/// cells, ascending, and counts each trivial cell in the obs counter
-/// "p3/trivial_cases".  Throws ModelError on a negative or non-finite
-/// bound.
+/// The two transient cases run under `transient`, so a caller passes the
+/// accuracy its own cells are computed at.  Returns the slots
+/// i * rewards.size() + j of the remaining (live) cells, ascending, and
+/// counts each trivial cell in the obs counter "p3/trivial_cases".
+/// Throws ModelError on a negative or non-finite bound.
 std::vector<std::size_t> peel_trivial_cells(
     const Mrm& model, std::span<const double> times,
     std::span<const double> rewards, const StateSet& target,
+    const TransientOptions& transient,
     std::vector<std::vector<double>>& grid);
 
 /// Point-by-point grid reference: loops the 1 x 1 wrapper over the

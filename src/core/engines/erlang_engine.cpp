@@ -7,7 +7,6 @@
 #include "ctmc/phase_chain.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
-#include "util/workspace.hpp"
 
 namespace csrl {
 
@@ -32,20 +31,14 @@ std::vector<std::vector<double>> ErlangEngine::joint_probability_all_starts_grid
     std::span<const double> rewards, const StateSet& target) const {
   std::vector<std::vector<double>> grid;
   const std::vector<std::size_t> live =
-      peel_trivial_cells(model, times, rewards, target, grid);
+      peel_trivial_cells(model, times, rewards, target, transient_, grid);
   if (!live.empty()) {
     CSRL_SPAN("p3/erlang/all_starts_grid");
     const std::size_t n = model.num_states();
-    // One arena serves every batched transient run of the sweep: every
-    // column's iterates have the same n * k lanes, so the first column
-    // warms it and the rest iterate without heap traffic.  Each column's
-    // batched run shares one operator stream among all of its horizons
-    // (ctmc/uniformisation.cpp); a horizon adds only its n phase-0
-    // readout updates per step.  Columns cannot share a run — every
-    // reward bound is its own chain.
-    Workspace grid_workspace;
-    TransientOptions transient = transient_;
-    if (transient.workspace == nullptr) transient.workspace = &grid_workspace;
+    // Each column's batched run shares one operator stream among all of
+    // its horizons (ctmc/uniformisation.cpp); a horizon adds only its n
+    // phase-0 readout updates per step.  Columns cannot share a run —
+    // every reward bound is its own chain.
     const std::size_t num_rewards = rewards.size();
     std::vector<std::vector<std::size_t>> columns(num_rewards);
     for (std::size_t slot : live) columns[slot % num_rewards].push_back(slot);
@@ -69,7 +62,7 @@ std::vector<std::vector<double>> ErlangEngine::joint_probability_all_starts_grid
       // A fresh start state has consumed no budget: phase 0, the lane the
       // run reads out.
       std::vector<std::vector<double>> us =
-          transient_reach_batch(chain, target, horizon, transient);
+          transient_reach_batch(chain, target, horizon, transient_);
       for (std::size_t pos = 0; pos < columns[j].size(); ++pos)
         grid[columns[j][pos]] = std::move(us[pos]);
     }

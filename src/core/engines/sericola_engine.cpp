@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "ctmc/foxglynn.hpp"
+#include "ctmc/uniformisation.hpp"
 #include "matrix/simd.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
@@ -440,9 +441,13 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
 std::vector<std::vector<double>> SericolaEngine::joint_probability_all_starts_grid(
     const Mrm& model, std::span<const double> times,
     std::span<const double> rewards, const StateSet& target) const {
+  // The trivial cells are plain transient analyses: run them at this
+  // engine's accuracy, never coarser than the transient default.
+  TransientOptions transient;
+  transient.epsilon = std::min(epsilon_, transient.epsilon);
   std::vector<std::vector<double>> grid;
   const std::vector<std::size_t> live_slot =
-      peel_trivial_cells(model, times, rewards, target, grid);
+      peel_trivial_cells(model, times, rewards, target, transient, grid);
   if (!live_slot.empty()) {
     CSRL_SPAN("p3/sericola/all_starts_grid");
     std::vector<std::vector<double>> computed = all_starts_points(

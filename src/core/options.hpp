@@ -68,25 +68,15 @@ struct CheckOptions {
   /// CSRL_TRACE environment variable or obs::set_recording).
   bool report = false;
 
-  /// Renumber the states by reverse Cuthill-McKee (ctmc/graph.hpp) before
-  /// checking, shrinking the bandwidth of the rate matrix so the
-  /// SpMV-heavy iteration loops walk memory with better locality.  Purely
-  /// internal: every result the Checker returns is translated back, so
-  /// the public state numbering (Sat sets, per-state vectors, grid
-  /// results) is unchanged.  Off by default — worthwhile for models whose
-  /// generator order scatters neighbouring states far apart.
-  bool reorder_states = false;
-
   /// Collapse the model to its bisimulation quotient (mrm/lumping.hpp)
-  /// before checking.  Like reorder_states this is purely internal: the
-  /// checker quotients once at construction, checks on the (often far
-  /// smaller) quotient, and lifts every public result — Sat sets,
-  /// per-state vectors, until_grid lattices — back through the block
-  /// projection, so the public state numbering is unchanged.  Composes
-  /// with reorder_states (the quotient is what gets renumbered) and the
-  /// duality pipeline (derived checkers inherit the quotient and never
-  /// re-lump).  Unset resolves via the CSRL_LUMP environment variable
-  /// ("0"/"1"; malformed values warn and fall back), else off.  Off by
+  /// before checking.  This is purely internal: the checker quotients
+  /// once at construction, checks on the (often far smaller) quotient,
+  /// and lifts every public result — Sat sets, per-state vectors,
+  /// until_grid lattices — back through the block projection, so the
+  /// public state numbering is unchanged.  Composes with the duality
+  /// pipeline (derived checkers inherit the quotient and never re-lump).
+  /// Unset resolves via the CSRL_LUMP environment variable ("0"/"1";
+  /// malformed values warn and fall back), else off.  Off by
   /// default — the refiner costs a few signature sweeps and only pays on
   /// models with symmetric structure, where it pays enormously
   /// (bench_ablation_lumping).  Construction throws ModelError when

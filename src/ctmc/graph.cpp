@@ -149,77 +149,4 @@ std::vector<StateSet> bottom_sccs(const CsrMatrix& adjacency) {
   return bottoms;
 }
 
-std::vector<std::size_t> reverse_cuthill_mckee(const CsrMatrix& adjacency) {
-  check_square(adjacency, "reverse_cuthill_mckee");
-  const std::size_t n = adjacency.rows();
-
-  // Symmetrise the pattern: bandwidth is a property of A + A^T, and a
-  // CTMC's rate matrix is frequently unsymmetric (pure birth chains).
-  std::vector<std::vector<std::size_t>> neighbours(n);
-  const CsrMatrix reverse = adjacency.transposed();
-  for (std::size_t s = 0; s < n; ++s) {
-    for (const auto& e : adjacency.row(s))
-      if (e.col != s) neighbours[s].push_back(e.col);
-    for (const auto& e : reverse.row(s))
-      if (e.col != s) neighbours[s].push_back(e.col);
-    std::sort(neighbours[s].begin(), neighbours[s].end());
-    neighbours[s].erase(
-        std::unique(neighbours[s].begin(), neighbours[s].end()),
-        neighbours[s].end());
-  }
-
-  const auto by_degree_then_index = [&](std::size_t a, std::size_t b) {
-    if (neighbours[a].size() != neighbours[b].size())
-      return neighbours[a].size() < neighbours[b].size();
-    return a < b;
-  };
-
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  std::vector<bool> visited(n, false);
-  std::vector<std::size_t> scratch;
-  for (std::size_t root = 0; root < n; ++root) {
-    if (visited[root]) continue;
-    // Start each component from its minimum-degree state, the classic
-    // peripheral-node heuristic.
-    std::size_t start = root;
-    {
-      // Collect the whole component first so the start choice does not
-      // depend on BFS order.
-      std::vector<std::size_t> component;
-      std::vector<std::size_t> frontier = {root};
-      visited[root] = true;
-      while (!frontier.empty()) {
-        const std::size_t s = frontier.back();
-        frontier.pop_back();
-        component.push_back(s);
-        for (std::size_t next : neighbours[s]) {
-          if (visited[next]) continue;
-          visited[next] = true;
-          frontier.push_back(next);
-        }
-      }
-      for (std::size_t s : component) {
-        visited[s] = false;  // reset for the ordering BFS below
-        if (by_degree_then_index(s, start)) start = s;
-      }
-    }
-    const std::size_t head = order.size();
-    order.push_back(start);
-    visited[start] = true;
-    for (std::size_t at = head; at < order.size(); ++at) {
-      scratch.clear();
-      for (std::size_t next : neighbours[order[at]]) {
-        if (visited[next]) continue;
-        visited[next] = true;
-        scratch.push_back(next);
-      }
-      std::sort(scratch.begin(), scratch.end(), by_degree_then_index);
-      order.insert(order.end(), scratch.begin(), scratch.end());
-    }
-  }
-  std::reverse(order.begin(), order.end());
-  return order;
-}
-
 }  // namespace csrl

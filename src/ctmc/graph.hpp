@@ -35,15 +35,4 @@ std::vector<std::vector<std::size_t>> strongly_connected_components(
 /// what grounds the steady-state operator's semantics.
 std::vector<StateSet> bottom_sccs(const CsrMatrix& adjacency);
 
-/// Reverse Cuthill-McKee ordering of the symmetrised sparsity pattern:
-/// returns a permutation `perm` with perm[new_index] = old_index that
-/// reduces the bandwidth of the permuted matrix, clustering each state's
-/// neighbours near it so the SpMV-heavy iteration loops walk memory with
-/// better locality.  Deterministic: each BFS component starts from its
-/// minimum-degree state (ties by index) and neighbours are visited in
-/// (degree, index) order.  Purely a performance device — callers apply
-/// the inverse permutation to their results, so public numbering never
-/// changes (see CheckOptions::reorder_states).
-std::vector<std::size_t> reverse_cuthill_mckee(const CsrMatrix& adjacency);
-
 }  // namespace csrl

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "ctmc/foxglynn.hpp"
@@ -127,6 +128,11 @@ PhaseChain::PhaseChain(const Ctmc& base, std::span<const double> advance,
   const std::size_t n = base.num_states();
   const std::size_t k = phases;
   if (k == 0) throw ModelError("PhaseChain: the number of phases must be positive");
+  // Lanes are numbered s * k + i with the sink at n * k: all of them must
+  // fit in a std::size_t.
+  if (n > 0 && k > (std::numeric_limits<std::size_t>::max() - 1) / n)
+    throw ModelError("PhaseChain: " + std::to_string(n) + " states x " +
+                     std::to_string(k) + " phases overflow the lane count");
   if (advance.size() != n)
     throw ModelError("PhaseChain: one advance rate per state required");
   if (jump_means.nnz() > 0 && (jump_means.rows() != n || jump_means.cols() != n))

@@ -47,7 +47,8 @@ class PhaseChain {
   /// over the base states whose entry (s, c) is the Poisson mean of the
   /// phases the transition s -> c crosses (entries without a base
   /// transition are ignored).  Throws ModelError on a size mismatch,
-  /// zero phases, or a negative or non-finite advance rate.
+  /// zero phases, a lane count n * k + 1 that overflows std::size_t, or
+  /// a negative or non-finite advance rate.
   PhaseChain(const Ctmc& base, std::span<const double> advance,
              const CsrMatrix& jump_means, std::size_t phases);
 

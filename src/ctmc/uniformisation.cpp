@@ -11,7 +11,6 @@
 #include "obs/obs.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
-#include "util/workspace.hpp"
 
 namespace csrl {
 
@@ -33,6 +32,10 @@ double resolve_rate(double max_exit_rate, const TransientOptions& options) {
   }
   return max_exit_rate > 0.0 ? max_exit_rate : 1.0;
 }
+
+/// Frontier density (fraction of states) above which the active-support
+/// mode hands over to the dense kernel.
+constexpr double kSupportCrossover = 0.25;
 
 /// The active-support mode engages only for non-negative start vectors.
 /// Together with the strictly positive stored entries of the uniformised
@@ -67,33 +70,26 @@ struct StepLatencySample {
 /// kernels, or — while the start vector is non-negative and its support
 /// is below the crossover density — the active-support kernels, which
 /// visit only the frontier and keep the result bit-identical to the
-/// dense path for support_epsilon == 0.  With support_epsilon > 0,
-/// frontier entries below the threshold are dropped and their total
-/// magnitude accumulates into dropped(): each step's drop vector d
-/// perturbs every later iterate by at most ||d||_1 in L1 (P is
-/// substochastic), and the Poisson weights sum to at most 1, so the
-/// total is a sound bound on the L1 (forward) / max-norm (backward)
-/// deviation of every result from its epsilon = 0 run.
+/// dense path.
 class CsrStep {
  public:
-  CsrStep(CsrMatrix p, bool forward, const TransientOptions& options)
-      : p_(std::move(p)), forward_(forward), options_(options) {}
+  CsrStep(CsrMatrix p, bool forward, bool active_support)
+      : p_(std::move(p)), forward_(forward), active_support_(active_support) {}
 
   /// Readouts sit at every position: results are full vectors.
   std::size_t stride() const { return 1; }
-  double dropped() const { return dropped_; }
 
   /// Enter the loop with the start iterate; `scratch` is the other
   /// buffer of the pair.
   void begin(std::span<const double> iterate, std::vector<double>& scratch) {
     const std::size_t n = iterate.size();
-    active_ = options_.active_support && n > 0 && eligible_for_active(iterate);
+    active_ = active_support_ && n > 0 && eligible_for_active(iterate);
     if (active_) {
       std::size_t support = 0;
       for (double v : iterate)
         if (v != 0.0) ++support;
       active_ = static_cast<double>(support) <=
-                options_.support_crossover * static_cast<double>(n);
+                kSupportCrossover * static_cast<double>(n);
     }
     if (active_) {
       mask_in_ = SupportMask(n);
@@ -109,25 +105,11 @@ class CsrStep {
   /// y = one fused step from x; returns the convergence verdict.
   bool step(std::span<const double> x, std::vector<double>& y,
             std::span<const FusedAxpy> pendings, double tolerance) {
-    if (active_) {
-      const bool converged =
-          forward_ ? p_.multiply_left_active(x, y, mask_in_, mask_out_,
-                                             pendings, tolerance)
-                   : p_.multiply_active(x, y, mask_in_, mask_out_, pendings,
-                                        tolerance);
-      if (options_.support_epsilon > 0.0) {
-        mask_out_.remove_if_not([&](std::size_t i) {
-          const double v = y[i];
-          if (v != 0.0 && std::abs(v) < options_.support_epsilon) {
-            dropped_ += std::abs(v);
-            y[i] = 0.0;
-            return false;
-          }
-          return true;
-        });
-      }
-      return converged;
-    }
+    if (active_)
+      return forward_ ? p_.multiply_left_active(x, y, mask_in_, mask_out_,
+                                                pendings, tolerance)
+                      : p_.multiply_active(x, y, mask_in_, mask_out_,
+                                           pendings, tolerance);
     // One iterate in flight: batched horizons already ride the fused
     // pendings.
     if (forward_)
@@ -148,18 +130,17 @@ class CsrStep {
     if (!active_) return;
     std::swap(mask_in_, mask_out_);
     if (static_cast<double>(mask_in_.size()) >
-        options_.support_crossover * static_cast<double>(p_.rows()))
+        kSupportCrossover * static_cast<double>(p_.rows()))
       active_ = false;
   }
 
  private:
   CsrMatrix p_;
   bool forward_;
-  const TransientOptions& options_;
+  bool active_support_;
   bool active_ = false;
   SupportMask mask_in_;
   SupportMask mask_out_;
-  double dropped_ = 0.0;
 };
 
 /// Step operator of the series loop over a phase chain: the fused phase
@@ -170,7 +151,6 @@ class PhaseStep {
   explicit PhaseStep(PhaseOperator op) : op_(std::move(op)) {}
 
   std::size_t stride() const { return op_.phases(); }
-  double dropped() const { return 0.0; }
   void begin(std::span<const double>, std::vector<double>&) {}
 
   bool step(std::span<const double> x, std::vector<double>& y,
@@ -266,23 +246,19 @@ void accumulate_series(Step& op, std::vector<double>& iterate,
     op.swapped();
     for (std::size_t i = 0; i < num_windows; ++i)
       if (n >= windows[i].left && n <= windows[i].right)
-        // lint:allow hot-alloc (capacity reserved to num_windows at setup; the runtime LoopGuard pins series-loop allocations to zero)
+        // lint:allow hot-alloc (append into capacity reserved to num_windows at setup; at most one pending per window, never reallocates)
         pendings.push_back({windows[i].weight(n), results[i]->data()});
   }
   if (!cutoff)
     for (const FusedAxpy& pending : pendings)
       for (std::size_t j = 0; j < readouts; ++j)
         pending.out[j] += pending.weight * iterate[j * stride];
-  if (options.support_epsilon > 0.0)
-    CSRL_HIST("uniformisation/truncation_dropped", op.dropped());
-  if (options.budget != nullptr)
-    options.budget->support_dropped += op.dropped();
 }
 
 /// Shared wrapper for every entry point: splits degenerate horizons
 /// (t == 0, empty or fully absorbing chain) from the series horizons,
-/// builds the per-horizon windows, leases the iteration buffers and runs
-/// the series loop.  `start` is the t = 0 iterate (initial distribution
+/// builds the per-horizon windows, allocates the iteration buffers and
+/// runs the series loop.  `start` is the t = 0 iterate (initial distribution
 /// or terminal values, over every lane of a phase chain); results are
 /// read at the positions j * stride of the iterate — a degenerate
 /// horizon reads `start` itself.  `make_step(lambda)` builds the step
@@ -330,16 +306,9 @@ std::vector<std::vector<double>> run_batch(std::span<const double> start,
     outs.push_back(&results[i]);
   }
 
-  // The guard observes the whole series phase: against a warmed arena
-  // the leases reuse retired buffers and the loop itself performs no
-  // arena allocation, so the counter reports zero (tests pin this).
-  Workspace::LoopGuard guard(options.workspace);
-  Workspace::Lease iterate_lease(options.workspace, start.size());
-  Workspace::Lease scratch_lease(options.workspace, start.size());
-  std::vector<double>& iterate = iterate_lease.get();
-  iterate.assign(start.begin(), start.end());
-  accumulate_series(op, iterate, scratch_lease.get(), windows, outs, options);
-  CSRL_COUNT("uniformisation/allocs_in_loop", guard.heap_allocations());
+  std::vector<double> iterate(start.begin(), start.end());
+  std::vector<double> scratch(start.size());
+  accumulate_series(op, iterate, scratch, windows, outs, options);
   return results;
 }
 
@@ -355,7 +324,7 @@ std::vector<std::vector<double>> run_chain(const Ctmc& chain,
   return run_batch(start, 1, chain.max_exit_rate(), times, options, what,
                    [&](double lambda) {
                      return CsrStep(chain.uniformised_dtmc(lambda), forward,
-                                    options);
+                                    options.active_support);
                    });
 }
 

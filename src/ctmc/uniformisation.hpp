@@ -14,20 +14,6 @@
 namespace csrl {
 
 class PhaseChain;
-class Workspace;
-
-/// Accumulator for the active-support truncation error (see
-/// TransientOptions::support_epsilon).  The mass dropped below the
-/// threshold sums across every call that carries the budget; because the
-/// uniformised matrix is substochastic and the Poisson weights sum to at
-/// most 1, `support_dropped` soundly bounds both the L1 deviation of a
-/// forward result and the max-norm deviation of a backward result from
-/// the corresponding epsilon = 0 (bitwise dense-identical) run.  The
-/// total error bound of a run is this plus the a-priori Fox-Glynn
-/// epsilon; RunReport carries both (obs/report.hpp).
-struct TruncationBudget {
-  double support_dropped = 0.0;
-};
 
 /// Controls for uniformisation-based transient analysis.
 struct TransientOptions {
@@ -43,29 +29,10 @@ struct TransientOptions {
   double steady_state_tolerance = 1e-14;
   /// Iterate over the active frontier only while it is sparse
   /// (matrix/support.hpp), switching to the dense fused kernel once it
-  /// covers support_crossover of the state space.  Engages only for
-  /// non-negative start vectors (all library uses); results are bitwise
-  /// identical to the dense path whenever support_epsilon is 0.  Runs on
-  /// a phase chain are always dense.
+  /// covers a quarter of the state space.  Engages only for non-negative
+  /// start vectors (all library uses); results are bitwise identical to
+  /// the dense path.  Runs on a phase chain are always dense.
   bool active_support = true;
-  /// Drop frontier entries with magnitude below this threshold.  The
-  /// dropped mass accumulates into `budget` (and the obs histogram
-  /// "uniformisation/truncation_dropped") as a sound deviation bound; 0
-  /// drops nothing and reproduces the dense output bit for bit.  Runs on
-  /// a phase chain drop nothing at any value: they are dense and exact
-  /// and add 0 to the budget.
-  double support_epsilon = 0.0;
-  /// Frontier density (fraction of states) above which the active mode
-  /// hands over to the dense kernel.
-  double support_crossover = 0.25;
-  /// Optional scratch arena (util/workspace.hpp): series buffers are
-  /// leased from it instead of allocated per call, so a warmed arena
-  /// serves a whole batched grid without heap traffic.  Not owned; may
-  /// be null.  The arena is not thread-safe — share one only across
-  /// calls issued from the same thread.
-  Workspace* workspace = nullptr;
-  /// Optional truncation-error accumulator.  Not owned; may be null.
-  TruncationBudget* budget = nullptr;
 };
 
 /// Forward transient analysis: the state distribution at time t >= 0,
@@ -123,7 +90,7 @@ std::vector<std::vector<double>> transient_reach_batch(
 /// accumulators, the steady-state fold and the final flush read only
 /// the n phase-0 lanes; the convergence predicate still covers every
 /// lane.
-/// Dense always: active_support and support_epsilon have no effect.
+/// Dense always: active_support has no effect.
 std::vector<std::vector<double>> transient_reach_batch(
     const PhaseChain& chain, const StateSet& target,
     std::span<const double> times, const TransientOptions& options = {});

@@ -6,23 +6,10 @@
 #include "matrix/vector_ops.hpp"
 #include "obs/obs.hpp"
 #include "util/error.hpp"
-#include "util/workspace.hpp"
 
 namespace csrl {
 
 namespace {
-
-/// Counts the arena allocations of the enclosing solver call and emits
-/// them as "matrix/solver/allocs_in_loop" on scope exit, covering every
-/// return path.  Against a warmed arena the count is zero (pinned by
-/// tests); the stationary sweeps allocate nothing either way.
-struct AllocCounterScope {
-  explicit AllocCounterScope(Workspace* ws) : guard(ws) {}
-  ~AllocCounterScope() {
-    CSRL_COUNT("matrix/solver/allocs_in_loop", guard.heap_allocations());
-  }
-  Workspace::LoopGuard guard;
-};
 
 void check_square_system(const CsrMatrix& a, std::size_t b_size, const char* where) {
   if (a.rows() != a.cols())
@@ -122,24 +109,12 @@ std::vector<double> bicgstab(const CsrMatrix& a, std::span<const double> b,
   };
 
   std::vector<double> x(n, 0.0);
-  Workspace::Lease r_lease(options.workspace, n);
-  Workspace::Lease r_hat_lease(options.workspace, n);
-  Workspace::Lease p_lease(options.workspace, n);
-  Workspace::Lease v_lease(options.workspace, n);
-  Workspace::Lease s_lease(options.workspace, n);
-  Workspace::Lease t_lease(options.workspace, n);
-  std::vector<double>& r = r_lease.get();
-  r.assign(b.begin(), b.end());  // r = b - M*0
-  std::vector<double>& r_hat = r_hat_lease.get();
-  r_hat.assign(r.begin(), r.end());  // shadow residual; never written again
-  std::vector<double>& p = p_lease.get();
-  std::fill(p.begin(), p.end(), 0.0);
-  std::vector<double>& v = v_lease.get();
-  std::fill(v.begin(), v.end(), 0.0);
-  std::vector<double>& s = s_lease.get();
-  std::fill(s.begin(), s.end(), 0.0);
-  std::vector<double>& t = t_lease.get();
-  std::fill(t.begin(), t.end(), 0.0);
+  std::vector<double> r(b.begin(), b.end());  // r = b - M*0
+  const std::vector<double> r_hat = r;  // shadow residual; never written again
+  std::vector<double> p(n, 0.0);
+  std::vector<double> v(n, 0.0);
+  std::vector<double> s(n, 0.0);
+  std::vector<double> t(n, 0.0);
 
   const double target = options.tolerance * std::max(1.0, norm_inf(b));
   const double r0 = norm_inf(r);
@@ -202,14 +177,11 @@ std::vector<double> solve_fixpoint(const CsrMatrix& a, std::span<const double> b
   std::vector<double> x(n, 0.0);
   if (n == 0) return x;
 
-  AllocCounterScope allocs(options.workspace);
   if (options.method == LinearMethod::kBicgstab) return bicgstab(a, b, options);
 
   if (options.method == LinearMethod::kJacobi) {
     CSRL_SPAN("solver/jacobi");
-    Workspace::Lease x_next_lease(options.workspace, n);
-    std::vector<double>& x_next = x_next_lease.get();
-    std::fill(x_next.begin(), x_next.end(), 0.0);
+    std::vector<double> x_next(n, 0.0);
     for (std::size_t it = 0; it < options.max_iterations; ++it) {
       CSRL_COUNT("solver/iterations", 1);
       charge_sweep_cost(a.nnz(), n);
@@ -248,11 +220,8 @@ std::vector<double> power_stationary(const CsrMatrix& p,
   if (n == 0) throw ModelError("power_stationary: empty matrix");
 
   CSRL_SPAN("solver/power_stationary");
-  AllocCounterScope allocs(options.workspace);
   std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-  Workspace::Lease next_lease(options.workspace, n);
-  std::vector<double>& next = next_lease.get();
-  std::fill(next.begin(), next.end(), 0.0);
+  std::vector<double> next(n, 0.0);
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
     CSRL_COUNT("solver/iterations", 1);
     charge_power_iteration_cost(n);

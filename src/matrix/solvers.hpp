@@ -24,8 +24,6 @@
 
 namespace csrl {
 
-class Workspace;
-
 /// Iterative method selector for solve_fixpoint.
 enum class LinearMethod {
   kJacobi,
@@ -48,14 +46,6 @@ struct SolverOptions {
   /// SOR relaxation factor (only used by LinearMethod::kSor); must be in
   /// (0, 2) for convergence on symmetrisable problems.
   double omega = 1.0;
-  /// Optional scratch arena (util/workspace.hpp): the solvers lease their
-  /// iteration buffers from it instead of allocating per call, so a
-  /// warmed arena keeps the iteration loops heap-free (the obs counter
-  /// "matrix/solver/allocs_in_loop" reports the arena allocations a call
-  /// incurred; tests pin it to zero against a warmed arena).  Not owned;
-  /// may be null.  Not thread-safe — share one only across calls issued
-  /// from the same thread.
-  Workspace* workspace = nullptr;
 };
 
 /// Solve x = A x + b.  A must be square with x/b of matching size and is

@@ -7,7 +7,7 @@
 // conservative superset of the true support); the active kernels in
 // matrix/csr.hpp propagate the mask alongside the vector and only visit
 // masked rows, falling back to the dense kernel once the frontier stops
-// being sparse (see TransientOptions::support_crossover).
+// being sparse (see TransientOptions::active_support).
 //
 // The mask is bitmap + index list so membership tests are O(1) and
 // iteration is O(|mask|).  Capacity for the full universe is reserved at
@@ -77,21 +77,6 @@ class SupportMask {
   /// dense kernel would (the bitwise-identity requirement).  In-place
   /// introsort: no allocation.
   void sort();
-
-  /// Drop the member `i` positions whose `keep(i)` is false, resetting
-  /// their bitmap bits.  Used by the epsilon-truncation pass.  O(size()).
-  template <typename KeepFn>
-  void remove_if_not(KeepFn keep) {
-    std::size_t kept = 0;
-    for (std::size_t i : members_) {
-      if (keep(i))
-        members_[kept++] = i;
-      else
-        bitmap_[i] = 0;
-    }
-    // lint:allow hot-alloc (shrinking resize; capacity is retained, no allocation)
-    members_.resize(kept);
-  }
 
   std::span<const std::size_t> members() const { return members_; }
 

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "mrm/mrm.hpp"
@@ -56,16 +55,5 @@ UntilReduction reduce_for_until(const Mrm& model, const StateSet& phi,
 /// them, which is consistent with the duality because no reward is earned
 /// there in the original either.
 Mrm dual(const Mrm& model);
-
-/// Copy of `model` with its states renumbered by `perm`, where
-/// perm[new_index] = old_index (the shape ctmc/graph.hpp's
-/// reverse_cuthill_mckee returns).  Rates, impulse rewards, state
-/// rewards, the labelling and the initial distribution all move
-/// consistently, so the permuted model is the same MRM under a state
-/// bijection.  Throws ModelError unless `perm` is a permutation of the
-/// state indices.  This is the internal half of
-/// CheckOptions::reorder_states; callers keep the inverse permutation to
-/// translate results back to the original numbering.
-Mrm permute_states(const Mrm& model, std::span<const std::size_t> perm);
 
 }  // namespace csrl

@@ -17,7 +17,6 @@ std::string RunReport::to_json() const {
   w.key("transitions").value(static_cast<std::uint64_t>(transitions));
   w.end_object();
   w.key("truncation_error").value(truncation_error);
-  w.key("support_truncation_bound").value(support_truncation_bound);
   w.key("total_error_bound").value(total_error_bound);
   w.key("fox_glynn").begin_object();
   w.key("left").value(fox_glynn_left);
@@ -105,12 +104,7 @@ void populate_metric_fields(RunReport& report, const MetricsSnapshot& gauges,
   report.sat_cache_hits = report.metrics.counter("core/sat_cache/hits");
   report.sat_cache_misses = report.metrics.counter("core/sat_cache/misses");
   report.solver_residual = gauges.gauge("solver/residual");
-  // The histogram arrives through the delta, so the bound covers exactly
-  // the mass this run's epsilon truncation dropped.
-  report.support_truncation_bound =
-      report.metrics.histogram("uniformisation/truncation_dropped").sum;
-  report.total_error_bound =
-      report.truncation_error + report.support_truncation_bound;
+  report.total_error_bound = report.truncation_error;
 
   report.cost_model.spmv_flops = report.metrics.counter("cost/spmv/flops");
   report.cost_model.spmv_bytes = report.metrics.counter("cost/spmv/bytes");

@@ -35,14 +35,8 @@ struct RunReport {
   /// Sericola epsilon or the transient-analysis epsilon).
   double truncation_error = 0.0;
 
-  /// Total probability mass dropped by the active-support epsilon
-  /// truncation during the run (the sum of the
-  /// "uniformisation/truncation_dropped" histogram; see
-  /// TransientOptions::support_epsilon).  Zero for exact runs.
-  double support_truncation_bound = 0.0;
-
-  /// truncation_error + support_truncation_bound: the run's total sound
-  /// error bound from both truncation sources.
+  /// The run's total error bound.  Today the configured truncation_error
+  /// is its only source.
   double total_error_bound = 0.0;
 
   /// Key effort indicators lifted out of `metrics` for direct access.

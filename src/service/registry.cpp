@@ -10,9 +10,9 @@ namespace service {
 ModelId ModelRegistry::add(std::shared_ptr<const Mrm> model,
                            const CheckOptions& options) {
   // Probe by fingerprint first: the fingerprint walk is O(nnz), but the
-  // artifact build on top of it may also lump and reorder — re-running
-  // those on a model every session registers would defeat the whole
-  // point of the shared-artifact design.  A lost race between two
+  // artifact build on top of it may also lump — re-running that on a
+  // model every session registers would defeat the whole point of the
+  // shared-artifact design.  A lost race between two
   // first-time registrations of the same model just discards one of the
   // two identical artifacts.
   const ModelId id = model->fingerprint();
@@ -22,8 +22,8 @@ ModelId ModelRegistry::add(std::shared_ptr<const Mrm> model,
       if (entry.id == id) return id;
   }
   // Build outside the lock: artifact construction walks the whole model
-  // (fingerprint, optional lumping quotient, optional RCM), and
-  // registration must not stall lookups.
+  // (fingerprint, optional lumping quotient), and registration must not
+  // stall lookups.
   std::shared_ptr<const ModelArtifacts> artifacts =
       ModelArtifacts::build(std::move(model), options);
   bool fresh = false;

@@ -1,7 +1,7 @@
 // Model registry of the resident checker service.
 //
 // Registered models become immutable shared artifacts (core/artifacts.hpp:
-// the model, its bit-exact fingerprint, optional RCM reordering), keyed by
+// the model, its bit-exact fingerprint, optional lumping quotient), keyed by
 // Mrm::fingerprint.  The fingerprint doubles as the client-visible model
 // id: registering the bit-identical model twice yields the same id and the
 // same artifact (idempotent — two clients uploading the same model share

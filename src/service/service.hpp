@@ -118,9 +118,9 @@ struct ServiceOptions {
   std::size_t max_batch = 0;
 
   /// Base CheckOptions for every checker the service builds (engine
-  /// choice, epsilons, transient options, ...).  lump and reorder_states are
-  /// honoured at model registration (quotient and renumbered copy are
-  /// artifact properties, built once and shared by every session).
+  /// choice, epsilons, transient options, ...).  lump is honoured at
+  /// model registration (the quotient is an artifact property, built
+  /// once and shared by every session).
   CheckOptions check{};
 };
 

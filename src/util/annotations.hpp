@@ -1,12 +1,12 @@
 // Clang Thread Safety Analysis attribute macros (DESIGN.md section 3g).
 //
 // The concurrent core — the thread pool's dispatch protocol, the obs
-// metrics registry and span shards, the CsrMatrix kernel caches, the
-// shared SatCache and the Workspace arena pool — declares its locking
-// discipline with these macros so clang can prove, at compile time, that
-// every access to a guarded field happens under its mutex and that every
-// REQUIRES contract is met at each call site.  The runtime layers (TSan
-// jobs, allocs_in_loop pins) check executions; this layer checks code.
+// metrics registry and span shards, the CsrMatrix kernel caches and the
+// shared SatCache — declares its locking discipline with these macros so
+// clang can prove, at compile time, that every access to a guarded field
+// happens under its mutex and that every REQUIRES contract is met at each
+// call site.  The runtime layer (TSan jobs) checks executions; this layer
+// checks code.
 //
 // Build wiring: the CSRL_THREAD_SAFETY CMake option adds
 // `-Wthread-safety -Werror=thread-safety` on clang, so a violation fails

@@ -71,7 +71,7 @@ inline std::vector<std::vector<double>> erlang_lattice(
     const TransientOptions& options = {}) {
   std::vector<std::vector<double>> grid;
   const std::vector<std::size_t> live =
-      peel_trivial_cells(model, times, rewards, target, grid);
+      peel_trivial_cells(model, times, rewards, target, options, grid);
   const std::size_t n = model.num_states();
   const std::size_t num_rewards = rewards.size();
   for (std::size_t j = 0; j < num_rewards; ++j) {

@@ -8,6 +8,7 @@
 #include "core/engines/discretisation_engine.hpp"
 #include "core/engines/erlang_engine.hpp"
 #include "core/engines/sericola_engine.hpp"
+#include "ctmc/uniformisation.hpp"
 #include "final_state_oracle.hpp"
 #include "sericola_one_column_oracle.hpp"
 #include "models/adhoc.hpp"
@@ -191,6 +192,30 @@ TEST(EngineTrivia, AllStartsTrivialCases) {
   // loose bound: plain reachability.
   const auto loose = engine.joint_probability_all_starts(m, 1.0, 5.0, single(2, 1));
   EXPECT_NEAR(loose[0], 1.0 - std::exp(-1.0), 1e-9);
+}
+
+TEST(EngineTrivia, LooseBoundCellsRunAtTheEngineAccuracy) {
+  // A reward bound above rho_max * t cannot bind, so the cell is plain
+  // transient analysis; it must run at the accuracy the engine was given,
+  // not at the transient default (1e-10), whose answer differs here by
+  // ~8e-12.
+  const Mrm model = random_mrm(7, 200, 0.05);
+  StateSet target(model.num_states());
+  for (std::size_t s = 0; s < 20; ++s) target.insert(s);
+  const double t = 3.0;
+  const double r = model.max_reward() * t + 1.0;
+  TransientOptions fine;
+  fine.epsilon = 1e-13;
+  const std::vector<double> expected =
+      transient_reach(model.chain(), target, t, fine);
+  ASSERT_NE(expected, transient_reach(model.chain(), target, t))
+      << "the model no longer separates the two accuracies";
+  EXPECT_EQ(SericolaEngine(1e-13).joint_probability_all_starts(model, t, r,
+                                                                target),
+            expected);
+  EXPECT_EQ(ErlangEngine(8, fine).joint_probability_all_starts(model, t, r,
+                                                               target),
+            expected);
 }
 
 // The engine's state-major lane layout against the one-column textbook

@@ -24,6 +24,7 @@
 #include "mrm/lumping.hpp"
 #include "mrm/transform.hpp"
 #include "obs/obs.hpp"
+#include "permute_states.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -305,6 +306,21 @@ TEST(ErlangPhaseOperator, BandsKeepColumnOrderAndMalformedInputThrows) {
   EXPECT_THROW((void)chain.uniformised(0.5 * chain.max_exit_rate()),
                ModelError);
   EXPECT_THROW(PhaseOperator(2, {0, 1}, {{0, 1, 0, 2, 0.5}}), ModelError);
+}
+
+TEST(ErlangPhaseOperator, LaneCountOverflowThrows) {
+  // n * k wraps around std::size_t (4 * 2^62 == 0): the engine must
+  // refuse the order rather than run on the wrapped lane count.
+  const Mrm model = random_mrm(1, 4, 0.5);
+  const std::size_t k = std::size_t{1} << 62;
+  const std::vector<double> advance(model.num_states(), 1.0);
+  EXPECT_THROW(PhaseChain(model.chain(), advance, CsrMatrix(), k), ModelError);
+  const double t = 1.0;
+  const double r = 0.5 * model.max_reward() * t;
+  ASSERT_GT(r, 0.0);
+  EXPECT_THROW((void)ErlangEngine(k).joint_probability_all_starts(
+                   model, t, r, last_states(model, 1)),
+               ModelError);
 }
 
 }  // namespace

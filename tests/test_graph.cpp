@@ -107,96 +107,6 @@ TEST(BottomSccs, IrreducibleChainIsOneBottom) {
 TEST(Graph, RectangularAdjacencyThrows) {
   EXPECT_THROW((void)forward_reachable(CsrMatrix(2, 3), StateSet(2)), ModelError);
   EXPECT_THROW((void)strongly_connected_components(CsrMatrix(2, 3)), ModelError);
-  EXPECT_THROW((void)reverse_cuthill_mckee(CsrMatrix(2, 3)), ModelError);
-}
-
-/// Bandwidth of the matrix after renumbering by `perm` (perm[new] = old):
-/// the largest |new(r) - new(c)| over stored entries.
-std::size_t permuted_bandwidth(const CsrMatrix& m,
-                               const std::vector<std::size_t>& perm) {
-  std::vector<std::size_t> position(perm.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) position[perm[i]] = i;
-  std::size_t bandwidth = 0;
-  for (std::size_t r = 0; r < m.rows(); ++r)
-    for (const CsrEntry& e : m.row(r)) {
-      const std::size_t a = position[r];
-      const std::size_t b = position[e.col];
-      bandwidth = std::max(bandwidth, a > b ? a - b : b - a);
-    }
-  return bandwidth;
-}
-
-/// A path graph 0 - 1 - ... - n-1 numbered by bit reversal, so the
-/// natural numbering has terrible bandwidth but an RCM relabelling can
-/// recover the path shape (bandwidth 1).
-CsrMatrix scrambled_path(std::size_t bits) {
-  const std::size_t n = std::size_t{1} << bits;
-  const auto scramble = [bits](std::size_t x) {
-    std::size_t y = 0;
-    for (std::size_t b = 0; b < bits; ++b)
-      if (x & (std::size_t{1} << b)) y |= std::size_t{1} << (bits - 1 - b);
-    return y;
-  };
-  CsrBuilder b(n, n);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    b.add(scramble(i), scramble(i + 1), 1.0);
-    b.add(scramble(i + 1), scramble(i), 1.0);
-  }
-  return b.build();
-}
-
-TEST(ReverseCuthillMckee, ReturnsAPermutation) {
-  const CsrMatrix g = scrambled_path(5);
-  const std::vector<std::size_t> perm = reverse_cuthill_mckee(g);
-  ASSERT_EQ(perm.size(), g.rows());
-  std::vector<bool> seen(perm.size(), false);
-  for (std::size_t old : perm) {
-    ASSERT_LT(old, perm.size());
-    EXPECT_FALSE(seen[old]) << "index " << old << " appears twice";
-    seen[old] = true;
-  }
-}
-
-TEST(ReverseCuthillMckee, IsDeterministic) {
-  const CsrMatrix g = scrambled_path(5);
-  EXPECT_EQ(reverse_cuthill_mckee(g), reverse_cuthill_mckee(g));
-}
-
-TEST(ReverseCuthillMckee, RecoversPathBandwidth) {
-  const CsrMatrix g = scrambled_path(6);
-  const std::vector<std::size_t> identity = [&] {
-    std::vector<std::size_t> p(g.rows());
-    for (std::size_t i = 0; i < p.size(); ++i) p[i] = i;
-    return p;
-  }();
-  const std::vector<std::size_t> perm = reverse_cuthill_mckee(g);
-  EXPECT_GT(permuted_bandwidth(g, identity), 10u);  // bit-reversed: wide
-  EXPECT_EQ(permuted_bandwidth(g, perm), 1u);       // a path is a path
-}
-
-TEST(ReverseCuthillMckee, CoversDisconnectedComponents) {
-  // Two 3-cycles with no edges between them plus an isolated state.
-  CsrBuilder b(7, 7);
-  for (std::size_t base : {std::size_t{0}, std::size_t{3}}) {
-    b.add(base, base + 1, 1.0);
-    b.add(base + 1, base + 2, 1.0);
-    b.add(base + 2, base, 1.0);
-  }
-  const std::vector<std::size_t> perm = reverse_cuthill_mckee(b.build());
-  ASSERT_EQ(perm.size(), 7u);
-  std::vector<std::size_t> sorted = perm;
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t i = 0; i < sorted.size(); ++i) EXPECT_EQ(sorted[i], i);
-}
-
-TEST(ReverseCuthillMckee, SymmetrisesDirectedPatterns) {
-  // Directed chain 0 -> 1 -> 2: RCM must treat edges as undirected and
-  // still produce a bandwidth-1 numbering.
-  CsrBuilder b(3, 3);
-  b.add(0, 1, 1.0);
-  b.add(1, 2, 1.0);
-  const CsrMatrix g = b.build();
-  EXPECT_EQ(permuted_bandwidth(g, reverse_cuthill_mckee(g)), 1u);
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
 // The active-support SpMV hot path (matrix/support.hpp + the frontier
 // mode of uniformisation): differential tests against the dense fused
-// kernel, soundness of the epsilon-truncation error budget, the
-// allocation-free-loop contract of the workspace arena, and the
-// convergence predicate every fused step kernel returns.
+// kernel and the convergence predicate every fused step kernel returns.
 //
 // Labelled `tsan` in tests/CMakeLists.txt: the differential sweep and the
 // predicate tests run every kernel at 1 and 4 threads, so under
@@ -23,11 +21,9 @@
 #include "matrix/phase_operator.hpp"
 #include "models/synthetic.hpp"
 #include "obs/obs.hpp"
-#include "obs/report.hpp"
 #include "util/rng.hpp"
 #include "util/state_set.hpp"
 #include "util/thread_pool.hpp"
-#include "util/workspace.hpp"
 
 namespace csrl {
 namespace {
@@ -55,11 +51,10 @@ TransientOptions dense_options() {
 TransientOptions active_options() {
   TransientOptions options;
   options.active_support = true;
-  options.support_epsilon = 0.0;
   return options;
 }
 
-// -- Differential: epsilon = 0 reproduces the dense path bit for bit ------
+// -- Differential: the active path reproduces the dense path bit for bit --
 
 TEST(ActiveSupport, BitwiseIdenticalToDenseAcrossSeedsAndThreads) {
   const std::vector<double> times{0.4, 1.1};
@@ -88,101 +83,6 @@ TEST(ActiveSupport, BitwiseIdenticalToDenseAcrossSeedsAndThreads) {
         expect_bitwise_equal(dense_bwd[i], active_bwd[i], "backward batch");
     }
     ThreadPool::set_global_threads(1);
-  }
-}
-
-// -- Soundness: the accumulated budget brackets the true deviation --------
-
-TEST(ActiveSupport, TruncationBudgetBoundsForwardL1Deviation) {
-  const Mrm model = birth_death_mrm(256, 2.0, 3.0);
-  const Ctmc& chain = model.chain();
-  std::vector<double> initial(model.num_states(), 0.0);
-  initial[model.initial_state()] = 1.0;
-  const std::vector<double> times{0.5, 1.0, 2.0, 4.0};
-
-  TransientOptions exact = active_options();
-  exact.steady_state_detection = false;
-  double total_dropped = 0.0;
-  for (double t : times) {
-    // One budget per horizon: each run's own drops must cover its result.
-    TransientOptions lossy = exact;
-    lossy.support_epsilon = 1e-7;
-    TruncationBudget budget;
-    lossy.budget = &budget;
-    const auto reference = transient_distribution(chain, initial, t, exact);
-    const auto truncated = transient_distribution(chain, initial, t, lossy);
-    double l1 = 0.0;
-    for (std::size_t s = 0; s < reference.size(); ++s)
-      l1 += std::abs(reference[s] - truncated[s]);
-    EXPECT_LE(l1, budget.support_dropped + 1e-12)
-        << "t = " << t << ": reported bound does not cover the "
-        << "L1 deviation from the exact run";
-    total_dropped += budget.support_dropped;
-  }
-  EXPECT_GT(total_dropped, 0.0);
-}
-
-TEST(ActiveSupport, TruncationBudgetBoundsBackwardMaxDeviation) {
-  const Mrm model = birth_death_mrm(256, 2.0, 3.0);
-  const Ctmc& chain = model.chain();
-  StateSet target(model.num_states());
-  target.insert(0);
-  const std::vector<double> times{0.5, 1.0, 2.0, 4.0};
-
-  TransientOptions exact = active_options();
-  exact.steady_state_detection = false;
-  TransientOptions lossy = exact;
-  lossy.support_epsilon = 1e-7;
-  TruncationBudget budget;
-  lossy.budget = &budget;
-
-  const auto reference = transient_reach_batch(chain, target, times, exact);
-  const auto truncated = transient_reach_batch(chain, target, times, lossy);
-  EXPECT_GT(budget.support_dropped, 0.0);
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    double max_dev = 0.0;
-    for (std::size_t s = 0; s < reference[i].size(); ++s)
-      max_dev =
-          std::max(max_dev, std::abs(reference[i][s] - truncated[i][s]));
-    EXPECT_LE(max_dev, budget.support_dropped + 1e-12)
-        << "t = " << times[i] << ": reported bound does not cover the "
-        << "max-norm deviation from the exact run";
-  }
-}
-
-TEST(ActiveSupport, TruncationBudgetSoundOnRandomModels) {
-  const std::vector<double> times{0.3, 0.8, 1.5};
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const Mrm model = random_mrm(seed, 128, 0.015);
-    const Ctmc& chain = model.chain();
-    const StateSet target = last_states(model, 3);
-
-    TransientOptions exact = active_options();
-    exact.steady_state_detection = false;
-    for (double t : times) {
-      // One budget per horizon, carried by both of its runs.
-      TransientOptions lossy = exact;
-      lossy.support_epsilon = 1e-7;
-      TruncationBudget budget;
-      lossy.budget = &budget;
-
-      const auto ref_fwd =
-          transient_distribution(chain, model.initial_distribution(), t, exact);
-      const auto cut_fwd =
-          transient_distribution(chain, model.initial_distribution(), t, lossy);
-      const auto ref_bwd = transient_reach(chain, target, t, exact);
-      const auto cut_bwd = transient_reach(chain, target, t, lossy);
-      double l1 = 0.0;
-      double max_dev = 0.0;
-      for (std::size_t s = 0; s < ref_fwd.size(); ++s) {
-        l1 += std::abs(ref_fwd[s] - cut_fwd[s]);
-        max_dev = std::max(max_dev, std::abs(ref_bwd[s] - cut_bwd[s]));
-      }
-      EXPECT_LE(l1, budget.support_dropped + 1e-12)
-          << "seed " << seed << ", t = " << t;
-      EXPECT_LE(max_dev, budget.support_dropped + 1e-12)
-          << "seed " << seed << ", t = " << t;
-    }
   }
 }
 
@@ -432,60 +332,6 @@ TEST(ActiveSupport, FrontierReducesRowsTouched) {
   ASSERT_GT(rows_active, 0u);
   EXPECT_GE(rows_dense, 3 * rows_active)
       << "frontier iteration no longer reduces rows touched by >= 3x";
-}
-
-// -- Allocation-free loops: counters pinned to zero on a warmed arena -----
-
-TEST(WorkspaceArena, UniformisationLoopIsAllocFreeWhenWarmed) {
-  const Mrm model = birth_death_mrm(64, 2.0, 3.0);
-  const Ctmc& chain = model.chain();
-  std::vector<double> initial(model.num_states(), 0.0);
-  initial[model.initial_state()] = 1.0;
-
-  obs::ScopedRecording recording;
-  Workspace workspace;
-  TransientOptions options = active_options();
-  options.workspace = &workspace;
-
-  const obs::MetricsSnapshot cold_before = obs::snapshot_metrics();
-  (void)transient_distribution(chain, initial, 1.0, options);
-  EXPECT_GT(obs::metrics_delta(cold_before, obs::snapshot_metrics())
-                .counter("uniformisation/allocs_in_loop"),
-            0u);
-
-  const obs::MetricsSnapshot warm_before = obs::snapshot_metrics();
-  (void)transient_distribution(chain, initial, 1.0, options);
-  (void)transient_reach(chain, last_states(model, 1), 1.0, options);
-  EXPECT_EQ(obs::metrics_delta(warm_before, obs::snapshot_metrics())
-                .counter("uniformisation/allocs_in_loop"),
-            0u)
-      << "warmed arena still hit the heap inside the series loop";
-}
-
-// -- ReportScope: both truncation sources surface in the run report -------
-
-TEST(RunReport, CarriesSupportTruncationBound) {
-  const Mrm model = birth_death_mrm(256, 2.0, 3.0);
-  const Ctmc& chain = model.chain();
-  std::vector<double> initial(model.num_states(), 0.0);
-  initial[model.initial_state()] = 1.0;
-
-  TransientOptions lossy = active_options();
-  lossy.steady_state_detection = false;
-  lossy.support_epsilon = 1e-7;
-
-  obs::ReportScope scope;
-  (void)transient_distribution(chain, initial, 2.0, lossy);
-  const obs::RunReport report =
-      scope.finish("uniformisation", model.num_states(), model.rates().nnz(),
-                   lossy.epsilon);
-
-  EXPECT_GT(report.support_truncation_bound, 0.0);
-  EXPECT_DOUBLE_EQ(report.total_error_bound,
-                   report.truncation_error + report.support_truncation_bound);
-  const std::string json = report.to_json();
-  EXPECT_NE(json.find("\"support_truncation_bound\""), std::string::npos);
-  EXPECT_NE(json.find("\"total_error_bound\""), std::string::npos);
 }
 
 #endif  // CSRL_OBS_DISABLED

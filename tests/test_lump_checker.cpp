@@ -118,19 +118,6 @@ TEST(LumpChecker, UntilGridLatticeLiftsCellByCell) {
   ThreadPool::set_global_threads(0);
 }
 
-TEST(LumpChecker, ComposesWithStateReordering) {
-  const Mrm model = replicated_mrm(random_mrm(5, 30, 0.15), 2);
-  const Checker plain(model);
-  CheckOptions both = with_lump();
-  both.reorder_states = true;
-  const Checker composed(model, both);
-  for (const char* query :
-       {"P=? [ a U[0,1.5]{0,4} b ]", "P=? [ F[0,2] b ]", "S=? [ a ]"}) {
-    expect_close(plain.values(*parse_formula(query)),
-                 composed.values(*parse_formula(query)), 1e-9, query);
-  }
-}
-
 TEST(LumpChecker, EnvOverrideParsesLikeTheOtherKnobs) {
   // Explicit settings win outright.
   ASSERT_EQ(setenv("CSRL_LUMP", "0", 1), 0);
@@ -267,13 +254,10 @@ TEST(LumpChecker, ServiceSessionsShareOneQuotientArtifact) {
   }
 }
 
-TEST(LumpChecker, ArtifactsCarryTheComposedProjection) {
+TEST(LumpChecker, ArtifactsCarryTheBlockProjection) {
   const Mrm model = independent_machines_mrm(4, 0.5, 1.0);
-  CheckOptions both = with_lump();
-  both.reorder_states = true;
-  const auto artifacts = ModelArtifacts::build(model, both);
+  const auto artifacts = ModelArtifacts::build(model, with_lump());
   EXPECT_TRUE(artifacts->lumped());
-  EXPECT_TRUE(artifacts->reordered());
   EXPECT_EQ(artifacts->internal_model().num_states(), 5u);
   EXPECT_EQ(artifacts->projection().size(), 16u);
   EXPECT_EQ(artifacts->lumping_info().original_states, 16u);
@@ -282,7 +266,7 @@ TEST(LumpChecker, ArtifactsCarryTheComposedProjection) {
 
   // A checker over the artifact answers like a direct lumped checker.
   const Checker shared(artifacts);
-  const Checker direct(model, both);
+  const Checker direct(model, with_lump());
   const auto formula = parse_formula("P=? [ !all_down U[0,2]{0,3} all_up ]");
   expect_close(direct.values(*formula), shared.values(*formula), 0.0,
                "artifact values");

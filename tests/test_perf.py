@@ -44,7 +44,7 @@ BASE_COUNTERS = {
     "spmv/multiply": 1000,
     "matrix/spmv/rows_active": 52,
     "matrix/spmm/block_products": 400,
-    "uniformisation/allocs_in_loop": 0,
+    "uniformisation/steady_state_cutoffs": 0,
     "cost/spmv/flops": 64000,
     "cost/spmv/bytes": 780800,
     "pool/inline_runs": 3210,
@@ -110,7 +110,7 @@ class HardGateTest(unittest.TestCase):
         self.assertFalse(findings[0].is_hard_failure)
 
     def test_new_counter_gates_from_zero(self):
-        cur = dict(BASE_COUNTERS, **{"uniformisation/allocs_in_loop": 3})
+        cur = dict(BASE_COUNTERS, **{"uniformisation/steady_state_cutoffs": 3})
         findings = gates.hard_gate(BASE_COUNTERS, cur)
         self.assertEqual([f.kind for f in findings], ["hard-regression"])
 

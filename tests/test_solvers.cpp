@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/obs.hpp"
 #include "util/error.hpp"
-#include "util/workspace.hpp"
 
 namespace csrl {
 namespace {
@@ -151,59 +149,6 @@ TEST(PowerStationary, SymmetricRing) {
 TEST(PowerStationary, EmptyThrows) {
   EXPECT_THROW((void)power_stationary(CsrMatrix(0, 0)), ModelError);
 }
-
-TEST(SolverWorkspace, ResultsMatchPlainSolve) {
-  Workspace workspace;
-  SolverOptions with_arena;
-  with_arena.workspace = &workspace;
-  const std::vector<double> b{1.0, 2.0};
-  for (LinearMethod method :
-       {LinearMethod::kJacobi, LinearMethod::kGaussSeidel, LinearMethod::kSor,
-        LinearMethod::kBicgstab}) {
-    with_arena.method = method;
-    SolverOptions plain = with_arena;
-    plain.workspace = nullptr;
-    const std::vector<double> expect = solve_fixpoint(contraction(), b, plain);
-    const std::vector<double> x = solve_fixpoint(contraction(), b, with_arena);
-    EXPECT_DOUBLE_EQ(x[0], expect[0]);
-    EXPECT_DOUBLE_EQ(x[1], expect[1]);
-  }
-}
-
-#ifndef CSRL_OBS_DISABLED
-TEST(SolverWorkspace, IterationLoopsAreAllocFreeWhenWarmed) {
-  obs::ScopedRecording recording;
-  Workspace workspace;
-  SolverOptions options;
-  options.workspace = &workspace;
-  const std::vector<double> b{1.0, 2.0};
-
-  CsrBuilder p(2, 2);
-  p.add(0, 0, 0.5);
-  p.add(0, 1, 0.5);
-  p.add(1, 0, 0.25);
-  p.add(1, 1, 0.75);
-  const CsrMatrix stochastic = p.build();
-
-  // Warm the arena: one pass per solver shape.
-  for (LinearMethod method : {LinearMethod::kJacobi, LinearMethod::kBicgstab}) {
-    options.method = method;
-    (void)solve_fixpoint(contraction(), b, options);
-  }
-  (void)power_stationary(stochastic, options);
-
-  const obs::MetricsSnapshot before = obs::snapshot_metrics();
-  for (LinearMethod method : {LinearMethod::kJacobi, LinearMethod::kBicgstab}) {
-    options.method = method;
-    (void)solve_fixpoint(contraction(), b, options);
-  }
-  (void)power_stationary(stochastic, options);
-  EXPECT_EQ(obs::metrics_delta(before, obs::snapshot_metrics())
-                .counter("matrix/solver/allocs_in_loop"),
-            0u)
-      << "warmed arena still hit the heap inside a solver loop";
-}
-#endif  // CSRL_OBS_DISABLED
 
 }  // namespace
 }  // namespace csrl

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "models/adhoc.hpp"
+#include "permute_states.hpp"
 #include "util/error.hpp"
 
 namespace csrl {
