@@ -8,8 +8,6 @@
 // answer by running the vector pass once per singleton target {j} — i.e.
 // it *is* the matrix-cost variant — so timing both quantifies what the
 // reformulation buys at different model sizes.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -75,39 +73,9 @@ void print_comparison() {
   std::printf("\n");
 }
 
-void BM_SericolaVector(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Mrm model = scaled_model(n);
-  const double t = 4.0;
-  const double r = 0.4 * model.max_reward() * t;
-  StateSet target(n);
-  target.insert(n - 1);
-  const SericolaEngine engine(1e-8);
-  for (auto _ : state) {
-    auto result = engine.joint_probability_all_starts(model, t, r, target);
-    benchmark::DoNotOptimize(result.data());
-  }
-}
-BENCHMARK(BM_SericolaVector)->RangeMultiplier(2)->Range(4, 32)->Unit(
-    benchmark::kMillisecond);
-
-void BM_SericolaMatrixCost(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Mrm model = scaled_model(n);
-  const double t = 4.0;
-  const double r = 0.4 * model.max_reward() * t;
-  const SericolaEngine engine(1e-8);
-  for (auto _ : state) {
-    auto result = matrix_cost_pass(engine, model, t, r);
-    benchmark::DoNotOptimize(result.data());
-  }
-}
-BENCHMARK(BM_SericolaMatrixCost)->RangeMultiplier(2)->Range(4, 32)->Unit(
-    benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   csrl_bench::BenchObs obs_guard("ablation_sericola");
   print_comparison();
   {
@@ -121,7 +89,5 @@ int main(int argc, char** argv) {
       return engine.joint_probability_all_starts(model, t, r, target)[0];
     });
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

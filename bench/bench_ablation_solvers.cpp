@@ -1,11 +1,12 @@
 // Ablation (DESIGN.md): iterative-solver choice for the embedded linear
-// systems (unbounded until, property class P0) — Jacobi vs Gauss-Seidel vs
-// SOR — the Fox-Glynn-style Poisson window, and what steady-state
+// systems (unbounded until, property class P0) — Gauss-Seidel vs
+// BiCGSTAB — the Fox-Glynn-style Poisson window, and what steady-state
 // detection costs and saves in the uniformisation series.
 //
 // Every row is a BenchObs::timed_reps median of 5 after one warmup:
 //   * p0_<method>_side<n>: P=? [ !full2 U full1 ] on the n x n tandem
-//     queue under Jacobi, Gauss-Seidel and SOR(1.2);
+//     queue (n = 8, 16, 32) under Gauss-Seidel and BiCGSTAB; Gauss-Seidel
+//     at n = 32 takes about 1.6 s per run;
 //   * poisson_window_lt<n>: the Fox-Glynn window at lambda*t = n;
 //   * transient_t5000_detection_{off,on}: one backward transient run on
 //     the 16 x 16 tandem queue over a horizon long enough for the
@@ -48,14 +49,12 @@ void p0_rows(csrl_bench::BenchObs& obs_guard) {
     const char* name;
     LinearMethod method;
   };
-  for (std::size_t side : {8u, 16u}) {
+  for (std::size_t side : {8u, 16u, 32u}) {
     const Mrm model = workload(side);
-    for (const Method& m : {Method{"jacobi", LinearMethod::kJacobi},
-                            Method{"gauss_seidel", LinearMethod::kGaussSeidel},
-                            Method{"sor", LinearMethod::kSor}}) {
+    for (const Method& m : {Method{"gauss_seidel", LinearMethod::kGaussSeidel},
+                            Method{"bicgstab", LinearMethod::kBicgstab}}) {
       CheckOptions options;
       options.solver.method = m.method;
-      options.solver.omega = 1.2;
       const Checker checker(model, options);
       const double value = obs_guard.timed_reps(
           std::string("p0_") + m.name + "_side" + std::to_string(side),

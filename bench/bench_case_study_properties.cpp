@@ -2,9 +2,8 @@
 // 9-state ad hoc station model (SRN -> reachability graph -> CSRL checker).
 // Q1 exercises the P2 pipeline (duality), Q2 the P1 pipeline
 // (uniformisation), Q3 the P3 pipeline (Theorem-1 reduction + engine).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+#include <utility>
 
 #include "core/checker.hpp"
 #include "logic/parser.hpp"
@@ -41,44 +40,22 @@ void print_properties() {
   std::printf("\n");
 }
 
-void check_property(benchmark::State& state, const char* query) {
-  const Mrm model = build_adhoc_mrm();
-  const Checker checker(model);
-  const FormulaPtr formula = parse_formula(query);
-  double value = 0.0;
-  for (auto _ : state) {
-    value = checker.value_initially(*formula);
-    benchmark::DoNotOptimize(value);
-  }
-  state.counters["probability"] = value;
-}
-
-void BM_Q1_RewardBounded(benchmark::State& state) {
-  check_property(state, kQueryQ1);
-}
-void BM_Q2_TimeBounded(benchmark::State& state) {
-  check_property(state, kQueryQ2);
-}
-void BM_Q3_TimeRewardBounded(benchmark::State& state) {
-  check_property(state, kQueryQ3);
-}
-BENCHMARK(BM_Q1_RewardBounded)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Q2_TimeBounded)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Q3_TimeRewardBounded)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   csrl_bench::BenchObs obs_guard("case_study_properties");
   print_properties();
-  {
-    const Mrm model = build_adhoc_mrm();
-    const Checker checker(model);
-    const FormulaPtr q3 = parse_formula(kQueryQ3);
-    obs_guard.timed_reps("q3_time_reward_until",
-                         [&] { return checker.value_initially(*q3); });
+  const Mrm model = build_adhoc_mrm();
+  const Checker checker(model);
+  const std::pair<const char*, const char*> rows[] = {
+      {"q1_reward_bounded_eventually", kQueryQ1},
+      {"q2_time_bounded_eventually", kQueryQ2},
+      {"q3_time_reward_until", kQueryQ3},
+  };
+  for (const auto& [label, query] : rows) {
+    const FormulaPtr formula = parse_formula(query);
+    obs_guard.timed_reps(label,
+                         [&] { return checker.value_initially(*formula); });
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

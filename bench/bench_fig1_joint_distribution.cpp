@@ -14,8 +14,6 @@
 // the whole surface through joint_probability_all_starts_grid vs the
 // point-by-point loop, with the SpMV counts of both passes and a bitwise
 // equality verdict written to BENCH_fig1_grid.json.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -44,14 +42,25 @@ double surface_point(double t, double r) {
 void print_surface() {
   std::printf("=== Figure 1: joint distribution of (X_t, Y_t) ===\n");
   std::printf("Pr{Y_t <= r, X_t = success} on the Q3 reduced model\n\n");
-  const double times[] = {1.0, 2.0, 4.0, 8.0, 16.0, 24.0};
-  const double rewards[] = {100.0, 200.0, 400.0, 600.0, 1200.0, 2400.0};
+  const Mrm reduced = build_q3_reduced_mrm();
+  StateSet success(reduced.num_states());
+  success.insert(3);
+  const std::vector<double> times{1.0, 2.0, 4.0, 8.0, 16.0, 24.0};
+  const std::vector<double> rewards{100.0, 200.0,  400.0,
+                                    600.0, 1200.0, 2400.0};
+  // One batched pass; `--grid` checks it bit for bit against the point
+  // loop of surface_point().
+  const std::vector<std::vector<double>> grid =
+      SericolaEngine(1e-9).joint_probability_all_starts_grid(
+          reduced, times, rewards, success);
   std::printf("t \\ r   ");
   for (double r : rewards) std::printf("%9.0f", r);
   std::printf("\n");
-  for (double t : times) {
-    std::printf("%5.0f h ", t);
-    for (double r : rewards) std::printf("%9.5f", surface_point(t, r));
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    std::printf("%5.0f h ", times[i]);
+    for (std::size_t j = 0; j < rewards.size(); ++j)
+      std::printf("%9.5f",
+                  grid[i * rewards.size() + j][reduced.initial_state()]);
     std::printf("\n");
   }
   std::printf("\nrows increase with t (more time to reach the goal), "
@@ -163,22 +172,6 @@ int run_grid_mode() {
   return (bitwise && (batched_spmvs == 0 || ratio >= 5.0)) ? 0 : 1;
 }
 
-void BM_JointSurfacePoint(benchmark::State& state) {
-  const double t = static_cast<double>(state.range(0));
-  const double r = static_cast<double>(state.range(1));
-  double value = 0.0;
-  for (auto _ : state) {
-    value = surface_point(t, r);
-    benchmark::DoNotOptimize(value);
-  }
-  state.counters["probability"] = value;
-}
-BENCHMARK(BM_JointSurfacePoint)
-    ->Args({4, 200})
-    ->Args({24, 600})
-    ->Args({24, 2400})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -187,9 +180,11 @@ int main(int argc, char** argv) {
   }
   csrl_bench::BenchObs obs_guard("fig1_joint_distribution");
   print_surface();
+  obs_guard.timed_reps("surface_point_t4_r200",
+                       [] { return surface_point(4.0, 200.0); });
   obs_guard.timed_reps("surface_point_t24_r600",
                        [] { return surface_point(24.0, 600.0); });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  obs_guard.timed_reps("surface_point_t24_r2400",
+                       [] { return surface_point(24.0, 2400.0); });
   return 0;
 }

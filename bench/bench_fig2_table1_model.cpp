@@ -2,10 +2,8 @@
 // station and its rate/reward parameters.  This bench validates the
 // generated state space against everything the paper states about it
 // (9 recurrent states; the reduced Q3 model has 3 transient + 2 absorbing
-// states) and measures SRN construction + reachability-graph generation
-// throughput.
-#include <benchmark/benchmark.h>
-
+// states) and times SRN construction, reachability-graph generation and
+// the Theorem-1 reduction for Q3 (timed_reps medians).
 #include <cstdio>
 
 #include "models/adhoc.hpp"
@@ -51,46 +49,25 @@ void print_model() {
               reduction.model.num_states() - absorbing, absorbing);
 }
 
-void BM_BuildSrn(benchmark::State& state) {
-  for (auto _ : state) {
-    const Srn net = build_adhoc_srn();
-    benchmark::DoNotOptimize(&net);
-  }
-}
-BENCHMARK(BM_BuildSrn);
-
-void BM_ExploreStateSpace(benchmark::State& state) {
-  const Srn net = build_adhoc_srn();
-  for (auto _ : state) {
-    const ReachabilityGraph graph = explore(net);
-    benchmark::DoNotOptimize(&graph);
-  }
-  state.counters["states"] = 9.0;
-}
-BENCHMARK(BM_ExploreStateSpace);
-
-void BM_ReduceForQ3(benchmark::State& state) {
-  const Mrm model = build_adhoc_mrm();
-  const StateSet phi = model.labelling().states_with("Call_Idle") |
-                       model.labelling().states_with("Doze");
-  const StateSet psi = model.labelling().states_with("Call_Initiated");
-  for (auto _ : state) {
-    const UntilReduction reduction = reduce_for_until(model, phi, psi);
-    benchmark::DoNotOptimize(&reduction);
-  }
-}
-BENCHMARK(BM_ReduceForQ3);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   csrl_bench::BenchObs obs_guard("fig2_table1_model");
   print_model();
+  obs_guard.timed_reps("build_srn",
+                       [] { return build_adhoc_srn().num_transitions(); });
   obs_guard.timed_reps("explore_state_space", [] {
     const Srn net = build_adhoc_srn();
     return explore(net).model.num_states();
   });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  {
+    const Mrm model = build_adhoc_mrm();
+    const StateSet phi = model.labelling().states_with("Call_Idle") |
+                         model.labelling().states_with("Doze");
+    const StateSet psi = model.labelling().states_with("Call_Initiated");
+    obs_guard.timed_reps("reduce_for_q3", [&] {
+      return reduce_for_until(model, phi, psi).model.num_states();
+    });
+  }
   return 0;
 }

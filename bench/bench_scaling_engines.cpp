@@ -5,8 +5,6 @@
 //     cost grows with N_eps^2 and the number of reward classes;
 //   * the discretisation suffers from large time bounds and state spaces;
 //   * pseudo-Erlang is cheap for small k but its chain is |S|*k states.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/engines/discretisation_engine.hpp"
@@ -65,43 +63,9 @@ void print_comparison() {
   std::printf("\n");
 }
 
-void BM_ScalingSericola(benchmark::State& state) {
-  const Workload w = workload(static_cast<std::size_t>(state.range(0)));
-  const SericolaEngine engine(1e-8);
-  for (auto _ : state) {
-    auto result = engine.joint_probability_all_starts(w.model, w.t, w.r, w.target);
-    benchmark::DoNotOptimize(result.data());
-  }
-}
-BENCHMARK(BM_ScalingSericola)->RangeMultiplier(2)->Range(4, 32)->Unit(
-    benchmark::kMillisecond);
-
-void BM_ScalingErlang(benchmark::State& state) {
-  const Workload w = workload(static_cast<std::size_t>(state.range(0)));
-  const ErlangEngine engine(64);
-  for (auto _ : state) {
-    auto result = engine.joint_probability_all_starts(w.model, w.t, w.r, w.target);
-    benchmark::DoNotOptimize(result.data());
-  }
-}
-BENCHMARK(BM_ScalingErlang)->RangeMultiplier(2)->Range(4, 32)->Unit(
-    benchmark::kMillisecond);
-
-void BM_ScalingDiscretisation(benchmark::State& state) {
-  const Workload w = workload(static_cast<std::size_t>(state.range(0)));
-  const DiscretisationEngine engine(1.0 / 64);
-  for (auto _ : state) {
-    auto result =
-        engine.joint_probability_all_starts(w.model, w.t, w.r, w.target);
-    benchmark::DoNotOptimize(result.data());
-  }
-}
-BENCHMARK(BM_ScalingDiscretisation)->RangeMultiplier(2)->Range(4, 32)->Unit(
-    benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   csrl_bench::BenchObs obs_guard("scaling_engines");
   print_comparison();
   {
@@ -112,7 +76,5 @@ int main(int argc, char** argv) {
                                                  w.target)[0];
     });
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -11,9 +11,6 @@
 // Shape expectations: N grows logarithmically-slowly in 1/eps, the value
 // converges monotonically from below, time grows mildly with N.  Absolute
 // values sit ~0.3% above the paper's (see EXPERIMENTS.md).
-#include <benchmark/benchmark.h>
-
-#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -84,28 +81,13 @@ void print_grid_comparison() {
               bitwise ? "yes" : "NO");
 }
 
-void BM_SericolaQ3(benchmark::State& state) {
-  const double epsilon = std::pow(10.0, -static_cast<double>(state.range(0)));
-  double value = 0.0;
-  std::size_t steps = 0;
-  for (auto _ : state) {
-    value = run_once(epsilon, &steps);
-    benchmark::DoNotOptimize(value);
-  }
-  state.counters["probability"] = value;
-  state.counters["N_eps"] = static_cast<double>(steps);
-}
-BENCHMARK(BM_SericolaQ3)->DenseRange(1, 8)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   csrl_bench::BenchObs obs_guard("table2_sericola");
   print_table();
   print_grid_comparison();
   obs_guard.timed_reps("sericola_q3_eps1e-4",
                        [] { return run_once(1e-4); });
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

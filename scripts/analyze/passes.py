@@ -18,7 +18,7 @@ Line-based (ported from the original regex linter):
 Graph-based (new in this framework):
   layer          An #include that points *up* the architecture contract
                  ``obs < util < {logic, matrix} < ctmc < mrm <
-                 {srn, sim, io} < {core, models} < service``.  Includes
+                 {srn, io} < {core, models} < service``.  Includes
                  may only point at the same top-level directory or at a
                  strictly lower layer.  Exemption: the prelude headers
                  (util/annotations.hpp, util/mutex.hpp) are includable
@@ -311,7 +311,6 @@ LAYERS = {
     "ctmc": 3,
     "mrm": 4,
     "srn": 5,
-    "sim": 5,
     "io": 5,
     "core": 6,
     "models": 6,
@@ -434,7 +433,6 @@ HOT_ROOT_PATTERNS = [
         r"^multiply_lanes_row$",
         r"^multiply_phase_fused$",
         r"^accumulate_series$",
-        r"^jacobi_sweep$",
         r"^gauss_seidel_sweep$",
         r"^bicgstab$",
         r"^solve_fixpoint$",

@@ -1,11 +1,12 @@
 // Numerical contract checks behind the CSRL_CONTRACT layer.
 //
-// Validator collects the recurring invariant checks of the numerical
-// core in one place — CSR structural sanity, stochastic/generator row
-// sums, probability-vector bounds, Fox-Glynn window normalisation, the
-// duality transform's algebraic inverse — each reporting violations with
-// full context (subject name, row, value, tolerance) through the single
-// ContractViolation type of util/error.hpp.  The checks themselves run
+// Validator holds the checks of the engines' result postcondition —
+// probability-vector bounds, monotonicity in the reward bound and bitwise
+// equality — each reporting violations with full context (subject name,
+// entry, value, tolerance) through the single ContractViolation type of
+// util/error.hpp.  The structural checks of the numerical core (CSR
+// build, stochastic rows, the dual transform, the Fox-Glynn total) are
+// CSRL_CONTRACT sites next to the code they guard.  The checks run
 // unconditionally when called; call sites gate them with
 // CSRL_CONTRACTS_ACTIVE() / validation::paranoid() so release builds
 // with validation off pay one predicted branch, and builds configured
@@ -24,10 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "ctmc/foxglynn.hpp"
-#include "matrix/csr.hpp"
-#include "mrm/mrm.hpp"
-
 namespace csrl {
 
 /// Invariant checks over one named subject (a matrix, a vector, an
@@ -36,31 +33,8 @@ class Validator {
  public:
   explicit Validator(std::string subject) : subject_(std::move(subject)) {}
 
-  /// CSR structural sanity: per-row columns strictly increasing (hence
-  /// sorted and duplicate-free), all column indices < cols(), all stored
-  /// values finite and non-zero, row extents covering nnz() exactly.
-  void csr_structure(const CsrMatrix& m) const;
-
-  /// Every row of a stochastic matrix sums to 1 within `tol` and has
-  /// non-negative entries (rows of a sub-stochastic matrix may sum to
-  /// less; pass `allow_substochastic`).
-  void stochastic_rows(const CsrMatrix& m, double tol = 1e-9,
-                       bool allow_substochastic = false) const;
-
-  /// Every row of an infinitesimal generator sums to 0 within `tol`
-  /// (absolute, scaled by the row's largest magnitude) with a
-  /// non-positive diagonal and non-negative off-diagonals.
-  void generator_rows(const CsrMatrix& m, double tol = 1e-9) const;
-
   /// Every entry finite and inside [-tol, 1 + tol].
   void probability_vector(std::span<const double> v, double tol = 1e-9) const;
-
-  /// probability_vector + the entries sum to 1 within `tol`.
-  void distribution(std::span<const double> v, double tol = 1e-9) const;
-
-  /// Fox-Glynn window sanity: non-empty, weights non-negative and
-  /// consistent with `total`, total within [1 - epsilon, 1 + 1e-12].
-  void poisson_window(const PoissonWeights& w, double epsilon) const;
 
   /// lo[i] <= hi[i] + slack for every i (monotonicity in the reward
   /// bound: a smaller r can only shrink Pr{Y_t <= r, X_t = j}).
@@ -70,12 +44,6 @@ class Validator {
   /// Bitwise equality — the parallel-determinism guarantee.
   void bitwise_equal(std::span<const double> a,
                      std::span<const double> b) const;
-
-  /// `dualized` really is the [4, Thm 1] dual of `original`:
-  /// rho^(s) * rho(s) = 1 and R^(s,s') * rho(s) = R(s,s') on
-  /// non-absorbing states, absorbing states stay absorbing.
-  void dual_inverse(const Mrm& original, const Mrm& dualized,
-                    double tol = 1e-9) const;
 
  private:
   [[noreturn]] void fail(const std::string& what) const;

@@ -12,8 +12,7 @@ namespace csrl {
 namespace {
 
 /// Contract helper: every row of `m` sums to 1 within `tol` with
-/// non-negative entries.  (The full Validator lives in core/validate and
-/// cannot be used from this layer.)
+/// non-negative entries.
 [[maybe_unused]] bool rows_stochastic(const CsrMatrix& m, double tol) {
   for (std::size_t r = 0; r < m.rows(); ++r) {
     double sum = 0.0;
@@ -40,15 +39,6 @@ Ctmc::Ctmc(CsrMatrix rates) : rates_(std::move(rates)) {
   max_exit_rate_ = exit_rates_.empty()
                        ? 0.0
                        : *std::max_element(exit_rates_.begin(), exit_rates_.end());
-}
-
-CsrMatrix Ctmc::generator() const {
-  CsrBuilder b(num_states(), num_states());
-  for (std::size_t s = 0; s < num_states(); ++s) {
-    for (const auto& e : rates_.row(s)) b.add(s, e.col, e.value);
-    b.add(s, s, -exit_rates_[s]);
-  }
-  return b.build();
 }
 
 CsrMatrix Ctmc::embedded_dtmc() const {

@@ -40,9 +40,6 @@ class Ctmc {
   /// True if no transition leaves s (E(s) = 0).
   bool is_absorbing(std::size_t s) const { return exit_rates_[s] == 0.0; }
 
-  /// Infinitesimal generator Q = R - diag(E).
-  CsrMatrix generator() const;
-
   /// Embedded jump chain: P(s, s') = R(s, s') / E(s); absorbing states get
   /// a probability-1 self-loop so that P is stochastic.
   CsrMatrix embedded_dtmc() const;

@@ -19,7 +19,7 @@ void check_square_system(const CsrMatrix& a, std::size_t b_size, const char* whe
 }
 
 /// Deterministic per-iteration cost charge for the stationary sweeps
-/// (DESIGN.md 3h).  One Jacobi/Gauss-Seidel sweep streams the matrix
+/// (DESIGN.md 3h).  One Gauss-Seidel sweep streams the matrix
 /// once like an SpMV (2*nnz flops, 24*nnz bytes) plus the vector
 /// traffic of the splitting and the convergence diff: read b and x,
 /// write the iterate, re-read both for the diff — 2*n flops and 48*n
@@ -49,32 +49,12 @@ inline void charge_power_iteration_cost([[maybe_unused]] std::uint64_t n) {
   CSRL_COUNT("cost/solver/bytes", 32 * n);
 }
 
-/// One Jacobi sweep for x = Ax + b in the "proper" splitting: the diagonal
-/// is moved to the left-hand side, which converges whenever the plain
-/// iteration does and is faster in the presence of self-loops.
-void jacobi_sweep(const CsrMatrix& a, std::span<const double> b,
-                  std::span<const double> x_old, std::span<double> x_new) {
-  const std::size_t n = a.rows();
-  for (std::size_t s = 0; s < n; ++s) {
-    double off = b[s];
-    double diag = 0.0;
-    for (const auto& e : a.row_unchecked(s)) {
-      if (e.col == s)
-        diag = e.value;
-      else
-        off += e.value * x_old[e.col];
-    }
-    const double denom = 1.0 - diag;
-    if (std::abs(denom) < 1e-300)
-      // lint:allow hot-throw (numerical breakdown guard; the fatal exit, never taken on a well-posed system)
-      throw NumericalError("solve_fixpoint: diagonal entry equal to 1");
-    x_new[s] = off / denom;
-  }
-}
-
-/// One Gauss-Seidel / SOR sweep (in place).  Returns the largest update.
+/// One Gauss-Seidel sweep for x = Ax + b (in place) in the "proper"
+/// splitting: the diagonal is moved to the left-hand side, which converges
+/// whenever the plain iteration does and is faster in the presence of
+/// self-loops.  Returns the largest update.
 double gauss_seidel_sweep(const CsrMatrix& a, std::span<const double> b,
-                          std::span<double> x, double omega) {
+                          std::span<double> x) {
   const std::size_t n = a.rows();
   double largest = 0.0;
   for (std::size_t s = 0; s < n; ++s) {
@@ -91,7 +71,10 @@ double gauss_seidel_sweep(const CsrMatrix& a, std::span<const double> b,
       // lint:allow hot-throw (numerical breakdown guard; the fatal exit, never taken on a well-posed system)
       throw NumericalError("solve_fixpoint: diagonal entry equal to 1");
     const double candidate = off / denom;
-    const double updated = x[s] + omega * (candidate - x[s]);
+    // An update of x[s], not x[s] = candidate: the two roundings can
+    // leave the result one ulp off candidate, and the pinned values hold
+    // that bit.
+    const double updated = x[s] + (candidate - x[s]);
     largest = std::max(largest, std::abs(updated - x[s]));
     x[s] = updated;
   }
@@ -179,34 +162,14 @@ std::vector<double> solve_fixpoint(const CsrMatrix& a, std::span<const double> b
 
   if (options.method == LinearMethod::kBicgstab) return bicgstab(a, b, options);
 
-  if (options.method == LinearMethod::kJacobi) {
-    CSRL_SPAN("solver/jacobi");
-    std::vector<double> x_next(n, 0.0);
-    for (std::size_t it = 0; it < options.max_iterations; ++it) {
-      CSRL_COUNT("solver/iterations", 1);
-      charge_sweep_cost(a.nnz(), n);
-      jacobi_sweep(a, b, x, x_next);
-      const double diff = max_abs_diff(x, x_next);
-      x.swap(x_next);
-      if (diff <= options.tolerance) {
-        CSRL_GAUGE("solver/residual", diff);
-        return x;
-      }
-    }
-  } else {
-    CSRL_SPAN("solver/gauss_seidel");
-    const double omega =
-        options.method == LinearMethod::kSor ? options.omega : 1.0;
-    if (!(omega > 0.0 && omega < 2.0))
-      throw NumericalError("solve_fixpoint: SOR omega must lie in (0, 2)");
-    for (std::size_t it = 0; it < options.max_iterations; ++it) {
-      CSRL_COUNT("solver/iterations", 1);
-      charge_sweep_cost(a.nnz(), n);
-      const double diff = gauss_seidel_sweep(a, b, x, omega);
-      if (diff <= options.tolerance) {
-        CSRL_GAUGE("solver/residual", diff);
-        return x;
-      }
+  CSRL_SPAN("solver/gauss_seidel");
+  for (std::size_t it = 0; it < options.max_iterations; ++it) {
+    CSRL_COUNT("solver/iterations", 1);
+    charge_sweep_cost(a.nnz(), n);
+    const double diff = gauss_seidel_sweep(a, b, x);
+    if (diff <= options.tolerance) {
+      CSRL_GAUGE("solver/residual", diff);
+      return x;
     }
   }
   throw NumericalError("solve_fixpoint: no convergence within " +

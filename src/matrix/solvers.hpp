@@ -11,8 +11,8 @@
 //     irreducible stochastic matrix P (a uniformised CTMC restricted to a
 //     bottom strongly-connected component).
 //
-// Jacobi, Gauss-Seidel and SOR are provided for shape 1; power iteration
-// for shape 2.  All solvers throw NumericalError if the iteration limit is
+// Gauss-Seidel and BiCGSTAB are provided for shape 1; power iteration for
+// shape 2.  All solvers throw NumericalError if the iteration limit is
 // reached before the tolerance is met.
 #pragma once
 
@@ -26,9 +26,7 @@ namespace csrl {
 
 /// Iterative method selector for solve_fixpoint.
 enum class LinearMethod {
-  kJacobi,
   kGaussSeidel,
-  kSor,
   /// Krylov-subspace method (van der Vorst's BiCGSTAB) on (I - A) x = b;
   /// typically far fewer iterations than the stationary methods on
   /// ill-conditioned systems, at two matrix-vector products per step.
@@ -43,9 +41,6 @@ struct SolverOptions {
   std::size_t max_iterations = 1'000'000;
   /// Which update scheme solve_fixpoint uses.
   LinearMethod method = LinearMethod::kGaussSeidel;
-  /// SOR relaxation factor (only used by LinearMethod::kSor); must be in
-  /// (0, 2) for convergence on symmetrisable problems.
-  double omega = 1.0;
 };
 
 /// Solve x = A x + b.  A must be square with x/b of matching size and is

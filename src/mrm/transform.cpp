@@ -41,6 +41,8 @@ Mrm make_absorbing(const Mrm& model, const StateSet& absorb, bool zero_reward) {
 
 UntilReduction reduce_for_until(const Mrm& model, const StateSet& phi,
                                 const StateSet& psi) {
+  CSRL_SPAN("mrm/reduce_for_until");
+  CSRL_COUNT("mrm/until_reductions", 1);
   const std::size_t n = model.num_states();
   if (phi.size() != n || psi.size() != n)
     throw ModelError("reduce_for_until: universe size mismatch");

@@ -11,7 +11,7 @@
 #include "logic/parser.hpp"
 #include "models/adhoc.hpp"
 #include "mrm/transform.hpp"
-#include "sim/simulator.hpp"
+#include "simulator.hpp"
 
 namespace csrl {
 namespace {

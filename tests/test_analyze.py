@@ -390,7 +390,7 @@ class RealTreeTest(unittest.TestCase):
     def test_hot_closure_covers_kernels(self):
         roots = set(self.hot["roots"])
         for expected in ("matrix/csr.cpp:CsrMatrix::multiply",
-                         "matrix/solvers.cpp:jacobi_sweep",
+                         "matrix/solvers.cpp:gauss_seidel_sweep",
                          "ctmc/uniformisation.cpp:run_batch",
                          "ctmc/uniformisation.cpp:accumulate_series",
                          "mrm/lumping.cpp:sign_states"):

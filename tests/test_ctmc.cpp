@@ -48,18 +48,6 @@ TEST(Ctmc, RectangularThrows) {
   EXPECT_THROW(Ctmc{CsrMatrix(2, 3)}, ModelError);
 }
 
-TEST(Ctmc, GeneratorRowsSumToZero) {
-  const Ctmc c = two_state();
-  const CsrMatrix q = c.generator();
-  for (std::size_t s = 0; s < 2; ++s) {
-    double sum = 0.0;
-    for (const auto& e : q.row(s)) sum += e.value;
-    EXPECT_NEAR(sum, 0.0, 1e-15);
-  }
-  EXPECT_DOUBLE_EQ(q.at(0, 0), -3.0);
-  EXPECT_DOUBLE_EQ(q.at(0, 1), 3.0);
-}
-
 TEST(Ctmc, EmbeddedDtmcIsStochastic) {
   CsrBuilder b(3, 3);
   b.add(0, 1, 1.0);

@@ -13,7 +13,7 @@
 #include "final_state_oracle.hpp"
 #include "logic/parser.hpp"
 #include "mrm/transform.hpp"
-#include "sim/simulator.hpp"
+#include "simulator.hpp"
 #include "util/error.hpp"
 
 namespace csrl {

@@ -10,7 +10,7 @@
 #include "core/engines/sericola_engine.hpp"
 #include "final_state_oracle.hpp"
 #include "logic/parser.hpp"
-#include "sim/simulator.hpp"
+#include "simulator.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 

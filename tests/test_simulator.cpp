@@ -1,7 +1,7 @@
 // Statistical model checking vs the numerical procedures: every estimate
 // must bracket the engine result within 4 sigma (flake rate ~ 6e-5 per
 // assertion with the fixed seeds below).
-#include "sim/simulator.hpp"
+#include "simulator.hpp"
 
 #include <gtest/gtest.h>
 

@@ -39,9 +39,7 @@ TEST_P(SolveFixpointMethods, AgreesWithExactSolution) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, SolveFixpointMethods,
-                         ::testing::Values(LinearMethod::kJacobi,
-                                           LinearMethod::kGaussSeidel,
-                                           LinearMethod::kSor,
+                         ::testing::Values(LinearMethod::kGaussSeidel,
                                            LinearMethod::kBicgstab));
 
 TEST(SolveFixpoint, BicgstabHandlesZeroRhs) {
@@ -103,23 +101,6 @@ TEST(SolveFixpoint, IterationLimitThrows) {
   options.tolerance = 1e-16;
   const std::vector<double> b{1.0, 2.0};
   EXPECT_THROW((void)solve_fixpoint(contraction(), b, options), NumericalError);
-}
-
-TEST(SolveFixpoint, InvalidOmegaThrows) {
-  SolverOptions options;
-  options.method = LinearMethod::kSor;
-  options.omega = 2.5;
-  const std::vector<double> b{1.0, 2.0};
-  EXPECT_THROW((void)solve_fixpoint(contraction(), b, options), NumericalError);
-}
-
-TEST(SolveFixpoint, SorUnderRelaxationStillConverges) {
-  SolverOptions options;
-  options.method = LinearMethod::kSor;
-  options.omega = 0.7;
-  const std::vector<double> b{1.0, 2.0};
-  const std::vector<double> x = solve_fixpoint(contraction(), b, options);
-  EXPECT_NEAR(x[0], exact_fixpoint()[0], 1e-9);
 }
 
 TEST(PowerStationary, TwoStateChain) {
