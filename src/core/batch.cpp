@@ -18,22 +18,6 @@ std::uint64_t bucket_key(std::uint64_t model_fingerprint, const Formula& f) {
                       f.hash());
 }
 
-/// The unique initial state of a point-mass distribution, or alpha.size()
-/// when the distribution genuinely mixes states (the non-throwing sibling
-/// of Mrm::initial_state()).
-std::size_t point_mass_state(const std::vector<double>& alpha) {
-  std::size_t found = alpha.size();
-  for (std::size_t s = 0; s < alpha.size(); ++s) {
-    if (alpha[s] == 0.0) continue;
-    if (alpha[s] == 1.0 && found == alpha.size()) {
-      found = s;
-    } else {
-      return alpha.size();
-    }
-  }
-  return found;
-}
-
 void validate_axis(std::span<const double> axis, const char* what) {
   if (axis.empty())
     throw ModelError(std::string("until_grid: the ") + what +
@@ -134,21 +118,6 @@ std::vector<std::vector<double>> Checker::until_grid_sets(
   return grid;
 }
 
-BatchResult Checker::until_grid(const BatchQuery& query) const {
-  BatchResult result = until_grid_internal(query);
-  if (!to_internal_.empty()) {
-    for (std::vector<double>& cell : result.per_state)
-      cell = map_to_original(std::move(cell));
-    // Under lumping the internal -> original direction is one-to-many, so
-    // the internal initial state cannot be translated; recompute it from
-    // the original distribution instead (same point-mass rule as the
-    // internal computation).
-    result.initial_state =
-        point_mass_state(original_model_->initial_distribution());
-  }
-  return result;
-}
-
 BatchResult Checker::until_grid_internal(const BatchQuery& query) const {
   if (!query.psi)
     throw ModelError("until_grid: the psi (right-hand side) formula is "
@@ -166,7 +135,6 @@ BatchResult Checker::until_grid_internal(const BatchQuery& query) const {
   BatchResult result;
   result.times = query.times;
   result.rewards = query.rewards;
-  result.initial_state = point_mass_state(model_->initial_distribution());
   if (psi_set.empty()) {
     // As in until_probabilities: an unsatisfiable right-hand side fails
     // surely, everywhere on the lattice.
@@ -176,27 +144,6 @@ BatchResult Checker::until_grid_internal(const BatchQuery& query) const {
   }
   result.per_state =
       until_grid_sets(phi_set, psi_set, query.times, query.rewards);
-  return result;
-}
-
-BatchResult Checker::check_until_grid(const BatchQuery& query) const {
-  if (!options_.report && !obs::recording_enabled()) return until_grid(query);
-  obs::ReportScope scope;
-  BatchResult result;
-  {
-    CSRL_SPAN("core/check");
-    const WallTimer latency_timer;
-    result = until_grid(query);
-    CSRL_HIST("latency/check", latency_timer.seconds());
-  }
-  obs::RunReport report =
-      scope.finish(engine_label(options_), model_->num_states(),
-                   model_->rates().nnz(), engine_truncation_error(options_));
-  report.lumping = lump_info_;
-  report.grid_times = result.times;
-  report.grid_rewards = result.rewards;
-  obs::write_report_if_requested(report);
-  result.report = std::move(report);
   return result;
 }
 

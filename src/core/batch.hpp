@@ -72,8 +72,8 @@ struct BatchResult {
   /// initial distribution is not a point mass.
   double value_at(std::size_t time_index, std::size_t reward_index) const;
 
-  /// Engaged by Checker::check_until_grid (like CheckResult::report);
-  /// carries the grid axes in its grid_times / grid_rewards fields.
+  /// Engaged by Checker::until_grid under CheckOptions::report; carries
+  /// the grid axes in its grid_times / grid_rewards fields.
   std::optional<obs::RunReport> report;
 };
 

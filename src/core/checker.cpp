@@ -66,20 +66,6 @@ std::vector<double> Checker::values(const Formula& f) const {
   return map_to_original(values_internal(f));
 }
 
-std::vector<double> Checker::path_probabilities(const PathFormula& p) const {
-  return map_to_original(path_probabilities_internal(p));
-}
-
-std::vector<double> Checker::reward_values(const Formula& f) const {
-  return map_to_original(reward_values_internal(f));
-}
-
-std::vector<double> Checker::steady_probabilities(
-    const StateSet& phi_states) const {
-  return map_to_original(
-      steady_probabilities_internal(map_to_internal(phi_states)));
-}
-
 std::vector<double> Checker::map_to_original(std::vector<double> values) const {
   if (to_internal_.empty()) return values;
   std::vector<double> out(to_internal_.size());
@@ -92,34 +78,6 @@ StateSet Checker::map_to_original(const StateSet& internal_set) const {
   StateSet out(to_internal_.size());
   for (std::size_t s = 0; s < to_internal_.size(); ++s)
     if (internal_set.contains(to_internal_[s])) out.insert(s);
-  return out;
-}
-
-StateSet Checker::map_to_internal(const StateSet& original_set) const {
-  if (to_internal_.empty()) return original_set;
-  if (original_set.size() != to_internal_.size())
-    throw ModelError("steady_probabilities: universe size mismatch");
-  const std::size_t internal_states = model_->num_states();
-  // Per internal state, how many originals project onto it and how many
-  // of those the argument holds: an internal state enters the image only
-  // when fully covered.  Partial coverage means the set splits a lumping
-  // block — it has no internal counterpart, and silently rounding either
-  // way would change the formula's meaning.
-  std::vector<std::size_t> covered(internal_states, 0);
-  std::vector<std::size_t> sizes(internal_states, 0);
-  for (const std::size_t block : to_internal_) ++sizes[block];
-  for (const std::size_t s : original_set.members())
-    ++covered[to_internal_[s]];
-  StateSet out(internal_states);
-  for (std::size_t i = 0; i < internal_states; ++i) {
-    if (covered[i] == 0) continue;
-    if (covered[i] != sizes[i])
-      throw ModelError(
-          "steady_probabilities: the given state set splits a lumping "
-          "block and cannot be expressed on the quotient; pass a union of "
-          "blocks or check with CheckOptions::lump off");
-    out.insert(i);
-  }
   return out;
 }
 
@@ -153,39 +111,17 @@ StateSet Checker::compute_sat(const Formula& f) const {
       return sat_internal(*f.lhs()) & sat_internal(*f.rhs());
     case FormulaKind::kOr:
       return sat_internal(*f.lhs()) | sat_internal(*f.rhs());
-    case FormulaKind::kProb: {
-      if (f.is_query())
-        throw ModelError(
-            "sat: P=? is a quantitative query and has no truth value; use "
-            "values() or give a probability bound");
-      const std::vector<double> probs = path_probabilities_internal(*f.path());
-      StateSet result(n);
-      for (std::size_t s = 0; s < n; ++s)
-        if (compare(f.comparison(), probs[s], f.bound())) result.insert(s);
-      return result;
-    }
-    case FormulaKind::kSteady: {
-      if (f.is_query())
-        throw ModelError(
-            "sat: S=? is a quantitative query and has no truth value; use "
-            "values() or give a probability bound");
-      const StateSet phi = sat_internal(*f.operand());
-      const std::vector<double> probs = steady_probabilities_internal(phi);
-      StateSet result(n);
-      for (std::size_t s = 0; s < n; ++s)
-        if (compare(f.comparison(), probs[s], f.bound())) result.insert(s);
-      return result;
-    }
+    case FormulaKind::kProb:
+    case FormulaKind::kSteady:
     case FormulaKind::kReward: {
       if (f.is_query())
         throw ModelError(
-            "sat: R=? is a quantitative query and has no truth value; use "
-            "values() or give a reward bound");
-      const std::vector<double> expectations = reward_values_internal(f);
+            "sat: P=?, S=? and R=? are quantitative queries and have no "
+            "truth value; use values() or give a bound");
+      const std::vector<double> numbers = quantities(f);
       StateSet result(n);
       for (std::size_t s = 0; s < n; ++s)
-        if (compare(f.comparison(), expectations[s], f.bound()))
-          result.insert(s);
+        if (compare(f.comparison(), numbers[s], f.bound())) result.insert(s);
       return result;
     }
   }
@@ -196,46 +132,74 @@ bool Checker::holds_initially(const Formula& f) const {
   return sat_internal(f).contains(model_->initial_state());
 }
 
+std::vector<double> Checker::quantities(const Formula& f) const {
+  if (f.kind() == FormulaKind::kProb) return path_probabilities(*f.path());
+  if (f.kind() == FormulaKind::kSteady)
+    return long_run_average(sat_internal(*f.operand()).indicator());
+  return reward_values(f);
+}
+
 std::vector<double> Checker::values_internal(const Formula& f) const {
-  if (f.kind() == FormulaKind::kProb && f.is_query())
-    return path_probabilities_internal(*f.path());
-  if (f.kind() == FormulaKind::kSteady && f.is_query())
-    return steady_probabilities_internal(sat_internal(*f.operand()));
-  if (f.kind() == FormulaKind::kReward && f.is_query())
-    return reward_values_internal(f);
-  return sat_internal(f).indicator();
+  return f.is_query() ? quantities(f) : sat_internal(f).indicator();
 }
 
 double Checker::value_initially(const Formula& f) const {
   return values_internal(f)[model_->initial_state()];
 }
 
-CheckResult Checker::check(const Formula& f) const {
-  CheckResult result;
-  if (!options_.report && !obs::recording_enabled()) {
-    result.value = value_initially(f);
-    return result;
-  }
+template <typename Run>
+obs::RunReport Checker::reported(Run&& run,
+                                 std::span<const double> grid_times,
+                                 std::span<const double> grid_rewards) const {
   obs::ReportScope scope;
   {
     CSRL_SPAN("core/check");
     const WallTimer latency_timer;
-    result.value = value_initially(f);
+    run();
     // Seconds into the log-bucketed histogram: the RunReport lifts its
     // p50/p99 from this delta, and a resident service reusing one scope
     // across queries gets real percentiles from the same site.
     CSRL_HIST("latency/check", latency_timer.seconds());
   }
-  result.report =
+  obs::RunReport report =
       scope.finish(engine_label(options_), model_->num_states(),
                    model_->rates().nnz(), engine_truncation_error(options_));
-  result.report->lumping = lump_info_;
-  obs::write_report_if_requested(*result.report);
+  report.lumping = lump_info_;
+  report.grid_times.assign(grid_times.begin(), grid_times.end());
+  report.grid_rewards.assign(grid_rewards.begin(), grid_rewards.end());
+  obs::write_report_if_requested(report);
+  return report;
+}
+
+CheckResult Checker::check(const Formula& f) const {
+  CheckResult result;
+  const auto run = [&] { result.value = value_initially(f); };
+  if (options_.report || obs::recording_enabled())
+    result.report = reported(run);
+  else
+    run();
   return result;
 }
 
-std::vector<double> Checker::path_probabilities_internal(
-    const PathFormula& p) const {
+BatchResult Checker::until_grid(const BatchQuery& query) const {
+  BatchResult result;
+  const auto run = [&] {
+    result = until_grid_internal(query);
+    for (std::vector<double>& cell : result.per_state)
+      cell = map_to_original(std::move(cell));
+    // Read from the original distribution: under lumping the internal
+    // initial state has no unique original counterpart.
+    result.initial_state = original_model_->point_mass_state().value_or(
+        original_model_->num_states());
+  };
+  if (options_.report)
+    result.report = reported(run, query.times, query.rewards);
+  else
+    run();
+  return result;
+}
+
+std::vector<double> Checker::path_probabilities(const PathFormula& p) const {
   if (p.kind() == PathKind::kNext) return next_probabilities(p);
   if (p.kind() == PathKind::kWeakUntil) {
     // Phi W Psi fails exactly when the path leaves Phi before reaching Psi

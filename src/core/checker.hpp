@@ -83,7 +83,7 @@ class Checker {
                    std::shared_ptr<SatCache> sat_cache = nullptr);
 
   /// The set Sat(f).  Throws ModelError if f contains a quantitative query
-  /// node (P=? / S=?), which has no truth value.
+  /// node (P=? / S=? / R=?), which has no truth value.
   StateSet sat(const Formula& f) const;
 
   /// Convenience: does the model's initial state satisfy f?  (Requires a
@@ -91,7 +91,8 @@ class Checker {
   bool holds_initially(const Formula& f) const;
 
   /// Per-state quantitative values: probabilities for P=?/S=? roots,
-  /// 0/1 indicators for boolean-valued formulas.
+  /// expected rewards for R=? roots, 0/1 indicators for boolean-valued
+  /// formulas.
   std::vector<double> values(const Formula& f) const;
 
   /// values(f) at the initial state.
@@ -105,26 +106,14 @@ class Checker {
 
   /// Batched P3 evaluation (core/batch.hpp): one until formula over the
   /// query's full times x rewards lattice in a single engine pass, every
-  /// value bitwise identical to the point-by-point loop.
+  /// value bitwise identical to the point-by-point loop.  With
+  /// CheckOptions::report set the result also carries a RunReport with
+  /// the grid axes, written to CSRL_OBS_OUT as check() writes its own.
+  /// Unlike check(), process-wide recording alone does not attach a
+  /// report: services and benches run until_grid repeatedly with
+  /// recording on, and a report per call would copy the span buffers and
+  /// rewrite the output files on every pass.
   BatchResult until_grid(const BatchQuery& query) const;
-
-  /// until_grid plus, when CheckOptions::report asks (or recording is
-  /// already on), a RunReport carrying the grid axes.
-  BatchResult check_until_grid(const BatchQuery& query) const;
-
-  /// Pr_s(path formula) for every state s.
-  std::vector<double> path_probabilities(const PathFormula& p) const;
-
-  /// Per-state expected-reward values of a kReward formula
-  /// (reward_formulas.cpp): E_s[Y_t], E_s[rho(X_t)], expected reward to
-  /// reach a target (+infinity where reaching is not almost sure), or the
-  /// long-run reward rate.  Impulse rewards are included via their arrival
-  /// intensity except in the instantaneous measure.
-  std::vector<double> reward_values(const Formula& f) const;
-
-  /// Long-run probability of sitting in `phi_states`, for every start
-  /// state.
-  std::vector<double> steady_probabilities(const StateSet& phi_states) const;
 
   /// The model as constructed — with CheckOptions::lump the checker
   /// computes on the bisimulation quotient, but this (like every public
@@ -135,26 +124,41 @@ class Checker {
  private:
   // The *_internal methods hold the actual checking logic and speak the
   // internal state numbering (identical to the public one unless lump
-  // engaged).  The public methods above are thin wrappers that translate
-  // arguments and results at the boundary.
+  // engaged); their public twins lift the results at the boundary.
+  // Every other private method speaks the internal numbering too.
   StateSet sat_internal(const Formula& f) const;
   std::vector<double> values_internal(const Formula& f) const;
-  std::vector<double> path_probabilities_internal(const PathFormula& p) const;
-  std::vector<double> reward_values_internal(const Formula& f) const;
-  std::vector<double> steady_probabilities_internal(
-      const StateSet& phi_states) const;
   BatchResult until_grid_internal(const BatchQuery& query) const;
 
-  // Boundary translation through to_internal_; all three are the
-  // identity when lumping is not in effect.  Values and sets lift
-  // internal -> original by reading every original state's image
-  // (well-defined even when the projection is many-to-one);
-  // map_to_internal additionally verifies the argument is a union of
-  // lumping blocks and throws ModelError otherwise — an original-
-  // numbering set that splits a block has no internal counterpart.
+  // Internal -> original lifting through to_internal_, the identity when
+  // lumping is not in effect: every original state reads its image
+  // (well-defined even when the projection is many-to-one).
   std::vector<double> map_to_original(std::vector<double> values) const;
   StateSet map_to_original(const StateSet& internal_set) const;
-  StateSet map_to_internal(const StateSet& original_set) const;
+
+  // Runs `run` under a ReportScope with the core/check span and latency
+  // histogram, and returns its RunReport (lumping section and, for
+  // grid runs, the grid axes filled in) after writing it to
+  // CSRL_OBS_OUT if requested.
+  template <typename Run>
+  obs::RunReport reported(Run&& run, std::span<const double> grid_times = {},
+                          std::span<const double> grid_rewards = {}) const;
+
+  // The per-state numbers a P, S or R operator compares with its bound
+  // (or returns, as a =? query): path probabilities, long-run
+  // probabilities of Sat(Phi), or expected rewards.
+  std::vector<double> quantities(const Formula& f) const;
+  std::vector<double> path_probabilities(const PathFormula& p) const;
+  // Per-state expected-reward values of a kReward formula
+  // (reward_formulas.cpp): E_s[Y_t], E_s[rho(X_t)], expected reward to
+  // reach a target (+infinity where reaching is not almost sure), or the
+  // long-run reward rate.  Impulse rewards are included via their arrival
+  // intensity except in the instantaneous measure.
+  std::vector<double> reward_values(const Formula& f) const;
+  // Long-run average of a per-state weight (steady.cpp): the indicator
+  // of Sat(Phi) gives S=? [ Phi ], the effective reward rates give
+  // R=? [ S ].
+  std::vector<double> long_run_average(const std::vector<double>& weight) const;
 
   StateSet compute_sat(const Formula& f) const;
   std::vector<double> next_probabilities(const PathFormula& p) const;

@@ -62,10 +62,11 @@ struct CheckOptions {
   std::optional<ValidationLevel> validate{};
 
   /// Collect a machine-readable RunReport (src/obs/report.hpp) for each
-  /// Checker::check call: engine chosen, model dimensions, Fox-Glynn
-  /// window, iteration/SpMV counters and span timings.  Checker::check
-  /// also reports when recording is already on process-wide (the
-  /// CSRL_TRACE environment variable or obs::set_recording).
+  /// Checker::check and Checker::until_grid call: engine chosen, model
+  /// dimensions, Fox-Glynn window, iteration/SpMV counters and span
+  /// timings, plus the grid axes for until_grid.  Checker::check also
+  /// reports when recording is already on process-wide (the CSRL_TRACE
+  /// environment variable or obs::set_recording); until_grid does not.
   bool report = false;
 
   /// Collapse the model to its bisimulation quotient (mrm/lumping.hpp)

@@ -6,7 +6,6 @@
 #include "core/checker.hpp"
 #include "core/reward_ops.hpp"
 #include "ctmc/graph.hpp"
-#include "ctmc/stationary.hpp"
 #include "util/error.hpp"
 
 namespace csrl {
@@ -71,10 +70,7 @@ std::vector<double> reachability_reward(const Mrm& model,
 
 }  // namespace
 
-std::vector<double> Checker::reward_values_internal(const Formula& f) const {
-  if (f.kind() != FormulaKind::kReward)
-    throw ModelError("reward_values: not a reward formula");
-
+std::vector<double> Checker::reward_values(const Formula& f) const {
   switch (f.reward_query_kind()) {
     case RewardQuery::kCumulative:
       return expected_accumulated_reward_all_starts(
@@ -85,27 +81,8 @@ std::vector<double> Checker::reward_values_internal(const Formula& f) const {
     case RewardQuery::kReachability:
       return reachability_reward(*model_, sat_internal(*f.reward_target()),
                                  options_.solver);
-    case RewardQuery::kSteadyState: {
-      // Long-run reward rate: per BSCC the stationary average of the
-      // effective reward, mixed by the absorption probabilities.
-      const std::size_t n = model_->num_states();
-      const std::vector<StateSet> bsccs = bottom_sccs(model_->rates());
-      const std::vector<double> effective = effective_reward_rates(*model_);
-      const StateSet everything(n, /*filled=*/true);
-      std::vector<double> result(n, 0.0);
-      for (const StateSet& bscc : bsccs) {
-        const std::vector<std::size_t> members = bscc.members();
-        const std::vector<double> pi =
-            component_stationary(model_->chain(), members, options_.solver);
-        double rate = 0.0;
-        for (std::size_t i = 0; i < members.size(); ++i)
-          rate += pi[i] * effective[members[i]];
-        if (rate == 0.0) continue;
-        const std::vector<double> reach = unbounded_until(everything, bscc);
-        for (std::size_t s = 0; s < n; ++s) result[s] += reach[s] * rate;
-      }
-      return result;
-    }
+    case RewardQuery::kSteadyState:
+      return long_run_average(effective_reward_rates(*model_));
   }
   throw Error("reward_values: invalid reward query");
 }

@@ -126,19 +126,19 @@ std::uint64_t Mrm::fingerprint() const {
   return h;
 }
 
-std::size_t Mrm::initial_state() const {
-  std::size_t found = num_states();
+std::optional<std::size_t> Mrm::point_mass_state() const {
+  std::optional<std::size_t> found;
   for (std::size_t s = 0; s < num_states(); ++s) {
     if (initial_[s] == 0.0) continue;
-    if (initial_[s] == 1.0 && found == num_states()) {
-      found = s;
-    } else {
-      throw ModelError("Mrm: initial distribution is not a point mass");
-    }
+    if (initial_[s] != 1.0 || found) return std::nullopt;
+    found = s;
   }
-  if (found == num_states())
-    throw ModelError("Mrm: initial distribution is not a point mass");
   return found;
+}
+
+std::size_t Mrm::initial_state() const {
+  if (const std::optional<std::size_t> s = point_mass_state()) return *s;
+  throw ModelError("Mrm: initial distribution is not a point mass");
 }
 
 }  // namespace csrl

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "ctmc/ctmc.hpp"
@@ -79,6 +80,9 @@ class Mrm {
   /// ModelError otherwise.  Theorem 2 of the paper (and hence all three P3
   /// engines) is phrased for a point-mass alpha.
   std::size_t initial_state() const;
+
+  /// initial_state() without the throw: nullopt for a mixed distribution.
+  std::optional<std::size_t> point_mass_state() const;
 
   /// Structural fingerprint of the full model — rate matrix, rewards,
   /// impulses, initial distribution and labelling, all entering through

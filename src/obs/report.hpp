@@ -127,7 +127,7 @@ struct RunReport {
   };
   Lumping lumping;
 
-  /// Bound lattice of a batched grid run (Checker::check_until_grid):
+  /// Bound lattice of a batched grid run (Checker::until_grid):
   /// the time and reward axes the query evaluated.  Empty for point
   /// queries; emitted as a "grid" object in the JSON only when set.
   std::vector<double> grid_times;

@@ -544,7 +544,7 @@ TEST(SatCacheMemo, ConcurrentCheckersShareOneCacheSafely) {
   EXPECT_GE(stats.misses, reference->stats().misses);
 }
 
-TEST(BatchCheckerApi, CheckUntilGridCarriesTheGridInItsReport) {
+TEST(BatchCheckerApi, UntilGridCarriesTheGridInItsReport) {
   const Mrm m = build_adhoc_mrm();
   CheckOptions opts;
   opts.report = true;
@@ -555,7 +555,7 @@ TEST(BatchCheckerApi, CheckUntilGridCarriesTheGridInItsReport) {
   query.psi = parse_formula("Call_Initiated");
   query.times = {12.0, 24.0};
   query.rewards = {300.0, 600.0};
-  const BatchResult result = checker.check_until_grid(query);
+  const BatchResult result = checker.until_grid(query);
 
   ASSERT_TRUE(result.report.has_value());
   EXPECT_EQ(result.report->grid_times, query.times);
@@ -568,6 +568,11 @@ TEST(BatchCheckerApi, CheckUntilGridCarriesTheGridInItsReport) {
   // And the values are the same as the unreported path.
   const BatchResult plain = Checker(m).until_grid(query);
   EXPECT_TRUE(bitwise_equal(result.per_state, plain.per_state));
+  EXPECT_EQ(result.initial_state, plain.initial_state);
+
+  // Process-wide recording alone attaches no report: only the option does.
+  const obs::ScopedRecording rec(true);
+  EXPECT_FALSE(Checker(m).until_grid(query).report.has_value());
 }
 
 }  // namespace

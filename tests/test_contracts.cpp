@@ -1,6 +1,7 @@
 // Tests for the runtime numerical contract layer: the contract macros
 // fire by level, every Validator check fires on bad input, the in-situ
-// CSRL_CONTRACT sites stay silent on a valid model, and the engines'
+// CSRL_CONTRACT sites stay silent on a valid model and fire on input
+// that gets past the argument checks, and the engines'
 // postcondition validate_joint_grid rejects bad lattices.  Levels are
 // driven with ScopedValidation so the tests are independent of
 // CSRL_VALIDATE.
@@ -18,6 +19,7 @@
 #include "core/validate.hpp"
 #include "ctmc/ctmc.hpp"
 #include "ctmc/foxglynn.hpp"
+#include "ctmc/uniformisation.hpp"
 #include "logic/parser.hpp"
 #include "matrix/csr.hpp"
 #include "models/synthetic.hpp"
@@ -96,6 +98,43 @@ TEST(CsrContract, BuilderSilentOnValidMatrix) {
   b.add(0, 1, 0.5);
   b.add(1, 0, 2.0);
   EXPECT_NO_THROW(b.build());
+}
+
+TEST(CsrContract, BuilderRejectsDuplicatesThatSumToInfinity) {
+#ifdef CSRL_CONTRACTS_DISABLED
+  GTEST_SKIP() << "contracts compiled out";
+#endif
+  // Each value is finite, so add() accepts both; only their merged sum
+  // overflows, which the structural postcondition catches.
+  const double big = std::numeric_limits<double>::max();
+  CsrBuilder b(2, 2);
+  b.add(0, 1, big);
+  b.add(0, 1, big);
+  {
+    ScopedValidation off(ValidationLevel::kOff);
+    EXPECT_NO_THROW(b.build());
+  }
+  ScopedValidation basic(ValidationLevel::kBasic);
+  EXPECT_THROW(b.build(), ContractViolation);
+}
+
+TEST(TransientContract, OverflowingMassIsNotASubDistribution) {
+#ifdef CSRL_CONTRACTS_DISABLED
+  GTEST_SKIP() << "contracts compiled out";
+#endif
+  // Finite non-negative entries pass the argument checks, but both flow
+  // into absorbing state 0 and their sum overflows to +inf there.  (A
+  // negative entry is a ModelError before the contract; a finite mass
+  // above 1 is fine, since the bound is relative to the initial mass.)
+  CsrBuilder b(2, 2);
+  b.add(1, 0, 1.0);
+  const Ctmc chain(b.build());
+  const double big = std::numeric_limits<double>::max();
+  const std::vector<double> initial{big, big};
+  ScopedValidation basic(ValidationLevel::kBasic);
+  EXPECT_THROW(transient_distribution(chain, initial, 1.0), ContractViolation);
+  const std::vector<double> heavy{0.9, 0.9};
+  EXPECT_NO_THROW(transient_distribution(chain, heavy, 1.0));
 }
 
 TEST(ValidatorTest, ProbabilityVectorAndDistributionBounds) {

@@ -121,7 +121,7 @@ TEST_P(FormulaFuzz, PathProbabilitiesAreProbabilities) {
   for (int i = 0; i < 4; ++i) {
     const FormulaPtr f = random_formula(rng, 2);
     if (f->kind() != FormulaKind::kProb) continue;
-    const auto probs = c.path_probabilities(*f->path());
+    const auto probs = c.values(*Formula::probability_query(f->path()));
     for (double p : probs) {
       EXPECT_GE(p, -1e-9) << f->to_string();
       EXPECT_LE(p, 1.0 + 1e-9) << f->to_string();
@@ -137,10 +137,10 @@ TEST_P(FormulaFuzz, GloballyIsTheDualOfEventually) {
   SplitMix64 rng(GetParam() + 2000);
   const FormulaPtr target = random_formula(rng, 1);
   const Interval time = Interval::upto(rng.next_double(0.3, 1.5));
-  const auto g = c.path_probabilities(
-      *PathFormula::globally(time, Interval::unbounded(), target));
-  const auto f = c.path_probabilities(*PathFormula::eventually(
-      time, Interval::unbounded(), Formula::negation(target)));
+  const auto g = c.values(*Formula::probability_query(
+      PathFormula::globally(time, Interval::unbounded(), target)));
+  const auto f = c.values(*Formula::probability_query(PathFormula::eventually(
+      time, Interval::unbounded(), Formula::negation(target))));
   for (std::size_t s = 0; s < m.num_states(); ++s)
     EXPECT_NEAR(g[s] + f[s], 1.0, 1e-7);
 }
@@ -152,10 +152,10 @@ TEST_P(FormulaFuzz, EventuallyIsTrueUntil) {
   const FormulaPtr target = random_formula(rng, 1);
   const Interval time = Interval::upto(rng.next_double(0.3, 1.5));
   const Interval reward = Interval::upto(rng.next_double(0.5, 2.5));
-  const auto a =
-      c.path_probabilities(*PathFormula::eventually(time, reward, target));
-  const auto b = c.path_probabilities(
-      *PathFormula::until(time, reward, Formula::make_true(), target));
+  const auto a = c.values(
+      *Formula::probability_query(PathFormula::eventually(time, reward, target)));
+  const auto b = c.values(*Formula::probability_query(
+      PathFormula::until(time, reward, Formula::make_true(), target)));
   for (std::size_t s = 0; s < m.num_states(); ++s) EXPECT_NEAR(a[s], b[s], 1e-9);
 }
 

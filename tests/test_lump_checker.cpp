@@ -184,22 +184,16 @@ TEST(LumpChecker, ConflictingImpulsesFailConstruction) {
   EXPECT_THROW(Checker(m, with_lump()), ModelError);
 }
 
-TEST(LumpChecker, SteadySetsMustBeUnionsOfBlocks) {
+TEST(LumpChecker, SteadyValuesMatchUnlumped) {
   const Mrm model = replicated_mrm(random_mrm(9, 24, 0.15), 2);
   const Checker plain(model);
   const Checker lumped(model, with_lump());
 
-  // Every labelled set is block-invariant by construction, so it passes
-  // through and agrees with the unlumped checker.
-  const StateSet labelled = plain.sat(*parse_formula("a"));
-  ASSERT_FALSE(labelled.empty());
-  expect_close(plain.steady_probabilities(labelled),
-               lumped.steady_probabilities(labelled), 1e-9, "steady");
-
-  // A single clone copy splits its block: no quotient counterpart.
-  StateSet split(model.num_states());
-  split.insert(0);
-  EXPECT_THROW((void)lumped.steady_probabilities(split), ModelError);
+  // Sat(a) is block-invariant by construction, so S=? [ a ] lifts back
+  // and agrees with the unlumped checker.
+  ASSERT_FALSE(plain.sat(*parse_formula("a")).empty());
+  const FormulaPtr steady = parse_formula("S=? [ a ]");
+  expect_close(plain.values(*steady), lumped.values(*steady), 1e-9, "steady");
 }
 
 TEST(LumpChecker, SharedSatCacheScopesLumpedAndUnlumpedApart) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/checker.hpp"
 #include "core/reward_ops.hpp"
@@ -131,6 +132,36 @@ TEST(RewardFormulas, LongRunRateSplitsAcrossBsccs) {
   EXPECT_NEAR(v[0], 0.25 * 3.0 + 0.75 * 9.0, 1e-9);
   EXPECT_NEAR(v[1], 3.0, 1e-9);
   EXPECT_NEAR(v[2], 9.0, 1e-9);
+}
+
+TEST(RewardFormulas, LongRunRateOfTheIndicatorOfAIsSteadyStateOfA) {
+  // S=? [ a ] and R=? [ S ] share one BSCC loop.  With the 0/1 indicator
+  // of a as the only reward they weight every state alike, so they agree
+  // bit for bit, plain and on the quotient of two clones.  Transient
+  // state 0 splits over the BSCCs {1, 2}, {3, 4} and {5}.
+  CsrBuilder b(6, 6);
+  b.add(0, 1, 1.0);
+  b.add(0, 3, 2.0);
+  b.add(0, 5, 0.5);
+  b.add(1, 2, 3.0);
+  b.add(2, 1, 1.0);
+  b.add(3, 4, 2.0);
+  b.add(4, 3, 5.0);
+  Labelling l(6);
+  for (std::size_t s : {0, 1, 3, 5}) l.add_label(s, "a");
+  const Mrm base(Ctmc(b.build()), l.states_with("a").indicator(), l, 0);
+  const Mrm model = replicated_mrm(base, 2);
+  CheckOptions lumped;
+  lumped.lump = true;
+  for (const CheckOptions& options : {CheckOptions{}, lumped}) {
+    const Checker c(model, options);
+    const std::vector<double> steady = c.values(*parse_formula("S=? [ a ]"));
+    const std::vector<double> rate = c.values(*parse_formula("R=? [ S ]"));
+    ASSERT_EQ(steady.size(), rate.size());
+    EXPECT_NEAR(steady[0], (1.0 * 0.25 + 2.0 * 5.0 / 7.0 + 0.5) / 3.5, 1e-9);
+    for (std::size_t s = 0; s < steady.size(); ++s)
+      EXPECT_EQ(steady[s], rate[s]) << s;
+  }
 }
 
 TEST(RewardFormulas, BoundedFormDecides) {
