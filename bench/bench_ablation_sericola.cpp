@@ -8,11 +8,22 @@
 // answer by running the vector pass once per singleton target {j} — i.e.
 // it *is* the matrix-cost variant — so timing both quantifies what the
 // reformulation buys at different model sizes.
+//
+// The cost-cliff rows time the checker on a 2-state model (0 -> 1 at rate
+// 1, reward 1 on both states, `a` on state 1) with
+// P=? [ true U[0,t]{0,t/2} a ] as t grows: the truncation depth grows
+// with t and the recursion cost with its square.  Of the three states of
+// the Theorem-1 reduction only state 0 recurses; success and fail are
+// absorbing with reward 0.  `--quick` stops the cliff at t = 1e3 (the
+// t = 3e3 row alone takes about 0.75 s over its six runs).
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
+#include "core/checker.hpp"
 #include "core/engines/sericola_engine.hpp"
+#include "logic/parser.hpp"
 #include "matrix/vector_ops.hpp"
 #include "models/synthetic.hpp"
 #include "obs/obs.hpp"
@@ -41,6 +52,14 @@ std::vector<double> matrix_cost_pass(const SericolaEngine& engine,
             engine.joint_probability_all_starts(model, t, r, single));
   }
   return per_final_state;
+}
+
+Mrm cliff_model() {
+  CsrBuilder rates(2, 2);
+  rates.add(0, 1, 1.0);
+  Labelling labelling(2);
+  labelling.add_label(1, "a");
+  return Mrm(Ctmc(rates.build()), {1.0, 1.0}, std::move(labelling), 0);
 }
 
 void print_comparison() {
@@ -75,7 +94,12 @@ void print_comparison() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+  if (argc > 2 || (argc == 2 && !quick)) {
+    std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
+    return 2;
+  }
   csrl_bench::BenchObs obs_guard("ablation_sericola");
   print_comparison();
   {
@@ -88,6 +112,20 @@ int main() {
     obs_guard.timed_reps("sericola_vector_n32", [&] {
       return engine.joint_probability_all_starts(model, t, r, target)[0];
     });
+  }
+  const Mrm cliff = cliff_model();
+  const Checker checker(cliff);
+  for (double t : {1e2, 1e3, 3e3}) {
+    if (quick && t > 1e3) break;
+    char formula[64];
+    char label[32];
+    std::snprintf(formula, sizeof formula, "P=? [ true U[0,%g]{0,%g} a ]", t,
+                  t / 2.0);
+    std::snprintf(label, sizeof label, "sericola_cliff_t%g", t);
+    const FormulaPtr query = parse_formula(formula);
+    const double value = obs_guard.timed_reps(
+        label, [&] { return checker.value_initially(*query); });
+    std::printf("cost cliff t=%g: P = %.10f\n", t, value);
   }
   return 0;
 }

@@ -128,8 +128,13 @@ StateSet Checker::compute_sat(const Formula& f) const {
   throw Error("Checker::sat: invalid formula kind");
 }
 
+std::size_t Checker::initial_internal() const {
+  const std::size_t s = original_model_->initial_state();
+  return to_internal_.empty() ? s : to_internal_[s];
+}
+
 bool Checker::holds_initially(const Formula& f) const {
-  return sat_internal(f).contains(model_->initial_state());
+  return sat_internal(f).contains(initial_internal());
 }
 
 std::vector<double> Checker::quantities(const Formula& f) const {
@@ -144,7 +149,7 @@ std::vector<double> Checker::values_internal(const Formula& f) const {
 }
 
 double Checker::value_initially(const Formula& f) const {
-  return values_internal(f)[model_->initial_state()];
+  return values_internal(f)[initial_internal()];
 }
 
 template <typename Run>

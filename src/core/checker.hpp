@@ -135,6 +135,10 @@ class Checker {
   // (well-defined even when the projection is many-to-one).
   std::vector<double> map_to_original(std::vector<double> values) const;
   StateSet map_to_original(const StateSet& internal_set) const;
+  // The internal image of the original model's initial state, so that
+  // lumping never turns a mixed initial distribution into a point mass.
+  // Throws ModelError when the original distribution is not a point mass.
+  std::size_t initial_internal() const;
 
   // Runs `run` under a ReportScope with the core/check span and latency
   // histogram, and returns its RunReport (lumping section and, for

@@ -27,14 +27,21 @@ namespace {
 
 /// States grouped into reward classes: levels 0 = rho_0 < ... < rho_m with
 /// class 0 always anchored at reward zero (possibly empty), as Sericola's
-/// recursion requires.
+/// recursion requires.  Only the recursion states are listed by class.
+/// An absorbing reward-0 state (the success and fail states of every
+/// Theorem-1 reduction: class 0, its row of P the 1.0 self-loop) runs only
+/// low sweeps, where a * (+0) + b * (1.0 * (+0)) is +0: its coefficients
+/// are exactly +0 at every level, so it is left out of the recursion and
+/// needs only its transient axpy.
 struct RewardClasses {
-  std::vector<double> levels;              // size m + 1
-  std::vector<std::size_t> class_of;       // per state
-  std::vector<std::vector<std::size_t>> members;  // per class
+  std::vector<double> levels;                     // size m + 1
+  std::vector<std::size_t> class_of;              // per state
+  std::vector<std::vector<std::size_t>> members;  // per class, recursion states
+  std::vector<std::size_t> recursion;             // ascending
+  std::vector<std::size_t> trivial;               // ascending
 };
 
-RewardClasses classify(const Mrm& model) {
+RewardClasses classify(const Mrm& model, const CsrMatrix& p) {
   RewardClasses rc;
   rc.levels = model.distinct_rewards();
   if (rc.levels.empty() || rc.levels.front() > 0.0)
@@ -47,7 +54,14 @@ RewardClasses classify(const Mrm& model) {
                                      model.reward(s));
     const auto c = static_cast<std::size_t>(it - rc.levels.begin());
     rc.class_of[s] = c;
-    rc.members[c].push_back(s);
+    const bool absorbing = std::ranges::all_of(
+        p.row(s), [s](const CsrEntry& e) { return e.col == s; });
+    if (c == 0 && absorbing) {
+      rc.trivial.push_back(s);
+    } else {
+      rc.members[c].push_back(s);
+      rc.recursion.push_back(s);
+    }
   }
   return rc;
 }
@@ -102,10 +116,15 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
 
   // Every point satisfies t > 0, 0 < r < max_reward * t (the trivial cases
   // were peeled off by the callers), hence m >= 1 and each point's reward
-  // interval index h* below exists.
+  // interval index h* below exists.  Class m's states earn a positive
+  // reward, so at least one state recurses.
   const std::size_t num_states = model.num_states();
-  const RewardClasses rc = classify(model);
+  const double lambda =
+      model.chain().max_exit_rate() > 0.0 ? model.chain().max_exit_rate() : 1.0;
+  const CsrMatrix p = model.chain().uniformised_dtmc(lambda);
+  const RewardClasses rc = classify(model, p);
   const std::size_t m = rc.levels.size() - 1;
+  const std::size_t num_rec = rc.recursion.size();
 
   // Points sharing a horizon (same bits of t) share one Poisson window and
   // one transient accumulator — their single runs accumulate the transient
@@ -144,9 +163,6 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
     x_of[pt] = std::clamp(x, 0.0, 1.0 - 1e-16);
   }
 
-  const double lambda =
-      model.chain().max_exit_rate() > 0.0 ? model.chain().max_exit_rate() : 1.0;
-  const CsrMatrix p = model.chain().uniformised_dtmc(lambda);
   std::vector<PoissonWeights> windows;
   windows.reserve(horizon_times.size());
   std::size_t max_n = 0;
@@ -157,13 +173,18 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
   }
   CSRL_GAUGE("p3/sericola/truncation_depth", static_cast<double>(max_n));
   CSRL_GAUGE("p3/sericola/reward_classes", static_cast<double>(m));
+  CSRL_GAUGE("p3/sericola/recursion_states", static_cast<double>(num_rec));
 
   // Per-call tables, all built before the level loop:
-  //  * state tiles of `tile_states` consecutive states, the count chosen
-  //    from the row width alone so that a tile's lane-major scratch fits
-  //    kTileScratch; sweep_order lists each tile's states by reward class
-  //    (ascending index within a class), and accumulators are kept by
+  //  * state tiles of `tile_states` consecutive recursion states, as many
+  //    as a lane-major scratch of kTileScratch doubles holds at this row
+  //    width but never more than there are recursion states; sweep_order
+  //    lists each tile's states by reward class (ascending index within a
+  //    class), then the trivial states, and accumulators are kept by
   //    position in that order;
+  //  * class_split[tile * (m + 1) + h]: the tile offset of its first
+  //    state of class >= h, where its high sweeps of h start and its low
+  //    sweeps of h end;
   //  * coef_a/coef_b[(h - 1) * (m + 1) + cls]: the recursion coefficients
   //    of class cls at reward interval h, high form for cls >= h and low
   //    form for cls < h;
@@ -175,20 +196,24 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
   //  * the per-level weight tables, refilled (never reallocated) at the
   //    top of every level.
   const std::size_t row_lanes = lane_of(m, 1, max_n + 1);
-  const std::size_t tile_states =
-      std::clamp<std::size_t>(kTileScratch / row_lanes, 4, 1024);
-  const std::size_t num_tiles =
-      std::max<std::size_t>(1, (num_states + tile_states - 1) / tile_states);
+  const std::size_t tile_states = std::min(
+      num_rec, std::clamp<std::size_t>(kTileScratch / row_lanes, 4, 1024));
+  const std::size_t num_tiles = (num_rec + tile_states - 1) / tile_states;
   std::vector<std::size_t> sweep_order(num_states);
+  std::vector<std::size_t> class_split(num_tiles * (m + 1));
   for (std::size_t tile = 0, at = 0; tile < num_tiles; ++tile) {
     const std::size_t lo = tile * tile_states;
-    const std::size_t hi = std::min(lo + tile_states, num_states);
+    const std::size_t hi = std::min(lo + tile_states, num_rec);
+    const std::size_t first = rc.recursion[lo];
+    const std::size_t last = rc.recursion[hi - 1];
     for (std::size_t cls = 0; cls <= m; ++cls) {
+      class_split[tile * (m + 1) + cls] = at - lo;
       const std::vector<std::size_t>& members = rc.members[cls];
-      auto it = std::lower_bound(members.begin(), members.end(), lo);
-      for (; it != members.end() && *it < hi; ++it) sweep_order[at++] = *it;
+      auto it = std::lower_bound(members.begin(), members.end(), first);
+      for (; it != members.end() && *it <= last; ++it) sweep_order[at++] = *it;
     }
   }
+  std::ranges::copy(rc.trivial, sweep_order.begin() + num_rec);
   std::vector<double> coef_a(m * (m + 1));
   std::vector<double> coef_b(m * (m + 1));
   for (std::size_t h = 1; h <= m; ++h) {
@@ -239,9 +264,10 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
   std::vector<unsigned char> horizon_live(horizon_times.size(), 0);
 
   // State-major coefficient rows for the current and previous jump count
-  // (lane_of), read in place by the lane products.  Accumulators are kept
-  // by sweep position: transient[h][pos] per horizon, exceed[slot * |S| +
-  // pos] per point.
+  // (lane_of), read in place by the lane products; a trivial state's rows
+  // stay +0.  Accumulators are kept by sweep position: transient[h][pos]
+  // per horizon, exceed[slot * num_rec + pos] per point (a trivial
+  // state's exceed is +0).
   std::vector<double> current_rows(num_states * row_lanes, 0.0);
   std::vector<double> previous_rows(num_states * row_lanes, 0.0);
   double* current = current_rows.data();
@@ -250,7 +276,7 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
   std::vector<double> next_u(num_states, 0.0);
   std::vector<std::vector<double>> transient(
       horizon_times.size(), std::vector<double>(num_states, 0.0));
-  std::vector<double> exceed(num_points * num_states, 0.0);
+  std::vector<double> exceed(num_points * num_rec, 0.0);
 
   // One lane-major scratch per pool lane: a tile's products and
   // coefficients with lane l of its j-th state at [l * tile_states + j],
@@ -262,7 +288,7 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
 
   // One tile's share of level n, state-local throughout.  The tile's
   // product lanes P * c(., n - 1, .) come from one lane product over the
-  // band [0, m * n) of the previous level's rows, read in place; both
+  // band [0, m * n) of the previous level's rows, read in place; the
   // coefficient sweeps, the Bernstein sums and the transient axpys then
   // run lane-major, each lane loop over the tile's states; the new
   // coefficients go back to the tile's rows.  A tile reads only the
@@ -272,8 +298,9 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
   const auto tile_pass = [&](std::size_t tile, std::size_t n, double* work) {
     const std::size_t B = tile_states;
     const std::size_t lo = tile * B;
-    const std::size_t count = std::min(lo + B, num_states) - lo;
+    const std::size_t count = std::min(lo + B, num_rec) - lo;
     const std::size_t* states = sweep_order.data() + lo;
+    const std::size_t* split = class_split.data() + tile * (m + 1);
     double* prod = work;
     double* coef = prod + row_lanes * B;
     double* a = coef + row_lanes * B;
@@ -289,41 +316,42 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
       if (n > 0)
         p.multiply_lanes_row(states[j], previous, row_lanes, m * n, prod + j, B);
     }
-    // High sweep: members of class >= h (a suffix of the tile), h
-    // ascending, k ascending; low sweep: class < h (a prefix), h
-    // descending, k descending.
-    std::size_t split = 0;
-    for (std::size_t h = 1; h <= m; ++h) {
-      while (split < count && rc.class_of[states[split]] < h) ++split;
-      const double* ah = a + (h - 1) * B;
-      const double* bh = b + (h - 1) * B;
-      const double* base = h == 1 ? ut : coef + lane_of(m, h - 1, n) * B;
-      double* c = coef + lane_of(m, h, 0) * B;
-      for (std::size_t j = split; j < count; ++j) c[j] = base[j];
+    // High sweep of h: members of class >= h (a suffix of the tile), h
+    // ascending, k ascending; low sweep of h: class < h (a prefix), h
+    // descending, k descending.  The high sweep of h and the low sweep of
+    // m + 1 - h share one k loop: they write different lanes, or at the
+    // middle h disjoint states, and read nothing the other writes, and
+    // each only needs its own sweep of the previous step.
+    for (std::size_t hh = 1; hh <= m; ++hh) {
+      const std::size_t hl = m + 1 - hh;
+      const std::size_t high_from = split[hh];
+      const std::size_t low_to = split[hl];
+      const double* ah = a + (hh - 1) * B;
+      const double* bh = b + (hh - 1) * B;
+      const double* al = a + (hl - 1) * B;
+      const double* bl = b + (hl - 1) * B;
+      const double* high_base =
+          hh == 1 ? ut : coef + lane_of(m, hh - 1, n) * B;
+      const double* low_base =
+          hl == m ? nullptr : coef + lane_of(m, hl + 1, 0) * B;
+      double* ch = coef + lane_of(m, hh, 0) * B;
+      double* cl = coef + lane_of(m, hl, n) * B;
+      for (std::size_t j = high_from; j < count; ++j) ch[j] = high_base[j];
+      for (std::size_t j = 0; j < low_to; ++j)
+        cl[j] = low_base == nullptr ? 0.0 : low_base[j];
       for (std::size_t k = 1; k <= n; ++k) {
-        const double* c_prev = c;
-        const double* pr = prod + lane_of(m, h, k - 1) * B;
-        c = coef + lane_of(m, h, k) * B;
+        const double* c_prev = ch;
+        const double* pr_high = prod + lane_of(m, hh, k - 1) * B;
+        ch = coef + lane_of(m, hh, k) * B;
         CSRL_PRAGMA_SIMD
-        for (std::size_t j = split; j < count; ++j)
-          c[j] = ah[j] * c_prev[j] + bh[j] * pr[j];
-      }
-    }
-    for (std::size_t h = m; h >= 1; --h) {
-      while (split > 0 && rc.class_of[states[split - 1]] >= h) --split;
-      const double* ah = a + (h - 1) * B;
-      const double* bh = b + (h - 1) * B;
-      double* c = coef + lane_of(m, h, n) * B;
-      const double* base = h == m ? nullptr : coef + lane_of(m, h + 1, 0) * B;
-      for (std::size_t j = 0; j < split; ++j)
-        c[j] = base == nullptr ? 0.0 : base[j];
-      for (std::size_t k = n; k-- > 0;) {
-        const double* c_next = c;
-        const double* pr = prod + lane_of(m, h, k) * B;
-        c = coef + lane_of(m, h, k) * B;
+        for (std::size_t j = high_from; j < count; ++j)
+          ch[j] = ah[j] * c_prev[j] + bh[j] * pr_high[j];
+        const double* c_next = cl;
+        const double* pr_low = prod + lane_of(m, hl, n - k) * B;
+        cl = coef + lane_of(m, hl, n - k) * B;
         CSRL_PRAGMA_SIMD
-        for (std::size_t j = 0; j < split; ++j)
-          c[j] = ah[j] * c_next[j] + bh[j] * pr[j];
+        for (std::size_t j = 0; j < low_to; ++j)
+          cl[j] = al[j] * c_next[j] + bl[j] * pr_low[j];
       }
     }
     // Bernstein sums: each lane c(h*, n, k) of the tile is read once for
@@ -339,7 +367,7 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
              ++slot) {
           if (live[slot] == 0) continue;
           const double w = weight[slot];
-          double* acc = exceed.data() + slot * num_states + lo;
+          double* acc = exceed.data() + slot * num_rec + lo;
           CSRL_PRAGMA_SIMD
           for (std::size_t j = 0; j < count; ++j) acc[j] += w * c[j];
         }
@@ -413,6 +441,15 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
       u.swap(next_u);
       p.charge_lane_product(m * n);
     }
+    // The trivial states' transient axpys: the only term of theirs that
+    // moves.
+    for (std::size_t hz = 0; hz < horizon_times.size(); ++hz) {
+      if (horizon_live[hz] == 0) continue;
+      const double w = horizon_weight[hz];
+      double* acc = transient[hz].data();
+      for (std::size_t pos = num_rec; pos < num_states; ++pos)
+        acc[pos] += w * u[sweep_order[pos]];
+    }
     if (num_tiles == 1) {
       tile_pass(0, n, scratch.data());
     } else {
@@ -430,10 +467,13 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
   std::vector<std::vector<double>> results(num_points);
   for (std::size_t pt = 0; pt < num_points; ++pt) {
     const std::vector<double>& tr = transient[time_of_point[pt]];
-    const double* ex = exceed.data() + slot_of[pt] * num_states;
+    const double* ex = exceed.data() + slot_of[pt] * num_rec;
     results[pt].assign(num_states, 0.0);
-    for (std::size_t pos = 0; pos < num_states; ++pos)
+    for (std::size_t pos = 0; pos < num_rec; ++pos)
       results[pt][sweep_order[pos]] = std::clamp(tr[pos] - ex[pos], 0.0, 1.0);
+    // A trivial state's exceed is +0, and tr - (+0) is tr.
+    for (std::size_t pos = num_rec; pos < num_states; ++pos)
+      results[pt][sweep_order[pos]] = std::clamp(tr[pos], 0.0, 1.0);
   }
   return results;
 }

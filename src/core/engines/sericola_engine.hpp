@@ -38,11 +38,15 @@
 // place (CsrMatrix::multiply_lanes_row).  Each lane accumulates its CSR
 // row from +0.0 in column order, exactly as multiply() does.  Within a
 // level the recursion is state-local, so one pass over state tiles (one
-// parallel region per level; tile size from the row width alone) runs
-// each tile's products, its high and low sweeps, its Bernstein sums and
-// its transient axpys.  A tile works lane-major in a small scratch: its
-// states listed by reward class, each (h, k) step of a sweep is one
-// vector loop over the tile's members of the matching classes, and each
+// parallel region per level; tile size from the row width and the number
+// of recursion states) runs each tile's products, its high and low sweeps
+// (the high sweep of h and the low sweep of m + 1 - h in one k loop), its
+// Bernstein sums and its transient axpys.  Absorbing reward-0 states keep
+// +0 coefficients at every level, so they stay out of the tiles and run
+// only their transient axpys.  A tile works lane-major in a small
+// scratch: its states listed by reward class, each (h, k) step of a
+// sweep is one vector loop over the tile's members of the matching
+// classes, and each
 // lane c(h*, n, k) is read once for every lattice point of reward
 // interval h*, each (point, state) sum adding its terms in ascending k.
 // Every state's value comes from the same expressions in the same (h, k)

@@ -218,9 +218,30 @@ TEST(EngineTrivia, LooseBoundCellsRunAtTheEngineAccuracy) {
             expected);
 }
 
+/// `base` with every `every`-th state (from `first` on) made absorbing with
+/// reward 0: the success/fail shape of a Theorem-1 reduction, interleaved
+/// with the recursion states in index order.
+Mrm with_absorbing_zeros(const Mrm& base, std::size_t first,
+                         std::size_t every) {
+  const std::size_t n = base.num_states();
+  CsrBuilder rates(n, n);
+  std::vector<double> rewards = base.rewards();
+  for (std::size_t s = 0; s < n; ++s) {
+    if (s >= first && (s - first) % every == 0) {
+      rewards[s] = 0.0;
+      continue;
+    }
+    for (const CsrEntry& e : base.rates().row(s)) rates.add(s, e.col, e.value);
+  }
+  return Mrm(Ctmc(rates.build()), std::move(rewards), base.labelling(),
+             base.initial_distribution());
+}
+
 // The engine's state-major lane layout against the one-column textbook
-// recursion, bit for bit: many reward classes, several state tiles, 1 and
-// 4 threads.
+// recursion, bit for bit: many reward classes, several state tiles, the
+// Q3 model (one tile, m = 3, so the lockstep high and low sweeps meet in
+// the middle class), absorbing reward-0 states interleaved with the
+// recursion states across several tiles, 1 and 4 threads.
 
 TEST(SericolaEngine, GridMatchesOneColumnOracleBitwise) {
   const std::size_t threads = ThreadPool::global().num_threads();
@@ -229,6 +250,12 @@ TEST(SericolaEngine, GridMatchesOneColumnOracleBitwise) {
   StateSet every_third(random.num_states());
   for (std::size_t s = 0; s < random.num_states(); s += 3)
     every_third.insert(s);
+  const Mrm q3 = build_q3_reduced_mrm();
+  const Mrm interleaved =
+      with_absorbing_zeros(random_mrm(5, 1200, 0.004), 2, 7);
+  StateSet every_fifth(interleaved.num_states());
+  for (std::size_t s = 0; s < interleaved.num_states(); s += 5)
+    every_fifth.insert(s);
   const struct {
     const Mrm& model;
     const StateSet& target;
@@ -238,6 +265,9 @@ TEST(SericolaEngine, GridMatchesOneColumnOracleBitwise) {
       {tandem, tandem.labelling().states_with("full2"), {2.0, 3.0},
        {2.5, 7.0, 13.0}},
       {random, every_third, {0.1, 0.2}, {0.05, 0.3}},
+      // At t = 12 the three rewards fall in intervals 1, 2 and 3.
+      {q3, single(5, 3), {12.0, 24.0}, {150.0, 600.0, 2000.0}},
+      {interleaved, every_fifth, {0.5, 1.0}, {0.2, 0.7, 1.3}},
   };
   for (const auto& c : cases) {
     const auto oracle = oracle::sericola_one_column_grid(
@@ -254,6 +284,22 @@ TEST(SericolaEngine, GridMatchesOneColumnOracleBitwise) {
             << c.model.num_states() << " states, cell " << cell << ", " << t
             << " threads";
     }
+  }
+
+  // No recursion states at all: every state is absorbing with reward 0,
+  // so every cell is trivial (r >= max_reward * t = 0) and the grid is
+  // the target's indicator.  A positive reward makes a state recurse, so
+  // the recursion itself never runs without one.
+  const Mrm frozen(Ctmc(CsrBuilder(3, 3).build()), {0.0, 0.0, 0.0},
+                   Labelling(3), 0);
+  for (std::size_t t : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::set_global_threads(t);
+    const auto grid = SericolaEngine(1e-8).joint_probability_all_starts_grid(
+        frozen, std::vector<double>{0.5, 2.0}, std::vector<double>{0.0, 1.0},
+        single(3, 1));
+    ASSERT_EQ(grid.size(), 4u);
+    for (const std::vector<double>& cell : grid)
+      EXPECT_EQ(cell, (std::vector<double>{0.0, 1.0, 0.0}));
   }
   ThreadPool::set_global_threads(threads);
 }
@@ -295,6 +341,44 @@ TEST(SericolaStructure, OneThreadPassMakesNoPerSlotForkJoins) {
   EXPECT_LE(regions, levels) << "over " << levels << " jump levels";
   // Level 0 has no products; every later level runs exactly one.
   EXPECT_EQ(delta.counter("matrix/spmm/block_products"), levels - 1);
+#endif
+}
+
+// The absorbing reward-0 states (success and fail of a Theorem-1
+// reduction) keep +0 coefficients at every level, so only the other
+// states run the recursion; the gauge counts them.
+
+TEST(SericolaStructure, AbsorbingRewardZeroStatesSkipTheRecursion) {
+#ifdef CSRL_OBS_DISABLED
+  GTEST_SKIP() << "observability compiled out";
+#else
+  const auto recursion_states = [](const Mrm& model, double t, double r,
+                                   const StateSet& target) {
+    const ScopedValidation basic(ValidationLevel::kBasic);
+    obs::ScopedRecording recording;
+    const obs::MetricsSnapshot before = obs::snapshot_metrics();
+    (void)SericolaEngine(1e-8).joint_probability_all_starts(model, t, r,
+                                                            target);
+    return obs::metrics_delta(before, obs::snapshot_metrics())
+        .gauge("p3/sericola/recursion_states");
+  };
+  // Q3: Doze, both idle and ad hoc busy recurse; success and fail do not.
+  EXPECT_EQ(recursion_states(build_q3_reduced_mrm(), 24.0, 600.0,
+                             single(5, 3)),
+            3.0);
+  // Reward-0 states that can still move recurse; 172 of 1200 states are
+  // absorbing with reward 0.
+  const Mrm interleaved =
+      with_absorbing_zeros(random_mrm(5, 1200, 0.004), 2, 7);
+  std::size_t moving_zeros = 0;
+  for (std::size_t s = 0; s < interleaved.num_states(); ++s)
+    if (interleaved.reward(s) == 0.0 && !interleaved.rates().row(s).empty())
+      ++moving_zeros;
+  ASSERT_GT(moving_zeros, 0u);
+  EXPECT_EQ(recursion_states(interleaved, 1.0, 0.7, single(1200, 0)),
+            1200.0 - 172.0);
+  // hit_model's absorbing state 1 is the only trivial one.
+  EXPECT_EQ(recursion_states(hit_model(1.0), 1.0, 0.5, single(2, 1)), 1.0);
 #endif
 }
 

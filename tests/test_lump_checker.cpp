@@ -196,6 +196,34 @@ TEST(LumpChecker, SteadyValuesMatchUnlumped) {
   expect_close(plain.values(*steady), lumped.values(*steady), 1e-9, "steady");
 }
 
+TEST(LumpChecker, InitialStateIsReadOnTheOriginalModel) {
+  // replicated_mrm splits the initial mass over the clone copies of state
+  // 0; the quotient puts it all on one block.  Both checkers must still
+  // refuse the mixed distribution.
+  const Mrm mixed = replicated_mrm(random_mrm(9, 24, 0.15), 2);
+  const FormulaPtr query = parse_formula("P=? [ a U[0,1] b ]");
+  const FormulaPtr bounded = parse_formula("P>=0.5 [ a U[0,1] b ]");
+  for (const CheckOptions& options : {CheckOptions{}, with_lump()}) {
+    const Checker checker(mixed, options);
+    EXPECT_THROW((void)checker.value_initially(*query), ModelError);
+    EXPECT_THROW((void)checker.holds_initially(*bounded), ModelError);
+    EXPECT_THROW((void)checker.check(*query), ModelError);
+  }
+
+  // The same chain started in one clone's copy of state 0: both modes
+  // read that state's value.
+  std::size_t start = 0;
+  while (mixed.initial_distribution()[start] == 0.0) ++start;
+  const Mrm single(mixed.chain(), mixed.rewards(), mixed.labelling(), start);
+  ASSERT_LT(lump(single).quotient.num_states(), single.num_states());
+  const Checker plain(single);
+  const Checker lumped(single, with_lump());
+  EXPECT_NEAR(lumped.value_initially(*query), plain.value_initially(*query),
+              1e-9);
+  EXPECT_EQ(plain.value_initially(*query), plain.values(*query)[start]);
+  EXPECT_EQ(lumped.holds_initially(*bounded), plain.holds_initially(*bounded));
+}
+
 TEST(LumpChecker, SharedSatCacheScopesLumpedAndUnlumpedApart) {
   // The quotient fingerprints as its own model, so one SatCache can
   // serve a lumped and an unlumped checker of the same Mrm without

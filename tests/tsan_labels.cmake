@@ -7,8 +7,9 @@
 # Keep the stem -> speed pairs in sync with CSRL_SLOW_TESTS /
 # CSRL_TSAN_TESTS in CMakeLists.txt.
 foreach(entry IN ITEMS "test_thread_pool:fast" "test_parallel_determinism:slow"
-        "test_kernels:fast" "test_service:fast" "test_lumping:fast"
-        "test_lump_checker:fast")
+        "test_erlang_phase:fast" "test_obs:fast" "test_kernels:fast"
+        "test_spmm:fast" "test_batch:slow" "test_service:fast"
+        "test_lumping:fast" "test_lump_checker:fast")
   string(REPLACE ":" ";" entry "${entry}")
   list(GET entry 0 stem)
   list(GET entry 1 speed)
@@ -22,4 +23,10 @@ foreach(entry IN ITEMS "test_thread_pool:fast" "test_parallel_determinism:slow"
       endif()
     endforeach()
   endforeach()
+endforeach()
+
+# Single tests of other binaries that run the pool at several thread
+# counts.
+foreach(test IN ITEMS "SericolaEngine.GridMatchesOneColumnOracleBitwise")
+  set_tests_properties("${test}" PROPERTIES LABELS "fast;tsan")
 endforeach()
