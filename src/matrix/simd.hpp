@@ -14,7 +14,15 @@
 // no OpenMP runtime or threading) and to nothing under CSRL_SIMD=OFF —
 // the scalar fallback the `simd-off` CI preset keeps honest.  Annotate
 // only loops whose iterations are independent per lane.
+//
+// Under the same option, GCC and Clang also get LanePair (CSRL_LANE_PAIRS
+// is defined then): the register-tile accumulators of the lane kernels.
+// A tile keeps its lanes' sums in LanePair registers while a row's terms
+// stream past and stores them once; each lane still adds its own terms,
+// in order, from +0.0.
 #pragma once
+
+#include <cstring>
 
 #if defined(CSRL_SIMD_ENABLED)
 #define CSRL_PRAGMA_SIMD _Pragma("omp simd")
@@ -22,7 +30,25 @@
 #define CSRL_PRAGMA_SIMD
 #endif
 
+#if defined(CSRL_SIMD_ENABLED) && (defined(__GNUC__) || defined(__clang__))
+#define CSRL_LANE_PAIRS 1
+#endif
+
 namespace csrl {
+
+#if defined(CSRL_LANE_PAIRS)
+/// Two lanes side by side (GCC/Clang vector extension): every multiply
+/// and add is each lane's own IEEE operation.
+using LanePair = double __attribute__((vector_size(2 * sizeof(double))));
+
+inline LanePair load_pair(const double* p) {
+  LanePair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store_pair(double* p, LanePair v) { std::memcpy(p, &v, sizeof v); }
+#endif
 
 /// Widest vector instruction set the lane loops compile to, as a stable
 /// lowercase token for bench JSON and run reports: "avx512" / "avx2" /

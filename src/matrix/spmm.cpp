@@ -12,30 +12,11 @@
 // eight-lane register tiles run as four two-lane vectors; SIMD only ever
 // runs independent lanes side by side, never within one lane's sum, so
 // the vectorized and the scalar gear agree bit for bit.
-#include <cstring>
-
 #include "matrix/csr.hpp"
 #include "matrix/simd.hpp"
 #include "obs/obs.hpp"
 
 namespace csrl {
-
-#if defined(CSRL_SIMD_ENABLED) && (defined(__GNUC__) || defined(__clang__))
-#define CSRL_LANE_PAIRS 1
-namespace {
-
-/// Two lanes side by side (GCC/Clang vector extension): every multiply
-/// and add is each lane's own IEEE operation.
-using LanePair = double __attribute__((vector_size(2 * sizeof(double))));
-
-LanePair load_pair(const double* p) {
-  LanePair v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-}  // namespace
-#endif
 
 void CsrMatrix::multiply_lanes_row(std::size_t r, const double* x,
                                    std::size_t stride, std::size_t width,

@@ -9,8 +9,11 @@
 // CsrBuilder, transient_reach_batch on the CSR chain, phase-0 readout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,8 @@
 #include "ctmc/phase_chain.hpp"
 #include "ctmc/uniformisation.hpp"
 #include "erlang_expansion_oracle.hpp"
+#include "matrix/kernel_tuning.hpp"
+#include "matrix/phase_operator.hpp"
 #include "models/adhoc.hpp"
 #include "models/synthetic.hpp"
 #include "mrm/lumping.hpp"
@@ -281,6 +286,152 @@ TEST(ErlangPhaseOperator, BitwiseAcrossThreads) {
   ThreadPool::set_global_threads(1);
 }
 
+/// The band-by-band phase product the register tiles replace: every lane
+/// starts from +0.0 and adds its state's bands in the listed order, one
+/// pass over the lanes per band.  Pendings and verdict as documented on
+/// PhaseOperator::multiply_phase_fused.
+bool band_by_band_product(const PhaseOperator& op, const std::vector<double>& x,
+                          std::vector<double>& y,
+                          const std::vector<FusedAxpy>& pendings,
+                          double tolerance) {
+  const std::size_t k = op.phases();
+  bool converged = tolerance >= 0.0;
+  for (std::size_t s = 0; s < op.num_states(); ++s) {
+    double* ys = y.data() + s * k;
+    std::fill(ys, ys + k, 0.0);
+    for (const PhaseBand& band : op.bands(s)) {
+      const double* xs = x.data() + band.source * k + band.shift;
+      for (std::size_t i = band.lo; i < band.hi; ++i) ys[i] += band.coef * xs[i];
+    }
+    for (const FusedAxpy& p : pendings) p.out[s] += p.weight * x[s * k];
+    for (std::size_t i = 0; i < k; ++i)
+      converged = converged && std::abs(ys[i] - x[s * k + i]) <= tolerance;
+  }
+  return converged;
+}
+
+/// A value in [-1, 1) scaled by 2^e, e in [-20, 20]: sums of such terms
+/// round differently in any other order.
+double spread_value(std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-20, 20);
+  return std::ldexp(unit(rng), exponent(rng));
+}
+
+/// Irregular bands over k lanes.  States 0-3 are fixed shapes: an empty
+/// row; bands with lo > 0, hi < k and shifts 0-3 that still share lanes;
+/// two bands with no lane in common; the Erlang shape (diagonal and arcs
+/// over every lane, the advance over k - 1, a last-lane band).  Random
+/// rows (0-6 bands, shifts 0-3, full or random lane ranges) follow until
+/// the operator holds `min_terms` lane terms.
+PhaseOperator irregular_operator(std::size_t k, std::size_t min_terms,
+                                 std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::vector<PhaseBand>> rows(4);
+  std::size_t terms = 0;
+  const auto add = [&](std::vector<PhaseBand>& row, std::size_t shift,
+                       std::size_t lo, std::size_t hi) {
+    if (lo < hi && hi + shift <= k) {
+      // A raw source, wrapped to a state once every row is drawn.
+      row.push_back({static_cast<std::size_t>(rng()), shift, lo, hi,
+                     spread_value(rng)});
+      terms += hi - lo;
+    }
+  };
+  if (k >= 8) {
+    add(rows[1], 0, 1, k - 1);
+    add(rows[1], 3, 2, k - 3);
+    add(rows[1], 1, 1, k - 4);
+    add(rows[1], 2, 3, k - 2);
+  }
+  add(rows[2], 0, 0, k / 2);
+  add(rows[2], 1, k / 2, k - 1);
+  add(rows[3], 0, 0, k);
+  add(rows[3], 0, 0, k);
+  add(rows[3], 1, 0, k - 1);
+  add(rows[3], 0, k - 1, k);
+  while (terms < min_terms || rows.size() < 8) {
+    rows.emplace_back();
+    const std::size_t count = rng() % 7;
+    for (std::size_t b = 0; b < count; ++b) {
+      const std::size_t shift = rng() % std::min<std::size_t>(4, k);
+      const std::size_t width = k - shift;
+      std::size_t lo = 0;
+      std::size_t hi = width;
+      if (rng() % 2 == 0) {
+        lo = rng() % width;
+        hi = lo + 1 + rng() % (width - lo);
+      }
+      add(rows.back(), shift, lo, hi);
+    }
+  }
+  std::vector<std::size_t> row_ptr{0};
+  std::vector<PhaseBand> bands;
+  for (std::vector<PhaseBand>& row : rows) {
+    for (PhaseBand& band : row) band.source %= rows.size();
+    bands.insert(bands.end(), row.begin(), row.end());
+    row_ptr.push_back(bands.size());
+  }
+  return PhaseOperator(k, std::move(row_ptr), std::move(bands));
+}
+
+TEST(PhaseOperatorTiles, MatchBandByBandReferenceBitwise) {
+  for (std::size_t k : {1, 2, 7, 15, 16, 17, 33, 255, 256, 257}) {
+    // Eight states stay under the parallel threshold; the second
+    // operator is large enough to take the pool's tiles at 4 threads.
+    for (std::size_t min_terms : {std::size_t{0},
+                                  2 * kernel_tuning::kParallelNnzThreshold}) {
+      const PhaseOperator op = irregular_operator(k, min_terms, 29 + k);
+      const std::size_t n = op.num_states();
+      std::mt19937_64 rng(k);
+      std::vector<double> x(op.size());
+      for (double& v : x) v = spread_value(rng);
+      std::vector<double> want(op.size());
+      (void)band_by_band_product(op, x, want, {}, kNoConvergenceScan);
+      // At the largest lane change the verdict flips between `edge` and
+      // the next double below it.
+      double edge = 0.0;
+      for (std::size_t i = 0; i < x.size(); ++i)
+        edge = std::max(edge, std::abs(want[i] - x[i]));
+      const double below = std::nextafter(edge, 0.0);
+
+      for (std::size_t threads : {1, 4}) {
+        ThreadPool::set_global_threads(threads);
+        for (double tolerance : {kNoConvergenceScan, edge, below}) {
+          const std::string what = "k = " + std::to_string(k) + ", " +
+                                   std::to_string(n) + " states, " +
+                                   std::to_string(threads) +
+                                   " thread(s), tolerance " +
+                                   std::to_string(tolerance);
+          std::vector<double> ref(op.size());
+          std::vector<double> ref_a(n, 0.5), ref_b(n, -0.25);
+          const bool ref_verdict = band_by_band_product(
+              op, x, ref, {{0.75, ref_a.data()}, {-1.5, ref_b.data()}},
+              tolerance);
+          std::vector<double> got(op.size(), 1.0);
+          std::vector<double> got_a(n, 0.5), got_b(n, -0.25);
+          const std::vector<FusedAxpy> pendings{{0.75, got_a.data()},
+                                                {-1.5, got_b.data()}};
+          EXPECT_EQ(op.multiply_phase_fused(x, got, pendings, tolerance),
+                    ref_verdict)
+              << what;
+          EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                                got.size() * sizeof(double)),
+                    0)
+              << what;
+          EXPECT_EQ(std::memcmp(got_a.data(), ref_a.data(), n * sizeof(double)),
+                    0)
+              << what;
+          EXPECT_EQ(std::memcmp(got_b.data(), ref_b.data(), n * sizeof(double)),
+                    0)
+              << what;
+        }
+      }
+      ThreadPool::set_global_threads(1);
+    }
+  }
+}
+
 TEST(ErlangPhaseOperator, BandsKeepColumnOrderAndMalformedInputThrows) {
   const Mrm model = build_q3_reduced_mrm();
   const std::vector<double> advance(model.num_states(), 1.0);
@@ -306,6 +457,9 @@ TEST(ErlangPhaseOperator, BandsKeepColumnOrderAndMalformedInputThrows) {
   EXPECT_THROW((void)chain.uniformised(0.5 * chain.max_exit_rate()),
                ModelError);
   EXPECT_THROW(PhaseOperator(2, {0, 1}, {{0, 1, 0, 2, 0.5}}), ModelError);
+  // hi + shift wraps around std::size_t.
+  EXPECT_THROW(PhaseOperator(2, {0, 1}, {{0, SIZE_MAX, 0, 1, 0.5}}),
+               ModelError);
 }
 
 TEST(ErlangPhaseOperator, LaneCountOverflowThrows) {
