@@ -18,11 +18,17 @@
 // 1024 and two larger Erlang-256 workloads: a Figure-1-shaped 4 x 4
 // lattice on the lumped tandem queue (8 x 8 replicated 512 times, 81
 // quotient states) and one until query on the cluster model with 8
-// workstations per side.  The table and the rows go to
+// workstations per side.  Last come the phase-step rows: 100 steps of the
+// phase kernel (PhaseOperator::multiply_phase_fused) on the 8 x 8 tandem
+// queue at k = 256 — the lumped quotient of the lattice row's model —
+// once per lane width the host can run (matrix/simd.hpp), so the ledger
+// shows each variant's own time.  They run on one thread with recording
+// paused and add no counter.  The table and the rows go to
 // BENCH_table3_erlang.json; the BenchObs guard writes
 // BENCH_table3_erlang_obs.json, whose cost/phase, uniformisation/steps
 // and steady_state_cutoffs counters CI gates exactly against
 // bench/baselines, and appends a ledger line.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -33,11 +39,15 @@
 #include "core/checker.hpp"
 #include "core/engines/erlang_engine.hpp"
 #include "core/engines/sericola_engine.hpp"
+#include "ctmc/phase_chain.hpp"
 #include "logic/parser.hpp"
+#include "matrix/phase_operator.hpp"
+#include "matrix/simd.hpp"
 #include "models/adhoc.hpp"
 #include "models/cluster.hpp"
 #include "models/synthetic.hpp"
 #include "obs/obs.hpp"
+#include "util/thread_pool.hpp"
 
 #include "bench_obs.hpp"
 
@@ -213,6 +223,52 @@ int main() {
         parse_formula("P=? [ premium U[0,30]{0,390} !premium ]");
     rows.push_back(timed_row(obs_guard, "erlang256_cluster8",
                              [&] { return checker.check(*query).value; }));
+  }
+
+  // Phase steps of the lattice row's kernel on its quotient chain: the
+  // 8 x 8 tandem queue, each state advancing its 256 budget phases at
+  // rho(s) k / r for the lattice's r = 0.8 rho_max t_min.
+  {
+    constexpr std::size_t kPhases = 256;
+    constexpr std::size_t kSteps = 100;
+    const Mrm tandem = tandem_queue_mrm(8, 8, 2.0, 2.5, 2.0);
+    std::vector<double> advance(tandem.num_states());
+    for (std::size_t s = 0; s < advance.size(); ++s)
+      advance[s] = tandem.reward(s) * static_cast<double>(kPhases) / 12.8;
+    const PhaseChain chain(tandem.chain(), advance, CsrMatrix(), kPhases);
+    const PhaseOperator op = chain.uniformised(chain.max_exit_rate());
+    std::vector<double> start(op.size(), 0.0);
+    const StateSet& full2 = tandem.labelling().states_with("full2");
+    for (std::size_t s = 0; s < tandem.num_states(); ++s)
+      if (full2.contains(s))
+        std::fill(start.begin() + s * kPhases,
+                  start.begin() + (s + 1) * kPhases, 1.0);
+    std::vector<double> x(op.size()), y(op.size());
+    // One thread: the rows time the kernel, not the pool's dispatch.
+    const std::size_t threads = ThreadPool::global().num_threads();
+    ThreadPool::set_global_threads(1);
+    obs::ScopedRecording paused(false);
+    for (LaneWidth width : {LaneWidth::base, LaneWidth::avx2}) {
+      const std::string label = std::string("phase_step_tandem8_k256_") +
+                                (width == LaneWidth::avx2 ? "avx2" : "base");
+      if (!lane_width_available(width)) {
+        std::printf("        %-32s skipped: not available on this host\n",
+                    label.c_str());
+        continue;
+      }
+      obs_guard.timed_reps(label, [&] {
+        x = start;
+        for (std::size_t step = 0; step < kSteps; ++step) {
+          (void)op.multiply_phase_fused(x, y, {}, kNoConvergenceScan, width);
+          x.swap(y);
+        }
+        return x[0];
+      });
+      rows.push_back({label, kSteps, 0});
+      std::printf("        %-32s %zu phase steps per run\n", label.c_str(),
+                  kSteps);
+    }
+    ThreadPool::set_global_threads(threads);
   }
   return write_report(reference, table, rows, obs_guard) ? 0 : 1;
 }

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "core/engines/bernstein_sums.hpp"
 #include "ctmc/foxglynn.hpp"
 #include "ctmc/uniformisation.hpp"
 #include "matrix/simd.hpp"
@@ -286,6 +287,14 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
   const std::size_t scratch_size = (2 * row_lanes + 2 * m + 1) * tile_states;
   std::vector<double> scratch(scratch_lanes * scratch_size, 0.0);
 
+  const BernsteinTerms terms{m,
+                             group_begin.data(),
+                             num_points,
+                             term_weight.data(),
+                             term_live.data(),
+                             exceed.data(),
+                             num_rec};
+
   // One tile's share of level n, state-local throughout.  The tile's
   // product lanes P * c(., n - 1, .) come from one lane product over the
   // band [0, m * n) of the previous level's rows, read in place; the
@@ -354,25 +363,7 @@ std::vector<std::vector<double>> SericolaEngine::all_starts_points(
           cl[j] = al[j] * c_next[j] + bl[j] * pr_low[j];
       }
     }
-    // Bernstein sums: each lane c(h*, n, k) of the tile is read once for
-    // its whole group, and every (point, state) accumulator adds its terms
-    // in ascending k.
-    for (std::size_t h = 1; h <= m; ++h) {
-      if (group_begin[h] == group_begin[h + 1]) continue;
-      for (std::size_t k = 0; k <= n; ++k) {
-        const double* c = coef + lane_of(m, h, k) * B;
-        const double* weight = term_weight.data() + k * num_points;
-        const unsigned char* live = term_live.data() + k * num_points;
-        for (std::size_t slot = group_begin[h]; slot < group_begin[h + 1];
-             ++slot) {
-          if (live[slot] == 0) continue;
-          const double w = weight[slot];
-          double* acc = exceed.data() + slot * num_rec + lo;
-          CSRL_PRAGMA_SIMD
-          for (std::size_t j = 0; j < count; ++j) acc[j] += w * c[j];
-        }
-      }
-    }
+    add_bernstein_sums(terms, n, coef, B, lo, count);
     for (std::size_t hz = 0; hz < horizon_times.size(); ++hz) {
       if (horizon_live[hz] == 0) continue;
       const double w = horizon_weight[hz];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -22,9 +23,9 @@ using kernel_tuning::tiles_converged;
 /// The lanes of one state's row outside [tiled_begin, tiled_end), band by
 /// band: zero them, then add each band's terms in the row's order.  With
 /// no tiles ({0, 0}) this is one pass over the whole row.
-void accumulate_bands(std::span<const PhaseBand> row, const double* x,
-                      std::size_t k, std::size_t tiled_begin,
-                      std::size_t tiled_end, double* ys) {
+[[gnu::always_inline]] inline void accumulate_bands(
+    std::span<const PhaseBand> row, const double* x, std::size_t k,
+    std::size_t tiled_begin, std::size_t tiled_end, double* ys) {
   if (tiled_begin > 0) {
     std::fill(ys, ys + tiled_begin, 0.0);
     for (const PhaseBand& band : row) {
@@ -45,41 +46,93 @@ void accumulate_bands(std::span<const PhaseBand> row, const double* x,
   }
 }
 
-#if defined(CSRL_LANE_PAIRS)
-/// Lanes per register tile: eight two-lane accumulators.
+/// Lanes per register tile: eight LanePair or four LaneQuad accumulators.
 constexpr std::size_t kTileLanes = 16;
 
 /// Register tiles over the lanes [begin, end), a whole number of tiles
 /// that every band of `row` covers: each tile sums all of the row's bands
-/// in registers, in the row's order from +0.0, and stores once.
-void accumulate_tiles(std::span<const PhaseBand> row, const double* x,
-                      std::size_t k, std::size_t begin, std::size_t end,
-                      double* ys) {
+/// in registers of lane vector V, in the row's order from +0.0, and
+/// stores once.
+template <class V>
+[[gnu::always_inline]] inline void accumulate_tiles(
+    std::span<const PhaseBand> row, const double* x, std::size_t k,
+    std::size_t begin, std::size_t end, double* ys) {
+  constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
+  constexpr std::size_t kSums = kTileLanes / kWidth;
   for (std::size_t lane = begin; lane < end; lane += kTileLanes) {
-    LanePair s0 = {}, s1 = {}, s2 = {}, s3 = {};
-    LanePair s4 = {}, s5 = {}, s6 = {}, s7 = {};
+    V sums[kSums] = {};
     for (const PhaseBand& band : row) {
-      const LanePair c = {band.coef, band.coef};
       const double* xs = x + band.source * k + band.shift + lane;
-      s0 += c * load_pair(xs);
-      s1 += c * load_pair(xs + 2);
-      s2 += c * load_pair(xs + 4);
-      s3 += c * load_pair(xs + 6);
-      s4 += c * load_pair(xs + 8);
-      s5 += c * load_pair(xs + 10);
-      s6 += c * load_pair(xs + 12);
-      s7 += c * load_pair(xs + 14);
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < kSums; ++t) {
+        V xv;
+        std::memcpy(&xv, xs + t * kWidth, sizeof xv);
+        sums[t] += band.coef * xv;
+      }
     }
-    double* o = ys + lane;
-    store_pair(o, s0);
-    store_pair(o + 2, s1);
-    store_pair(o + 4, s2);
-    store_pair(o + 6, s3);
-    store_pair(o + 8, s4);
-    store_pair(o + 10, s5);
-    store_pair(o + 12, s6);
-    store_pair(o + 14, s7);
+#pragma GCC unroll 16
+    for (std::size_t t = 0; t < kSums; ++t)
+      std::memcpy(ys + lane + t * kWidth, &sums[t], sizeof(V));
   }
+}
+
+/// One multiply_phase_fused call's operands.
+struct PhasePass {
+  const std::size_t* row_ptr;
+  const PhaseBand* bands;
+  const std::pair<std::size_t, std::size_t>* tiles;
+  std::size_t k;
+  const double* x;
+  double* y;
+  std::span<const FusedAxpy> pendings;
+  double tolerance;
+};
+
+/// The per-state pass over states [state_begin, state_end) with tiles of
+/// lane vector V: the product, the pendings and the convergence scan.
+/// Returns `scan` && no lane of the range moved: the comparisons stop at
+/// the first lane with !(|y - x| <= tolerance), which a NaN also fails.
+template <class V>
+[[gnu::always_inline]] inline bool pass_states(const PhasePass& p,
+                                               std::size_t state_begin,
+                                               std::size_t state_end,
+                                               bool scan) {
+  const std::size_t k = p.k;
+  for (std::size_t s = state_begin; s < state_end; ++s) {
+    double* ys = p.y + s * k;
+    const std::span<const PhaseBand> row(p.bands + p.row_ptr[s],
+                                         p.row_ptr[s + 1] - p.row_ptr[s]);
+    const auto [tiled_begin, tiled_end] = p.tiles[s];
+    accumulate_tiles<V>(row, p.x, k, tiled_begin, tiled_end, ys);
+    accumulate_bands(row, p.x, k, tiled_begin, tiled_end, ys);
+    const double* xself = p.x + s * k;
+    const double x0 = xself[0];
+    for (const FusedAxpy& pending : p.pendings)
+      pending.out[s] += pending.weight * x0;
+    for (std::size_t i = 0; scan && i < k; ++i)
+      scan = std::abs(ys[i] - xself[i]) <= p.tolerance;
+  }
+  return scan;
+}
+
+// The base variant's tiles are LanePair; under CSRL_SIMD=OFF the
+// constructor forms no tiles and the lane type is never used.
+#if defined(CSRL_LANE_PAIRS)
+using BaseLanes = LanePair;
+#else
+using BaseLanes = double;
+#endif
+
+bool pass_states_base(const PhasePass& p, std::size_t state_begin,
+                      std::size_t state_end, bool scan) {
+  return pass_states<BaseLanes>(p, state_begin, state_end, scan);
+}
+
+#if defined(CSRL_LANE_AVX2)
+CSRL_TARGET_AVX2 bool pass_states_avx2(const PhasePass& p,
+                                       std::size_t state_begin,
+                                       std::size_t state_end, bool scan) {
+  return pass_states<LaneQuad>(p, state_begin, state_end, scan);
 }
 #endif
 
@@ -122,7 +175,8 @@ PhaseOperator::PhaseOperator(std::size_t phases,
 bool PhaseOperator::multiply_phase_fused(std::span<const double> x,
                                          std::span<double> y,
                                          std::span<const FusedAxpy> pendings,
-                                         double tolerance) const {
+                                         double tolerance,
+                                         LaneWidth width) const {
   const std::size_t k = phases_;
   if (x.size() != size() || y.size() != size())
     throw ModelError("PhaseOperator::multiply_phase_fused: dimension mismatch");
@@ -142,30 +196,22 @@ bool PhaseOperator::multiply_phase_fused(std::span<const double> x,
   CSRL_COUNT("cost/epilogue/flops", 2 * n * pendings.size());
   CSRL_COUNT("cost/epilogue/bytes", 16 * n * pendings.size());
 
-  // Returns `scan` && no lane of the range moved: the comparisons stop at
-  // the first lane with !(|y - x| <= tolerance), which a NaN also fails.
-  const auto process_states = [&](std::size_t state_begin,
-                                  std::size_t state_end, bool scan) {
-    for (std::size_t s = state_begin; s < state_end; ++s) {
-      double* ys = y.data() + s * k;
-      const std::span<const PhaseBand> row = bands(s);
-      const auto [tiled_begin, tiled_end] = tiles_[s];
-#if defined(CSRL_LANE_PAIRS)
-      accumulate_tiles(row, x.data(), k, tiled_begin, tiled_end, ys);
+  if (!lane_width_available(width))
+    throw ModelError("PhaseOperator::multiply_phase_fused: lane width not "
+                     "available on this build or CPU");
+  const PhasePass pass{row_ptr_.data(), bands_.data(), tiles_.data(), k,
+                       x.data(),        y.data(),      pendings,
+                       tolerance};
+#if defined(CSRL_LANE_AVX2)
+  const auto process_states =
+      width == LaneWidth::avx2 ? pass_states_avx2 : pass_states_base;
+#else
+  const auto process_states = pass_states_base;
 #endif
-      accumulate_bands(row, x.data(), k, tiled_begin, tiled_end, ys);
-      const double* xself = x.data() + s * k;
-      const double x0 = xself[0];
-      for (const FusedAxpy& p : pendings) p.out[s] += p.weight * x0;
-      for (std::size_t i = 0; scan && i < k; ++i)
-        scan = std::abs(ys[i] - xself[i]) <= tolerance;
-    }
-    return scan;
-  };
 
   const ThreadPool& pool = ThreadPool::global();
   if (pool.num_threads() == 1 || lane_terms_ < kParallelNnzThreshold)
-    return process_states(0, n, tolerance >= 0.0);
+    return process_states(pass, 0, n, tolerance >= 0.0);
 
   // States are independent rows: any tiling yields the same bits, and
   // the verdict is the same conjunction.  Tile t starts at the first
@@ -181,7 +227,7 @@ bool PhaseOperator::multiply_phase_fused(std::span<const double> x,
   };
   return tiles_converged(pool, target, tolerance >= 0.0,
                          [&](std::size_t t, bool scan) {
-                           return process_states(tile_start(t),
+                           return process_states(pass, tile_start(t),
                                                  tile_start(t + 1), scan);
                          });
 }

@@ -12,9 +12,12 @@
 //
 // and the kernel runs it over contiguous lanes.  On the lanes that every
 // band of a state covers, [max lo, min hi), it walks 16-lane register
-// tiles (matrix/simd.hpp's LanePair, the idiom of
-// CsrMatrix::multiply_lanes_row): a tile's sums stay in registers while
-// all of the state's bands stream past, then are stored once.  The other
+// tiles (the idiom of CsrMatrix::multiply_lanes_row): a tile's sums stay
+// in registers while all of the state's bands stream past, then are
+// stored once.  The per-state pass is compiled in two lane widths
+// (matrix/simd.hpp): eight LanePair sums per tile for the build's target,
+// four LaneQuad sums in the AVX2 variant, picked once per process from
+// the CPU.  The other
 // lanes, and every lane under CSRL_SIMD=OFF, run band by band, one
 // vectorizable loop per band.  Either way each lane starts from +0.0 and
 // sums its state's bands in the order given, so the tiles change which
@@ -32,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "matrix/simd.hpp"
 #include "matrix/support.hpp"
 
 namespace csrl {
@@ -77,10 +81,13 @@ class PhaseOperator {
   /// pending targets.  States are processed in independent tiles on the
   /// shared pool once the lane work is large enough; every tile computes
   /// the same per-lane operations, so y and the verdict are bit-identical
-  /// at any thread count.
+  /// at any thread count and either lane width.  `width` names the
+  /// variant to run (tests compare them); it must be available
+  /// (lane_width_available), else ModelError.
   bool multiply_phase_fused(std::span<const double> x, std::span<double> y,
                             std::span<const FusedAxpy> pendings,
-                            double tolerance) const;
+                            double tolerance,
+                            LaneWidth width = lane_width()) const;
 
  private:
   std::size_t phases_ = 1;

@@ -375,7 +375,9 @@ PhaseOperator irregular_operator(std::size_t k, std::size_t min_terms,
   return PhaseOperator(k, std::move(row_ptr), std::move(bands));
 }
 
-TEST(PhaseOperatorTiles, MatchBandByBandReferenceBitwise) {
+/// The phase kernel's `width` variant against band_by_band_product: y,
+/// the pendings and the verdict, bit for bit, at 1 and 4 threads.
+void expect_variant_matches_reference(LaneWidth width) {
   for (std::size_t k : {1, 2, 7, 15, 16, 17, 33, 255, 256, 257}) {
     // Eight states stay under the parallel threshold; the second
     // operator is large enough to take the pool's tiles at 4 threads.
@@ -402,7 +404,9 @@ TEST(PhaseOperatorTiles, MatchBandByBandReferenceBitwise) {
                                    std::to_string(n) + " states, " +
                                    std::to_string(threads) +
                                    " thread(s), tolerance " +
-                                   std::to_string(tolerance);
+                                   std::to_string(tolerance) +
+                                   (width == LaneWidth::avx2 ? ", avx2"
+                                                             : ", base");
           std::vector<double> ref(op.size());
           std::vector<double> ref_a(n, 0.5), ref_b(n, -0.25);
           const bool ref_verdict = band_by_band_product(
@@ -412,8 +416,9 @@ TEST(PhaseOperatorTiles, MatchBandByBandReferenceBitwise) {
           std::vector<double> got_a(n, 0.5), got_b(n, -0.25);
           const std::vector<FusedAxpy> pendings{{0.75, got_a.data()},
                                                 {-1.5, got_b.data()}};
-          EXPECT_EQ(op.multiply_phase_fused(x, got, pendings, tolerance),
-                    ref_verdict)
+          EXPECT_EQ(
+              op.multiply_phase_fused(x, got, pendings, tolerance, width),
+              ref_verdict)
               << what;
           EXPECT_EQ(std::memcmp(got.data(), ref.data(),
                                 got.size() * sizeof(double)),
@@ -430,6 +435,16 @@ TEST(PhaseOperatorTiles, MatchBandByBandReferenceBitwise) {
       ThreadPool::set_global_threads(1);
     }
   }
+}
+
+TEST(PhaseOperatorTiles, MatchBandByBandReferenceBitwise) {
+  expect_variant_matches_reference(LaneWidth::base);
+}
+
+TEST(PhaseOperatorTiles, Avx2VariantMatchesBandByBandReferenceBitwise) {
+  if (!lane_width_available(LaneWidth::avx2))
+    GTEST_SKIP() << "no AVX2 lane variant on this build or CPU";
+  expect_variant_matches_reference(LaneWidth::avx2);
 }
 
 TEST(ErlangPhaseOperator, BandsKeepColumnOrderAndMalformedInputThrows) {

@@ -1,5 +1,7 @@
 // The lane-product kernel (CsrMatrix::multiply_lanes_row,
-// matrix/spmm.cpp) against looped one-RHS products.
+// matrix/spmm.cpp) against looped one-RHS products, Sericola's Bernstein
+// sums (core/engines/bernstein_sums.hpp) in each lane width against the
+// loop they came from, and the lane width simd_isa() reports.
 //
 // Labelled `tsan` in tests/CMakeLists.txt: the differential sweep runs
 // the rows over the pool at 1 and 4 threads, so under
@@ -7,13 +9,17 @@
 // concurrent row products over one shared input.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/engines/bernstein_sums.hpp"
 #include "matrix/csr.hpp"
+#include "matrix/simd.hpp"
 #include "models/synthetic.hpp"
 #include "obs/obs.hpp"
 #include "util/thread_pool.hpp"
@@ -148,6 +154,115 @@ TEST(SpmmKernels, CountsBlockProductsAndColumns) {
   EXPECT_EQ(delta.counter("cost/spmm/flops"), 2u * nnz * 109u);
   EXPECT_EQ(delta.counter("cost/spmm/bytes"),
             3u * (16u * nnz + 8u * 32u) + 8u * 109u * (nnz + 32u));
+#endif
+}
+
+
+/// Sericola's Bernstein sums as the engine's tile pass wrote them inline
+/// before they moved to add_bernstein_sums: the reference both lane
+/// widths must reproduce bit for bit.
+void reference_bernstein_sums(const BernsteinTerms& t, std::size_t n,
+                              const double* coef, std::size_t tile,
+                              std::size_t first, std::size_t count) {
+  for (std::size_t h = 1; h <= t.m; ++h) {
+    if (t.group_begin[h] == t.group_begin[h + 1]) continue;
+    for (std::size_t k = 0; k <= n; ++k) {
+      const double* c = coef + (k * t.m + (h - 1)) * tile;
+      const double* weight = t.weight + k * t.num_points;
+      const unsigned char* live = t.live + k * t.num_points;
+      for (std::size_t slot = t.group_begin[h]; slot < t.group_begin[h + 1];
+           ++slot) {
+        if (live[slot] == 0) continue;
+        const double w = weight[slot];
+        double* acc = t.exceed + slot * t.stride + first;
+        for (std::size_t j = 0; j < count; ++j) acc[j] += w * c[j];
+      }
+    }
+  }
+}
+
+/// A value in [-1, 1) scaled by 2^e, e in [-20, 20]: a fused multiply-add
+/// or any other order rounds such sums differently.
+double spread_value(std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-20, 20);
+  return std::ldexp(unit(rng), exponent(rng));
+}
+
+/// Every level n <= 12 of random Bernstein tables over tiles of 1-33
+/// states (whole four-lane vectors and remainders, first > 0), run
+/// through `width` and through the reference: the sums must agree bit
+/// for bit after every level.
+void expect_bernstein_variant_matches_reference(LaneWidth width) {
+  constexpr std::size_t kLevels = 12;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    std::mt19937_64 rng(seed);
+    const std::size_t m = 1 + rng() % 4;
+    const std::size_t num_points = 1 + rng() % 9;
+    // Group h* of each point: points may skip intervals, leaving empty
+    // groups.
+    std::vector<std::size_t> group_begin(m + 2, 0);
+    for (std::size_t pt = 0; pt < num_points; ++pt)
+      ++group_begin[1 + rng() % m + 1];
+    for (std::size_t h = 1; h <= m + 1; ++h)
+      group_begin[h] += group_begin[h - 1];
+    for (std::size_t count : {1, 3, 4, 7, 16, 33}) {
+      const std::size_t tile = count + rng() % 3;
+      const std::size_t first = rng() % 5;
+      const std::size_t stride = first + count + rng() % 3;
+      std::vector<double> weight((kLevels + 1) * num_points);
+      std::vector<unsigned char> live(weight.size());
+      std::vector<double> coef((kLevels + 1) * m * tile);
+      std::vector<double> got(num_points * stride);
+      for (double& v : got) v = spread_value(rng);
+      std::vector<double> want = got;
+      const BernsteinTerms tables{m,           group_begin.data(),
+                                  num_points,  weight.data(),
+                                  live.data(),  got.data(),
+                                  stride};
+      BernsteinTerms reference = tables;
+      reference.exceed = want.data();
+      for (std::size_t n = 0; n <= kLevels; ++n) {
+        for (double& v : weight) v = spread_value(rng);
+        for (unsigned char& l : live) l = rng() % 4 != 0 ? 1 : 0;
+        for (double& v : coef) v = spread_value(rng);
+        add_bernstein_sums(tables, n, coef.data(), tile, first, count, width);
+        reference_bernstein_sums(reference, n, coef.data(), tile, first,
+                                 count);
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "seed " << seed << ", " << count << " states, level " << n
+            << (width == LaneWidth::avx2 ? ", avx2" : ", base");
+      }
+    }
+  }
+}
+
+TEST(BernsteinSums, BaseVariantMatchesLoopBitwise) {
+  expect_bernstein_variant_matches_reference(LaneWidth::base);
+}
+
+TEST(BernsteinSums, Avx2VariantMatchesLoopBitwise) {
+  if (!lane_width_available(LaneWidth::avx2))
+    GTEST_SKIP() << "no AVX2 lane variant on this build or CPU";
+  expect_bernstein_variant_matches_reference(LaneWidth::avx2);
+}
+
+TEST(LaneWidths, SimdIsaNamesTheDispatchedWidth) {
+  EXPECT_TRUE(lane_width_available(LaneWidth::base));
+#if !defined(CSRL_SIMD_ENABLED)
+  EXPECT_EQ(lane_width(), LaneWidth::base);
+  EXPECT_STREQ(simd_isa(), "scalar");
+#elif defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  __builtin_cpu_init();
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  EXPECT_EQ(lane_width(), avx2 ? LaneWidth::avx2 : LaneWidth::base);
+  EXPECT_EQ(lane_width_available(LaneWidth::avx2), avx2);
+  EXPECT_STREQ(simd_isa(), avx2 ? "avx2" : "sse2");
+#else
+  EXPECT_EQ(lane_width(), LaneWidth::base);
+  EXPECT_FALSE(lane_width_available(LaneWidth::avx2));
 #endif
 }
 
