@@ -41,9 +41,10 @@ Graph-based (new in this framework):
                  renamed or deleted kernel cannot silently shrink the
                  hot set.
 
-The hot set is rooted at the kernel entry points by name (multiply*,
-including the phase-lane multiply_phase_fused and the CSR lane product
-multiply_lanes_row, accumulate_series, the solver sweeps, run_batch,
+The hot set is rooted at the kernel entry points by name (multiply,
+multiply_left, multiply_fused, multiply_active, the phase-lane
+multiply_phase_fused and the CSR lane product multiply_lanes_row,
+accumulate_series, the solver sweeps, run_batch,
 all_starts_points) and closed over calls to
 functions defined in the analyzed tree, resolved same-file, then
 same-directory, then unique-global.  Scheduling boundaries
@@ -133,7 +134,7 @@ LOOP_ALLOC_DIRS = {"matrix", "ctmc"}
 LOOP_HEAD_RE = re.compile(r"\b(?:for|while)\s*\(")
 VECTOR_DOUBLE_DECL_RE = re.compile(r"\bstd::vector<double>\s+\w+")
 SPMM_BLOCKING_DIRS = {"engines", "ctmc"}
-ONE_RHS_PRODUCT_RE = re.compile(r"\.\s*multiply(?:_left)?(?:_fused)?\s*\(")
+ONE_RHS_PRODUCT_RE = re.compile(r"\.\s*multiply(?:_left|_fused)?\s*\(")
 UNORDERED_DECL_RE = re.compile(
     r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<[^;]*?>\s+(\w+)\s*[;{=(]"
 )
@@ -428,8 +429,8 @@ def layer_pass(contexts):
 # those loops call, transitively) are the hot region.
 HOT_ROOT_PATTERNS = [
     re.compile(p) for p in (
-        r"^multiply(_left)?(_fused)?$",
-        r"^multiply(_left)?_active$",
+        r"^multiply(_left|_fused)?$",
+        r"^multiply_active$",
         r"^multiply_lanes_row$",
         r"^multiply_phase_fused$",
         r"^accumulate_series$",

@@ -8,14 +8,6 @@
 
 namespace csrl {
 
-double expected_instantaneous_reward(const Mrm& model, double t,
-                                     const TransientOptions& options) {
-  const std::vector<double> pi =
-      transient_distribution(model.chain(), model.initial_distribution(), t,
-                             options);
-  return dot(pi, model.rewards());
-}
-
 std::vector<double> effective_reward_rates(const Mrm& model) {
   std::vector<double> rates = model.rewards();
   if (model.has_impulse_rewards()) {
@@ -71,37 +63,8 @@ std::vector<double> expected_accumulated_reward_all_starts(
 
 double expected_accumulated_reward(const Mrm& model, double t,
                                    const TransientOptions& options) {
-  if (!(t >= 0.0) || !std::isfinite(t))
-    throw ModelError("expected_accumulated_reward: time must be >= 0");
-  if (t == 0.0 || model.num_states() == 0) return 0.0;
-
-  const Ctmc& chain = model.chain();
-  const double lambda =
-      chain.max_exit_rate() > 0.0 ? chain.max_exit_rate() : 1.0;
-  const CsrMatrix p = chain.uniformised_dtmc(lambda);
-
-  // The truncation error of the integral series is bounded by
-  // rho_max * t * epsilon, because sum_n Pr{N > n} = lambda t.
-  const PoissonWeights weights = poisson_weights(lambda * t, options.epsilon);
-
-  // Impulses enter as their arrival intensity (see effective_reward_rates).
-  const std::vector<double> effective = effective_reward_rates(model);
-
-  // tail(n) = Pr{N(lambda t) > n}, accumulated from the truncated window.
-  double tail = weights.total;  // ~ Pr{N >= left}
-  std::vector<double> pi = model.initial_distribution();
-  std::vector<double> scratch(pi.size(), 0.0);
-
-  double acc = 0.0;
-  for (std::size_t n = 0; n <= weights.right; ++n) {
-    tail -= weights.weight(n);  // now Pr{N > n}
-    if (tail > 0.0) acc += tail * dot(pi, effective);
-    if (n < weights.right) {
-      p.multiply_left(pi, scratch);
-      pi.swap(scratch);
-    }
-  }
-  return acc / lambda;
+  return dot(model.initial_distribution(),
+             expected_accumulated_reward_all_starts(model, t, options));
 }
 
 }  // namespace csrl

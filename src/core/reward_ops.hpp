@@ -1,13 +1,15 @@
 // Expected-reward utilities on MRMs.
 //
 // Not part of CSRL's boolean fragment, but the natural quantitative
-// companions: the expected instantaneous reward rate E[rho(X_t)] and the
-// expected accumulated reward E[Y_t].  Both are computed by
-// uniformisation; E[Y_t] uses the standard integrated-Poisson identity
+// companions: the expected instantaneous reward rate E_s[rho(X_t)] and the
+// expected accumulated reward E_s[Y_t], for every start state s at once.
+// Both are computed by backward uniformisation; E_s[Y_t] uses the
+// integrated-Poisson identity
 //
-//   E[Y_t] = (1/lambda) * sum_{n>=0} Pr{N(lambda t) > n} * (pi_n . rho),
+//   E_s[Y_t] = (1/lambda) * sum_{n>=0} Pr{N(lambda t) > n} * (P^n rho)(s),
 //
-// with pi_n the n-step distribution of the uniformised DTMC.
+// with P the uniformised DTMC.  A value from the initial distribution
+// alpha is alpha . E_s.
 #pragma once
 
 #include "ctmc/uniformisation.hpp"
@@ -15,12 +17,8 @@
 
 namespace csrl {
 
-/// E[rho(X_t)] from the model's initial distribution.
-double expected_instantaneous_reward(const Mrm& model, double t,
-                                     const TransientOptions& options = {});
-
 /// E[Y_t], the expected reward accumulated over [0, t], from the model's
-/// initial distribution.
+/// initial distribution: alpha . expected_accumulated_reward_all_starts.
 double expected_accumulated_reward(const Mrm& model, double t,
                                    const TransientOptions& options = {});
 

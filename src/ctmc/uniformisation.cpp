@@ -16,21 +16,12 @@ namespace csrl {
 
 namespace {
 
-/// Contract helper: all entries of `v` finite and inside [-tol, cap+tol].
+/// Contract helper: all entries of `v` finite and inside [-tol, 1 + tol].
 [[maybe_unused]] bool within_probability_bounds(std::span<const double> v,
-                                                double cap, double tol) {
+                                                double tol) {
   for (double x : v)
-    if (!std::isfinite(x) || x < -tol || x > cap + tol) return false;
+    if (!std::isfinite(x) || x < -tol || x > 1.0 + tol) return false;
   return true;
-}
-
-double resolve_rate(double max_exit_rate, const TransientOptions& options) {
-  if (options.uniformisation_rate != 0.0) {
-    if (options.uniformisation_rate < max_exit_rate)
-      throw ModelError("transient analysis: uniformisation rate below max exit rate");
-    return options.uniformisation_rate;
-  }
-  return max_exit_rate > 0.0 ? max_exit_rate : 1.0;
 }
 
 /// Frontier density (fraction of states) above which the active-support
@@ -67,14 +58,14 @@ struct StepLatencySample {
 };
 
 /// Step operator of the series loop over a CSR matrix: the fused dense
-/// kernels, or — while the start vector is non-negative and its support
-/// is below the crossover density — the active-support kernels, which
-/// visit only the frontier and keep the result bit-identical to the
-/// dense path.
+/// kernel y = P x, or — while the start vector is non-negative and its
+/// support is below the crossover density — the active-support kernel,
+/// which visits only the rows that see the frontier and keeps the result
+/// bit-identical to the dense path.
 class CsrStep {
  public:
-  CsrStep(CsrMatrix p, bool forward, bool active_support)
-      : p_(std::move(p)), forward_(forward), active_support_(active_support) {}
+  CsrStep(CsrMatrix p, bool active_support)
+      : p_(std::move(p)), active_support_(active_support) {}
 
   /// Readouts sit at every position: results are full vectors.
   std::size_t stride() const { return 1; }
@@ -99,22 +90,17 @@ class CsrStep {
       // zero everywhere on entry to the first active step.
       std::fill(scratch.begin(), scratch.end(), 0.0);
     }
-    p_.warm_kernel_caches(forward_ || active_);
+    p_.warm_kernel_caches(active_);
   }
 
   /// y = one fused step from x; returns the convergence verdict.
   bool step(std::span<const double> x, std::vector<double>& y,
             std::span<const FusedAxpy> pendings, double tolerance) {
     if (active_)
-      return forward_ ? p_.multiply_left_active(x, y, mask_in_, mask_out_,
-                                                pendings, tolerance)
-                      : p_.multiply_active(x, y, mask_in_, mask_out_,
-                                           pendings, tolerance);
+      return p_.multiply_active(x, y, mask_in_, mask_out_, pendings,
+                                tolerance);
     // One iterate in flight: batched horizons already ride the fused
     // pendings.
-    if (forward_)
-      // lint:allow spmm-blocking (single power iterate per step)
-      return p_.multiply_left_fused(x, y, pendings, tolerance);
     // lint:allow spmm-blocking (single power iterate per step)
     return p_.multiply_fused(x, y, pendings, tolerance);
   }
@@ -136,7 +122,6 @@ class CsrStep {
 
  private:
   CsrMatrix p_;
-  bool forward_;
   bool active_support_;
   bool active_ = false;
   SupportMask mask_in_;
@@ -258,11 +243,11 @@ void accumulate_series(Step& op, std::vector<double>& iterate,
 /// Shared wrapper for every entry point: splits degenerate horizons
 /// (t == 0, empty or fully absorbing chain) from the series horizons,
 /// builds the per-horizon windows, allocates the iteration buffers and
-/// runs the series loop.  `start` is the t = 0 iterate (initial distribution
-/// or terminal values, over every lane of a phase chain); results are
-/// read at the positions j * stride of the iterate — a degenerate
-/// horizon reads `start` itself.  `make_step(lambda)` builds the step
-/// operator for the resolved uniformisation rate.
+/// runs the series loop.  `start` is the t = 0 iterate (the terminal
+/// values, over every lane of a phase chain); results are read at the
+/// positions j * stride of the iterate — a degenerate horizon reads
+/// `start` itself.  `make_step(lambda)` builds the step operator for the
+/// uniformisation rate lambda.
 template <typename MakeStep>
 std::vector<std::vector<double>> run_batch(std::span<const double> start,
                                            std::size_t stride,
@@ -291,7 +276,9 @@ std::vector<std::vector<double>> run_batch(std::span<const double> start,
   }
   if (series.empty()) return results;
 
-  const double lambda = resolve_rate(max_exit_rate, options);
+  // Uniformise at the maximum exit rate, positive here: on an
+  // all-absorbing chain every horizon is degenerate.
+  const double lambda = max_exit_rate;
   auto op = make_step(lambda);
 
   std::vector<PoissonWeights> windows;
@@ -312,64 +299,22 @@ std::vector<std::vector<double>> run_batch(std::span<const double> start,
   return results;
 }
 
-/// run_batch over a CSR chain; `forward` selects distribution pushing
-/// (y = x P) over value backpropagation (y = P x).
+/// run_batch over a CSR chain: value backpropagation y = P x.
 std::vector<std::vector<double>> run_chain(const Ctmc& chain,
                                            std::span<const double> start,
                                            std::span<const double> times,
                                            const TransientOptions& options,
-                                           const char* what, bool forward) {
+                                           const char* what) {
   if (start.size() != chain.num_states())
     throw ModelError(std::string(what) + ": vector size mismatch");
   return run_batch(start, 1, chain.max_exit_rate(), times, options, what,
                    [&](double lambda) {
-                     return CsrStep(chain.uniformised_dtmc(lambda), forward,
+                     return CsrStep(chain.uniformised_dtmc(lambda),
                                     options.active_support);
                    });
 }
 
 }  // namespace
-
-std::vector<double> transient_distribution(const Ctmc& chain,
-                                           std::span<const double> initial,
-                                           double t,
-                                           const TransientOptions& options) {
-  const std::size_t n = chain.num_states();
-  if (initial.size() != n)
-    throw ModelError("transient_distribution: initial distribution size mismatch");
-  for (double v : initial)
-    if (!(v >= 0.0) || !std::isfinite(v))
-      throw ModelError("transient_distribution: initial entries must be >= 0");
-  if (!(t >= 0.0) || !std::isfinite(t))
-    throw ModelError("transient_distribution: time must be finite and >= 0");
-
-  // With every state absorbing the distribution never moves; returning it
-  // directly also avoids charging the truncation error for nothing.
-  if (t == 0.0 || n == 0 || chain.max_exit_rate() == 0.0)
-    return std::vector<double>(initial.begin(), initial.end());
-
-  CSRL_SPAN("ctmc/transient/forward");
-
-  const double times[1] = {t};
-  auto results = run_chain(chain, initial, times, options,
-                           "transient_distribution", /*forward=*/true);
-  std::vector<double> result = std::move(results[0]);
-  // P is stochastic, so each entry stays within the initial total mass
-  // and the summed mass can only shrink by the truncation error.  This
-  // also holds for the sub-distributions the engines feed in.
-  CSRL_CONTRACT(
-      [&] {
-        double mass_in = 0.0;
-        for (double v : initial) mass_in += v;
-        if (!within_probability_bounds(result, mass_in, 1e-9)) return false;
-        double mass_out = 0.0;
-        for (double v : result) mass_out += v;
-        return mass_out <= mass_in + 1e-9;
-      }(),
-      "transient_distribution: result is not a sub-distribution of the "
-      "initial mass at t = " + std::to_string(t));
-  return result;
-}
 
 std::vector<double> transient_backward(const Ctmc& chain,
                                        std::span<const double> terminal,
@@ -387,12 +332,12 @@ std::vector<double> transient_backward(const Ctmc& chain,
 
   const double times[1] = {t};
   auto results = run_chain(chain, terminal, times, options,
-                           "transient_backward", /*forward=*/false);
+                           "transient_backward");
   std::vector<double> result = std::move(results[0]);
   // E_s[v(X_t)] is a convex-combination-of-v per step, so whenever the
   // terminal vector is a [0,1] value function the result must be too.
-  CSRL_CONTRACT(within_probability_bounds(terminal, 1.0, 0.0)
-                    ? within_probability_bounds(result, 1.0, 1e-9)
+  CSRL_CONTRACT(within_probability_bounds(terminal, 0.0)
+                    ? within_probability_bounds(result, 1e-9)
                     : true,
                 "transient_backward: [0,1] terminal values produced an "
                 "out-of-range expectation at t = " + std::to_string(t));
@@ -413,11 +358,11 @@ std::vector<std::vector<double>> transient_reach_batch(
     throw ModelError("transient_reach_batch: target universe size mismatch");
   CSRL_SPAN("ctmc/transient/backward_batch");
   auto results = run_chain(chain, target.indicator(), times, options,
-                           "transient_reach_batch", /*forward=*/false);
+                           "transient_reach_batch");
   CSRL_CONTRACT(
       [&] {
         for (const auto& result : results)
-          if (!within_probability_bounds(result, 1.0, 1e-9)) return false;
+          if (!within_probability_bounds(result, 1e-9)) return false;
         return true;
       }(),
       "transient_reach_batch: an occupancy probability left [0, 1]");
@@ -444,7 +389,7 @@ std::vector<std::vector<double>> transient_reach_batch(
   CSRL_CONTRACT(
       [&] {
         for (const auto& result : results)
-          if (!within_probability_bounds(result, 1.0, 1e-9)) return false;
+          if (!within_probability_bounds(result, 1e-9)) return false;
         return true;
       }(),
       "transient_reach_batch: an occupancy probability left [0, 1]");

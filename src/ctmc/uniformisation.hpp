@@ -3,6 +3,12 @@
 // This is the workhorse behind model checking time-bounded until (property
 // class P1 of the paper, following [3]), the dual reward-bounded until
 // (P2), and the pseudo-Erlang engine for the combined case (P3).
+//
+// Every entry point runs backward: u = e^{Qt} v for a terminal vector v,
+// one run answering every start state at once, which is the shape the
+// Sat-set procedures need.  A forward quantity from an initial
+// distribution alpha is read as alpha . u.  The uniformisation rate is
+// the chain's maximum exit rate.
 #pragma once
 
 #include <span>
@@ -19,9 +25,6 @@ class PhaseChain;
 struct TransientOptions {
   /// Bound on the truncation error of the Poisson series (L1, a priori).
   double epsilon = 1e-10;
-  /// Uniformisation rate lambda; 0 selects max exit rate automatically
-  /// (with a fallback of 1.0 for a chain where every state is absorbing).
-  double uniformisation_rate = 0.0;
   /// Stop iterating powers of P early once the iterate is stationary to
   /// within steady_state_tolerance and attribute the remaining Poisson
   /// mass to that iterate.
@@ -34,15 +37,6 @@ struct TransientOptions {
   /// the dense path.  Runs on a phase chain are always dense.
   bool active_support = true;
 };
-
-/// Forward transient analysis: the state distribution at time t >= 0,
-/// starting from `initial` (non-negative, typically summing to 1).
-/// Returns a vector of size num_states; entries sum to sum(initial) up to
-/// the truncation error.
-std::vector<double> transient_distribution(const Ctmc& chain,
-                                           std::span<const double> initial,
-                                           double t,
-                                           const TransientOptions& options = {});
 
 /// Backward transient analysis with an arbitrary terminal value vector v:
 /// returns u with u(s) = E_s[v(X_t)] = (e^{Qt} v)(s).  With v an indicator

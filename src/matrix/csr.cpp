@@ -356,50 +356,6 @@ bool CsrMatrix::multiply_fused(std::span<const double> x,
                          });
 }
 
-bool CsrMatrix::multiply_left_fused(std::span<const double> x,
-                                    std::span<double> y,
-                                    std::span<const FusedAxpy> pendings,
-                                    double tolerance) const {
-  if (rows_ != cols_ || x.size() != rows_ || y.size() != cols_)
-    throw ModelError("CsrMatrix::multiply_left_fused: dimension mismatch");
-  CSRL_COUNT("spmv/multiply_left", 1);
-  CSRL_COUNT("matrix/spmv/rows_active", rows_);
-  charge_spmv_cost(nnz(), rows_);
-  charge_epilogue_cost(rows_, pendings.size());
-
-  // Gather along the transpose: each column's contributions accumulate
-  // in ascending original-row order, the exact sequence the serial
-  // scatter of multiply_left performs (including the x == 0 skip), so
-  // the bits match the unfused kernel at any thread count.
-  const CsrMatrix& t = cached_transpose();
-  const auto process_cols = [&](std::size_t col_begin, std::size_t col_end,
-                                bool scan) {
-    for (std::size_t col = col_begin; col < col_end; ++col) {
-      double acc = 0.0;
-      for (const CsrEntry& e : t.row_unchecked(col)) {
-        const double xr = x[e.col];
-        if (xr != 0.0) acc += xr * e.value;
-      }
-      y[col] = acc;
-      const double xc = x[col];
-      for (const FusedAxpy& p : pendings) p.out[col] += p.weight * xc;
-      scan = scan && std::abs(acc - xc) <= tolerance;
-    }
-    return scan;
-  };
-
-  const ThreadPool& pool = ThreadPool::global();
-  if (pool.num_threads() == 1 || nnz() < kParallelNnzThreshold)
-    return process_cols(0, cols_, tolerance >= 0.0);
-
-  const auto chunks = t.row_chunks(pool.num_threads() * kChunksPerThread);
-  return tiles_converged(pool, chunks->size() - 1, tolerance >= 0.0,
-                         [&](std::size_t c, bool scan) {
-                           return process_cols((*chunks)[c], (*chunks)[c + 1],
-                                               scan);
-                         });
-}
-
 bool CsrMatrix::multiply_active(std::span<const double> x,
                                 std::span<double> y, const SupportMask& in,
                                 SupportMask& out,
@@ -444,52 +400,11 @@ bool CsrMatrix::multiply_active(std::span<const double> x,
   return active_converged(x, y, in, out, tolerance);
 }
 
-bool CsrMatrix::multiply_left_active(std::span<const double> x,
-                                     std::span<double> y,
-                                     const SupportMask& in, SupportMask& out,
-                                     std::span<const FusedAxpy> pendings,
-                                     double tolerance) const {
-  if (rows_ != cols_ || x.size() != rows_ || y.size() != cols_ ||
-      in.universe() != rows_ || out.universe() != rows_)
-    throw ModelError("CsrMatrix::multiply_left_active: dimension mismatch");
-  CSRL_COUNT("spmv/multiply_left", 1);
-  CSRL_COUNT("matrix/spmv/rows_active", in.size());
-  if (CSRL_OBS_ACTIVE()) {
-    std::uint64_t touched = 0;
-    for (std::size_t r : in.members())
-      touched += row_ptr_[r + 1] - row_ptr_[r];
-    charge_spmv_cost(touched, in.size());
-    charge_epilogue_cost(in.size(), pendings.size());
-  }
-
-  for (std::size_t i : out.members()) y[i] = 0.0;
-  out.clear();
-  // Scatter the frontier rows in ascending order — the dense serial
-  // scatter restricted to the rows it would not skip anyway, so each
-  // y[col] receives the same contributions in the same order.
-  for (std::size_t r : in.members()) {
-    const double xr = x[r];
-    for (const FusedAxpy& p : pendings) p.out[r] += p.weight * xr;
-    if (xr == 0.0) continue;
-    for (std::size_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
-      y[entries_[i].col] += xr * entries_[i].value;
-      out.insert(entries_[i].col);
-    }
-  }
-  out.sort();
-  return active_converged(x, y, in, out, tolerance);
-}
-
 void CsrMatrix::warm_kernel_caches(bool transpose) const {
   const ThreadPool& pool = ThreadPool::global();
-  const std::size_t target = pool.num_threads() * kChunksPerThread;
   if (pool.num_threads() > 1 && nnz() >= kParallelNnzThreshold)
-    row_chunks(target);
-  if (transpose) {
-    const CsrMatrix& t = cached_transpose();
-    if (pool.num_threads() > 1 && t.nnz() >= kParallelNnzThreshold)
-      t.row_chunks(target);
-  }
+    row_chunks(pool.num_threads() * kChunksPerThread);
+  if (transpose) (void)cached_transpose();
 }
 
 std::vector<double> CsrMatrix::row_sums() const {

@@ -111,33 +111,27 @@ class CsrMatrix {
 
   /// y = x A, i.e. y^T = A^T x^T (scatters along rows).  This is the
   /// product used to push probability distributions through a DTMC:
-  /// pi_{n+1} = pi_n P.  Requires x.size() == rows().
+  /// pi_{n+1} = pi_n P (power iteration for stationary distributions).
+  /// Requires x.size() == rows().
   void multiply_left(std::span<const double> x, std::span<double> y) const;
 
-  // -- Fused series kernels (ctmc/uniformisation.cpp) ----------------------
+  // -- Fused series kernel (ctmc/uniformisation.cpp) -----------------------
   //
-  // One memory traversal instead of three for the uniformisation loop:
+  // One memory traversal instead of three for the backward uniformisation
+  // loop:
   // the product, the deferred Poisson-weight axpys of the previous step
   // (`pendings`: out[i] += weight * x[i]) and the convergence predicate
   // (returned; see kNoConvergenceScan) all ride the same pass over the
   // vectors.  Requires a square matrix and x/y/pending targets of size
   // rows() with no aliasing between them.  Every per-element operation
-  // matches the unfused kernels exactly, so results are bit-identical to
+  // matches the unfused kernel exactly, so results are bit-identical to
   // separate multiply + axpy calls, serial or pooled, and so is the
-  // verdict (the row chunks share one flag).  multiply_left_fused
-  // gathers along the cached transpose even on one lane — the same
-  // per-element accumulation order as the serial scatter, hence the
-  // same bits.
+  // verdict (the row chunks share one flag).
 
   /// Fused y = A x; see above.
   bool multiply_fused(std::span<const double> x, std::span<double> y,
                       std::span<const FusedAxpy> pendings,
                       double tolerance) const;
-
-  /// Fused y = x A; see above.
-  bool multiply_left_fused(std::span<const double> x, std::span<double> y,
-                           std::span<const FusedAxpy> pendings,
-                           double tolerance) const;
 
   // -- Lane products (matrix/spmm.cpp) -------------------------------------
   //
@@ -170,16 +164,16 @@ class CsrMatrix {
   /// once per product.
   void charge_lane_product(std::size_t width) const;
 
-  // -- Active-support kernels (matrix/support.hpp) -------------------------
+  // -- Active-support kernel (matrix/support.hpp) --------------------------
   //
-  // Masked forms of the fused kernels for iterates whose support is a
+  // Masked form of the fused kernel for iterates whose support is a
   // sparse frontier.  `in` must mask every non-zero of x (sorted — the
-  // kernels keep masks sorted); off-mask entries of x must be exactly
+  // kernel keeps masks sorted); off-mask entries of x must be exactly
   // +0.0.  On entry `out` must mask every position where y may hold a
-  // stale non-zero (the kernels zero those); on return it masks the new
+  // stale non-zero (the kernel zeroes those); on return it masks the new
   // support of y, sorted.  With non-negative x and pending targets the
   // result vector, the pending updates and the returned verdict are all
-  // bit-identical to the dense fused kernels: skipped positions would
+  // bit-identical to the dense fused kernel: skipped positions would
   // only ever add exact +0.0 terms.  Serial (the frontier regime is
   // dispatch-bound, not bandwidth-bound); zero heap allocations.
 
@@ -191,17 +185,9 @@ class CsrMatrix {
                        std::span<const FusedAxpy> pendings,
                        double tolerance) const;
 
-  /// Active y = x A: scatters only the frontier rows, in ascending order
-  /// exactly like the dense serial scatter.
-  bool multiply_left_active(std::span<const double> x, std::span<double> y,
-                            const SupportMask& in, SupportMask& out,
-                            std::span<const FusedAxpy> pendings,
-                            double tolerance) const;
-
   /// Pre-build the lazy caches (row partition and, when `transpose`, the
-  /// cached transpose with its partition) that the kernels above create
-  /// on first use, so iteration loops that follow perform zero heap
-  /// allocations.
+  /// cached transpose) that the step kernels create on first use, so
+  /// iteration loops that follow perform zero heap allocations.
   void warm_kernel_caches(bool transpose) const;
 
   /// Sum of the stored entries of each row (exit rates of a rate matrix).
@@ -231,8 +217,8 @@ class CsrMatrix {
  private:
   friend class CsrBuilder;
 
-  /// The cached transpose used by the parallel left product (built on
-  /// first use, under lock).
+  /// The cached transpose used by the parallel left product and the
+  /// active kernel's frontier rows (built on first use, under lock).
   const CsrMatrix& cached_transpose() const;
 
   std::size_t rows_ = 0;

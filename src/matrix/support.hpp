@@ -1,13 +1,14 @@
 // Active-support tracking for sparsity-aware SpMV.
 //
-// Uniformisation iterates start as (near-)point masses and spread along
-// the transition graph one hop per step, so early iterations touch a tiny
-// frontier of the state space while the dense kernel sweeps all of it.
-// A SupportMask names the states that may be non-zero in one iterate (a
-// conservative superset of the true support); the active kernels in
-// matrix/csr.hpp propagate the mask alongside the vector and only visit
-// masked rows, falling back to the dense kernel once the frontier stops
-// being sparse (see TransientOptions::active_support).
+// Backward uniformisation iterates start as the indicator of a (small)
+// target set and spread to its predecessors one hop per step, so early
+// iterations touch a tiny frontier of the state space while the dense
+// kernel sweeps all of it.  A SupportMask names the states that may be
+// non-zero in one iterate (a conservative superset of the true support);
+// the active kernel in matrix/csr.hpp (CsrMatrix::multiply_active)
+// propagates the mask alongside the vector and only visits the rows that
+// see it, falling back to the dense kernel once the frontier stops being
+// sparse (see TransientOptions::active_support).
 //
 // The mask is bitmap + index list so membership tests are O(1) and
 // iteration is O(|mask|).  Capacity for the full universe is reserved at
@@ -72,9 +73,8 @@ class SupportMask {
       if (x[i] != 0.0) insert(i);
   }
 
-  /// Members in ascending order.  The active kernels call this before
-  /// traversing, so masked scatters visit rows in exactly the order the
-  /// dense kernel would (the bitwise-identity requirement).  In-place
+  /// Members in ascending order.  The active kernel calls this before
+  /// traversing, so it visits rows in the dense kernel's order.  In-place
   /// introsort: no allocation.
   void sort();
 

@@ -18,7 +18,7 @@ void check_equal_length(std::size_t a, std::size_t b, const char* where) {
 // Below this length the dispatch costs more than the arithmetic.  Only
 // order-insensitive operations (elementwise updates and max-reductions)
 // run in parallel, so results stay bit-identical to the serial loops at
-// any thread count.  Sum-type folds (dot, sum, norm1) deliberately stay
+// any thread count.  Sum-type folds (dot, sum) deliberately stay
 // sequential: their value depends on association order, and keeping the
 // serial fold preserves bit-compatibility with existing regression
 // baselines; they are O(n) with trivial constants and never dominate a
@@ -63,12 +63,6 @@ double sum(std::span<const double> x) {
   return acc;
 }
 
-double norm1(std::span<const double> x) {
-  double acc = 0.0;
-  for (double v : x) acc += std::abs(v);
-  return acc;
-}
-
 double norm_inf(std::span<const double> x) {
   const auto chunk_max = [&](std::size_t lo, std::size_t hi) {
     double best = 0.0;
@@ -103,28 +97,6 @@ void normalise_l1(std::span<double> x) {
     // lint:allow hot-throw (zero-mass guard; the fatal exit, never taken on a distribution)
     throw NumericalError("normalise_l1: vector sum is not positive");
   scale(x, 1.0 / total);
-}
-
-void hadamard(std::span<const double> a, std::span<const double> b,
-              std::span<double> out) {
-  check_equal_length(a.size(), b.size(), "hadamard");
-  check_equal_length(a.size(), out.size(), "hadamard");
-  if (a.size() < kParallelThreshold) {
-    for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] * b[i];
-    return;
-  }
-  parallel_for(0, a.size(), kGrain, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) out[i] = a[i] * b[i];
-  });
-}
-
-double sum_at(std::span<const double> x, std::span<const std::size_t> idx) {
-  double acc = 0.0;
-  for (std::size_t i : idx) {
-    if (i >= x.size()) throw ModelError("sum_at: index out of range");
-    acc += x[i];
-  }
-  return acc;
 }
 
 std::vector<double> zeros(std::size_t n) { return std::vector<double>(n, 0.0); }

@@ -19,9 +19,6 @@ void scale(std::span<double> x, double alpha);
 /// Sum of all entries.
 double sum(std::span<const double> x);
 
-/// L1 norm (sum of absolute values).
-double norm1(std::span<const double> x);
-
 /// Maximum absolute value.
 double norm_inf(std::span<const double> x);
 
@@ -31,13 +28,6 @@ double max_abs_diff(std::span<const double> a, std::span<const double> b);
 /// Rescale a non-negative vector so its entries sum to 1.
 /// Throws NumericalError if the sum is not positive.
 void normalise_l1(std::span<double> x);
-
-/// Elementwise product written into `out`; all spans equal length.
-void hadamard(std::span<const double> a, std::span<const double> b,
-              std::span<double> out);
-
-/// Sum of x over the positions listed in `idx`.
-double sum_at(std::span<const double> x, std::span<const std::size_t> idx);
 
 /// Convenience: a vector of `n` zeros (names the intent at call sites).
 std::vector<double> zeros(std::size_t n);

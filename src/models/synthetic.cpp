@@ -24,21 +24,6 @@ Mrm birth_death_mrm(std::size_t num_states, double birth_rate,
              /*initial_state=*/0);
 }
 
-Mrm pure_death_mrm(std::size_t num_states, double rate) {
-  if (num_states == 0) throw ModelError("pure_death_mrm: need >= 1 state");
-  CsrBuilder rates(num_states, num_states);
-  std::vector<double> rewards(num_states, 0.0);
-  Labelling labelling(num_states);
-  for (std::size_t i = 1; i < num_states; ++i) {
-    rates.add(i, i - 1, rate);
-    rewards[i] = static_cast<double>(i);
-  }
-  labelling.add_label(0, "dead");
-  labelling.add_label(num_states - 1, "fresh");
-  return Mrm(Ctmc(rates.build()), std::move(rewards), std::move(labelling),
-             num_states - 1);
-}
-
 Mrm tandem_queue_mrm(std::size_t capacity1, std::size_t capacity2,
                      double lambda, double mu1, double mu2) {
   const std::size_t w1 = capacity1 + 1;

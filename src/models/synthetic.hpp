@@ -13,12 +13,6 @@ namespace csrl {
 Mrm birth_death_mrm(std::size_t num_states, double birth_rate,
                     double death_rate);
 
-/// Pure death chain: starts in state n-1 and steps down to the absorbing
-/// state 0 at `rate`.  The hitting time of "dead" (state 0) is
-/// Erlang(n-1, rate), giving closed forms for tests.  Reward of state i
-/// is i.
-Mrm pure_death_mrm(std::size_t num_states, double rate);
-
 /// Two M/M/1 queues in tandem with finite capacities; arrivals `lambda`,
 /// service rates `mu1`, `mu2`.  Arrivals and stage-1 completions are lost
 /// when the target queue is full.  Reward: total number of jobs in the

@@ -66,9 +66,6 @@ class Mrm {
     return impulses_.nnz() == 0 ? 0.0 : impulses_.at(from, to);
   }
 
-  /// Largest impulse on any transition (0 without impulses).
-  double max_impulse() const { return impulses_.max_abs(); }
-
   /// The distinct reward values in increasing order.
   std::vector<double> distinct_rewards() const;
 

@@ -1,5 +1,5 @@
 // Test helpers: the forward (from-alpha, per-final-state) shape of the P3
-// engines, built from the one shape they answer.
+// engines and of transient analysis, built from the one shape they answer.
 //
 // An engine evaluates the all-start-states form
 //   all_starts(target)[s] = Pr_s{Y_t <= r, X_t in target},
@@ -7,7 +7,8 @@
 // initial distribution alpha is alpha . all_starts(target), and the joint
 // distribution over final states, Pr_alpha{Y_t <= r, X_t = j}, is that
 // value with target = {j} — one engine run per final state, which is the
-// paper's matrix cost.
+// paper's matrix cost.  Transient analysis (ctmc/uniformisation.hpp) is
+// the same with no reward bound.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/engines/engine.hpp"
+#include "ctmc/uniformisation.hpp"
 #include "matrix/vector_ops.hpp"
 #include "mrm/mrm.hpp"
 #include "util/state_set.hpp"
@@ -46,6 +48,21 @@ inline std::vector<double> per_final_state(
     StateSet final_state(n);
     final_state.insert(j);
     result[j] = from_initial(engine, model, t, r, final_state);
+  }
+  return result;
+}
+
+/// The transient distribution Pr_alpha{X_t = j} for every final state j,
+/// from the start distribution `initial`: alpha . transient_reach({j}).
+inline std::vector<double> per_final_state(
+    const Ctmc& chain, std::span<const double> initial, double t,
+    const TransientOptions& options = {}) {
+  const std::size_t n = chain.num_states();
+  std::vector<double> result(n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    StateSet final_state(n);
+    final_state.insert(j);
+    result[j] = dot(initial, transient_reach(chain, final_state, t, options));
   }
   return result;
 }

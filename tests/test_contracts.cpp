@@ -1,7 +1,7 @@
 // Tests for the runtime numerical contract layer: the contract macros
 // fire by level, every Validator check fires on bad input, the in-situ
-// CSRL_CONTRACT sites stay silent on a valid model and fire on input
-// that gets past the argument checks, and the engines'
+// CSRL_CONTRACT sites stay silent on a valid model (and CsrBuilder's
+// fires on input that gets past its argument checks), and the engines'
 // postcondition validate_joint_grid rejects bad lattices.  Levels are
 // driven with ScopedValidation so the tests are independent of
 // CSRL_VALIDATE.
@@ -118,25 +118,6 @@ TEST(CsrContract, BuilderRejectsDuplicatesThatSumToInfinity) {
   EXPECT_THROW(b.build(), ContractViolation);
 }
 
-TEST(TransientContract, OverflowingMassIsNotASubDistribution) {
-#ifdef CSRL_CONTRACTS_DISABLED
-  GTEST_SKIP() << "contracts compiled out";
-#endif
-  // Finite non-negative entries pass the argument checks, but both flow
-  // into absorbing state 0 and their sum overflows to +inf there.  (A
-  // negative entry is a ModelError before the contract; a finite mass
-  // above 1 is fine, since the bound is relative to the initial mass.)
-  CsrBuilder b(2, 2);
-  b.add(1, 0, 1.0);
-  const Ctmc chain(b.build());
-  const double big = std::numeric_limits<double>::max();
-  const std::vector<double> initial{big, big};
-  ScopedValidation basic(ValidationLevel::kBasic);
-  EXPECT_THROW(transient_distribution(chain, initial, 1.0), ContractViolation);
-  const std::vector<double> heavy{0.9, 0.9};
-  EXPECT_NO_THROW(transient_distribution(chain, heavy, 1.0));
-}
-
 TEST(ValidatorTest, ProbabilityVectorAndDistributionBounds) {
   const Validator v("pi");
   const std::vector<double> good{0.25, 0.75};
@@ -177,6 +158,11 @@ TEST(InSituContracts, UniformisedDtmcAndDualSilentOnValidModel) {
   EXPECT_NO_THROW(m.chain().embedded_dtmc());
   EXPECT_NO_THROW(dual(m));
   EXPECT_NO_THROW(poisson_weights(2048.0, 1e-12));
+  StateSet target(m.num_states());
+  target.insert(2);
+  const double times[] = {0.5, 2.0};
+  EXPECT_NO_THROW(transient_reach(m.chain(), target, 1.0));
+  EXPECT_NO_THROW(transient_reach_batch(m.chain(), target, times));
 }
 
 // validate_joint_grid runs on grid-point-major lattices; every

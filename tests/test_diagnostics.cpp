@@ -4,6 +4,7 @@
 
 #include "models/adhoc.hpp"
 #include "models/synthetic.hpp"
+#include "pure_death_mrm.hpp"
 
 namespace csrl {
 namespace {

@@ -44,7 +44,6 @@ TEST(ImpulseRewards, AttachAndQuery) {
   EXPECT_TRUE(m.has_impulse_rewards());
   EXPECT_DOUBLE_EQ(m.impulse(0, 1), 2.0);
   EXPECT_DOUBLE_EQ(m.impulse(1, 0), 0.0);
-  EXPECT_DOUBLE_EQ(m.max_impulse(), 2.0);
 }
 
 TEST(ImpulseRewards, ValidationRejectsBadImpulses) {

@@ -1,6 +1,7 @@
 // The active-support SpMV hot path (matrix/support.hpp + the frontier
-// mode of uniformisation): differential tests against the dense fused
-// kernel and the convergence predicate every fused step kernel returns.
+// mode of backward uniformisation): differential tests against the dense
+// fused kernel and the convergence predicate every step kernel returns
+// (multiply_fused, multiply_active, multiply_phase_fused).
 //
 // Labelled `tsan` in tests/CMakeLists.txt: the differential sweep and the
 // predicate tests run every kernel at 1 and 4 threads, so under
@@ -62,14 +63,16 @@ TEST(ActiveSupport, BitwiseIdenticalToDenseAcrossSeedsAndThreads) {
     const Mrm model = random_mrm(seed, 96, 0.03);
     const Ctmc& chain = model.chain();
     const StateSet target = last_states(model, 5);
-    const std::vector<double>& initial = model.initial_distribution();
+    // A single target state: the frontier the active path walks from.
+    StateSet point(model.num_states());
+    point.insert(model.initial_state());
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       ThreadPool::set_global_threads(threads);
       for (double t : times) {
         expect_bitwise_equal(
-            transient_distribution(chain, initial, t, dense_options()),
-            transient_distribution(chain, initial, t, active_options()),
-            "forward");
+            transient_reach(chain, point, t, dense_options()),
+            transient_reach(chain, point, t, active_options()),
+            "backward from a point");
         expect_bitwise_equal(
             transient_reach(chain, target, t, dense_options()),
             transient_reach(chain, target, t, active_options()), "backward");
@@ -170,21 +173,17 @@ struct PredicateFixture {
       lanes[i] = rng.next_double(0.1, 1.0);
   }
 
-  StepKernel csr(bool left, bool active) const {
-    return [this, left, active](const std::vector<double>& in_x,
-                                std::vector<double>& y,
-                                std::vector<double>& acc, double tolerance) {
+  StepKernel csr(bool active) const {
+    return [this, active](const std::vector<double>& in_x,
+                          std::vector<double>& y, std::vector<double>& acc,
+                          double tolerance) {
       const FusedAxpy pending[1] = {{0.5, acc.data()}};
-      if (!active)
-        return left ? p.multiply_left_fused(in_x, y, pending, tolerance)
-                    : p.multiply_fused(in_x, y, pending, tolerance);
+      if (!active) return p.multiply_fused(in_x, y, pending, tolerance);
       // y is all zero, so the stale out-mask is empty.
       SupportMask in(kStates);
       SupportMask out(kStates);
       in.reset_to_support(in_x);
-      return left ? p.multiply_left_active(in_x, y, in, out, pending,
-                                           tolerance)
-                  : p.multiply_active(in_x, y, in, out, pending, tolerance);
+      return p.multiply_active(in_x, y, in, out, pending, tolerance);
     };
   }
 
@@ -258,14 +257,8 @@ TEST(ConvergencePredicate, VerdictMatchesFullScanForEveryKernel) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ThreadPool::set_global_threads(threads);
     const std::string at = " at " + std::to_string(threads) + " threads";
-    expect_verdicts(f.csr(false, false), f.x, n, {0, n - 1},
-                    "multiply_fused" + at);
-    expect_verdicts(f.csr(true, false), f.x, n, {0, n - 1},
-                    "multiply_left_fused" + at);
-    expect_verdicts(f.csr(false, true), f.x, n, {0, n - 1},
-                    "multiply_active" + at);
-    expect_verdicts(f.csr(true, true), f.x, n, {0, n - 1},
-                    "multiply_left_active" + at);
+    expect_verdicts(f.csr(false), f.x, n, {0, n - 1}, "multiply_fused" + at);
+    expect_verdicts(f.csr(true), f.x, n, {0, n - 1}, "multiply_active" + at);
     // First and last lane of the first and the last state.
     expect_verdicts(f.phase(), f.lanes, states,
                     {0, k - 1, (states - 1) * k, states * k - 1},
@@ -288,10 +281,10 @@ TEST(ConvergencePredicate, NanNeverConverges) {
     for (std::size_t i : {std::size_t{0}, n / 2, n - 1}) {
       std::vector<double> x = f.x;
       x[i] = nan;
-      expect_verdict(f.csr(false, false), x, n, inf, false,
+      expect_verdict(f.csr(false), x, n, inf, false,
                      "multiply_fused, NaN at " + std::to_string(i) + at);
-      expect_verdict(f.csr(true, false), x, n, inf, false,
-                     "multiply_left_fused, NaN at " + std::to_string(i) + at);
+      expect_verdict(f.csr(true), x, n, inf, false,
+                     "multiply_active, NaN at " + std::to_string(i) + at);
     }
     for (std::size_t i : {std::size_t{0}, lanes / 2, lanes - 1}) {
       std::vector<double> x = f.lanes;
@@ -310,20 +303,19 @@ TEST(ConvergencePredicate, NanNeverConverges) {
 TEST(ActiveSupport, FrontierReducesRowsTouched) {
   const Mrm model = birth_death_mrm(512, 2.0, 3.0);
   const Ctmc& chain = model.chain();
-  std::vector<double> initial(model.num_states(), 0.0);
-  initial[model.initial_state()] = 1.0;
+  StateSet target(model.num_states());
+  target.insert(0);
   const double t = 1.0;
 
   obs::ScopedRecording recording;
   const obs::MetricsSnapshot before_dense = obs::snapshot_metrics();
-  const auto dense = transient_distribution(chain, initial, t, dense_options());
+  const auto dense = transient_reach(chain, target, t, dense_options());
   const std::uint64_t rows_dense =
       obs::metrics_delta(before_dense, obs::snapshot_metrics())
           .counter("matrix/spmv/rows_active");
 
   const obs::MetricsSnapshot before_active = obs::snapshot_metrics();
-  const auto active =
-      transient_distribution(chain, initial, t, active_options());
+  const auto active = transient_reach(chain, target, t, active_options());
   const std::uint64_t rows_active =
       obs::metrics_delta(before_active, obs::snapshot_metrics())
           .counter("matrix/spmv/rows_active");

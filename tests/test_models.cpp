@@ -7,6 +7,7 @@
 #include "models/cluster.hpp"
 #include "models/multiprocessor.hpp"
 #include "models/synthetic.hpp"
+#include "pure_death_mrm.hpp"
 
 namespace csrl {
 namespace {

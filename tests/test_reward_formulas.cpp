@@ -8,6 +8,7 @@
 #include "core/reward_ops.hpp"
 #include "logic/parser.hpp"
 #include "models/synthetic.hpp"
+#include "pure_death_mrm.hpp"
 #include "util/error.hpp"
 
 namespace csrl {
@@ -194,12 +195,21 @@ TEST(RewardFormulas, SatOfQueryThrows) {
 }
 
 TEST(RewardFormulas, CumulativeEqualsScalarVersionFromInitialState) {
-  // The backward per-state routine and the forward scalar routine must
-  // agree at the initial state (they use transposed series).
-  const Mrm m = birth_death_mrm(5, 2.0, 1.0);
-  const Checker c(m);
-  const auto v = c.values(*parse_formula("R=? [ C<=3 ]"));
-  EXPECT_NEAR(v[m.initial_state()], expected_accumulated_reward(m, 3.0), 1e-8);
+  // Flip-flop 0 <-> 1 at rates a, b earning rho0, rho1 and starting in 1:
+  // E[Y_t] = rho1 t + (rho0 - rho1) int_0^t P10(u) du, with
+  // P10(u) = b/(a+b) (1 - e^{-(a+b)u}).  The checker's value at the
+  // initial state and the scalar routine both match it.
+  const double a = 2.0, b = 0.5, rho0 = 3.0, rho1 = 1.0, t = 3.0;
+  CsrBuilder rates(2, 2);
+  rates.add(0, 1, a);
+  rates.add(1, 0, b);
+  const Mrm m(Ctmc(rates.build()), {rho0, rho1}, Labelling(2), 1);
+  const double q = a + b;
+  const double occupancy0 = b / q * (t - (1.0 - std::exp(-q * t)) / q);
+  const double exact = rho1 * t + (rho0 - rho1) * occupancy0;
+  const auto v = Checker(m).values(*parse_formula("R=? [ C<=3 ]"));
+  EXPECT_NEAR(v[m.initial_state()], exact, 1e-8);
+  EXPECT_NEAR(expected_accumulated_reward(m, t), exact, 1e-8);
 }
 
 }  // namespace

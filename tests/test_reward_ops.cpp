@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "models/synthetic.hpp"
+#include "pure_death_mrm.hpp"
 #include "util/error.hpp"
 
 namespace csrl {
@@ -66,7 +67,9 @@ TEST(ExpectedInstantaneousReward, TracksTransientDistribution) {
   b.add(0, 1, a);
   const Mrm m(Ctmc(b.build()), {1.0, 0.0}, Labelling(2), 0);
   for (double t : {0.0, 0.5, 2.0})
-    EXPECT_NEAR(expected_instantaneous_reward(m, t), std::exp(-a * t), 1e-9)
+    EXPECT_NEAR(
+        expected_instantaneous_reward_all_starts(m, t)[m.initial_state()],
+        std::exp(-a * t), 1e-9)
         << t;
 }
 
@@ -77,7 +80,9 @@ TEST(ExpectedInstantaneousReward, DerivativeOfAccumulatedReward) {
   const double derivative = (expected_accumulated_reward(m, t + h) -
                              expected_accumulated_reward(m, t - h)) /
                             (2.0 * h);
-  EXPECT_NEAR(derivative, expected_instantaneous_reward(m, t), 1e-5);
+  EXPECT_NEAR(derivative,
+              expected_instantaneous_reward_all_starts(m, t)[m.initial_state()],
+              1e-5);
 }
 
 }  // namespace

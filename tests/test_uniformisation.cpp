@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
-#include "matrix/vector_ops.hpp"
+#include "final_state_oracle.hpp"
 #include "util/error.hpp"
+#include "util/state_set.hpp"
 
 namespace csrl {
 namespace {
@@ -24,21 +27,32 @@ Ctmc flip_flop(double a, double b) {
   return Ctmc(m.build());
 }
 
+// The TransientDistribution cases read the forward distribution from
+// backward runs, one per final state (oracle::per_final_state), or check
+// the backward entry points directly.
+
 TEST(TransientDistribution, MatchesTwoStateClosedForm) {
   const double a = 2.0, b = 0.5;
   const Ctmc chain = flip_flop(a, b);
   const std::vector<double> initial{1.0, 0.0};
   for (double t : {0.1, 1.0, 3.0, 10.0}) {
-    const std::vector<double> pi = transient_distribution(chain, initial, t);
+    const std::vector<double> pi = oracle::per_final_state(chain, initial, t);
     EXPECT_NEAR(pi[0], p00(a, b, t), 1e-9) << "t=" << t;
     EXPECT_NEAR(pi[0] + pi[1], 1.0, 1e-9);
   }
 }
 
 TEST(TransientDistribution, TimeZeroReturnsInitial) {
+  // At t = 0 every entry point returns its terminal vector unchanged.
   const Ctmc chain = flip_flop(1.0, 1.0);
-  const std::vector<double> initial{0.3, 0.7};
-  EXPECT_EQ(transient_distribution(chain, initial, 0.0), initial);
+  const std::vector<double> terminal{0.3, 0.7};
+  EXPECT_EQ(transient_backward(chain, terminal, 0.0), terminal);
+  StateSet target(2);
+  target.insert(1);
+  EXPECT_EQ(transient_reach(chain, target, 0.0), target.indicator());
+  const std::vector<double> times{0.0, 0.0};
+  for (const auto& u : transient_reach_batch(chain, target, times))
+    EXPECT_EQ(u, target.indicator());
 }
 
 TEST(TransientDistribution, TinyLambdaTIsSafeAndNearInitial) {
@@ -47,17 +61,15 @@ TEST(TransientDistribution, TinyLambdaTIsSafeAndNearInitial) {
   // lambda*t has left == 0 but may carry (almost) no probability beyond
   // the anchor.  A tiny horizon must neither crash nor move mass.
   const Ctmc chain = flip_flop(3.0, 0.25);
-  const std::vector<double> initial{0.6, 0.4};
+  const std::vector<double> terminal{0.6, 0.4};
   for (double t : {1e-300, 1e-30, 1e-15, 1e-9}) {
-    const std::vector<double> pi = transient_distribution(chain, initial, t);
-    ASSERT_EQ(pi.size(), 2u) << "t=" << t;
-    EXPECT_NEAR(pi[0], initial[0], 1e-8) << "t=" << t;
-    EXPECT_NEAR(pi[1], initial[1], 1e-8) << "t=" << t;
-    EXPECT_NEAR(pi[0] + pi[1], 1.0, 1e-8) << "t=" << t;
+    const std::vector<double> u = transient_backward(chain, terminal, t);
+    ASSERT_EQ(u.size(), 2u) << "t=" << t;
+    EXPECT_NEAR(u[0], terminal[0], 1e-8) << "t=" << t;
+    EXPECT_NEAR(u[1], terminal[1], 1e-8) << "t=" << t;
   }
-  // The backward form shares the accumulator; exercise it too.
-  const std::vector<double> terminal{1.0, 0.0};
-  const std::vector<double> u = transient_backward(chain, terminal, 1e-300);
+  const std::vector<double> indicator{1.0, 0.0};
+  const std::vector<double> u = transient_backward(chain, indicator, 1e-300);
   EXPECT_NEAR(u[0], 1.0, 1e-8);
   EXPECT_NEAR(u[1], 0.0, 1e-8);
 }
@@ -68,70 +80,68 @@ TEST(TransientDistribution, PureDeathIsErlang) {
   CsrBuilder b(4, 4);
   for (std::size_t i = 1; i < 4; ++i) b.add(i, i - 1, mu);
   const Ctmc chain(b.build());
-  const std::vector<double> initial{0.0, 0.0, 0.0, 1.0};
+  StateSet dead(4);
+  dead.insert(0);
   const double t = 2.0;
-  const std::vector<double> pi = transient_distribution(chain, initial, t);
+  const std::vector<double> u = transient_reach(chain, dead, t);
   const double x = mu * t;
   const double erlang3_cdf = 1.0 - std::exp(-x) * (1.0 + x + x * x / 2.0);
-  EXPECT_NEAR(pi[0], erlang3_cdf, 1e-9);
+  EXPECT_NEAR(u[3], erlang3_cdf, 1e-9);
 }
 
 TEST(TransientDistribution, AllAbsorbingStaysPut) {
   const Ctmc chain{CsrMatrix(3, 3)};
-  const std::vector<double> initial{0.2, 0.3, 0.5};
-  EXPECT_EQ(transient_distribution(chain, initial, 5.0), initial);
+  const std::vector<double> terminal{0.2, 0.3, 0.5};
+  EXPECT_EQ(transient_backward(chain, terminal, 5.0), terminal);
+  StateSet target(3);
+  target.insert(1);
+  const std::vector<double> times{1.0, 5.0};
+  for (const auto& u : transient_reach_batch(chain, target, times))
+    EXPECT_EQ(u, target.indicator());
 }
 
 TEST(TransientDistribution, SubStochasticInitialAllowed) {
   const Ctmc chain = flip_flop(1.0, 1.0);
   const std::vector<double> initial{0.5, 0.0};
-  const std::vector<double> pi = transient_distribution(chain, initial, 1.0);
+  const std::vector<double> pi = oracle::per_final_state(chain, initial, 1.0);
   EXPECT_NEAR(pi[0] + pi[1], 0.5, 1e-9);
 }
 
 TEST(TransientDistribution, InvalidInputsThrow) {
   const Ctmc chain = flip_flop(1.0, 1.0);
-  std::vector<double> initial{1.0, 0.0};
-  EXPECT_THROW((void)transient_distribution(chain, initial, -1.0), ModelError);
-  std::vector<double> negative{-0.1, 1.1};
-  EXPECT_THROW((void)transient_distribution(chain, negative, 1.0), ModelError);
-  std::vector<double> short_vec{1.0};
-  EXPECT_THROW((void)transient_distribution(chain, short_vec, 1.0), ModelError);
-}
-
-TEST(TransientDistribution, CustomRateMatchesAuto) {
-  const Ctmc chain = flip_flop(2.0, 1.0);
-  const std::vector<double> initial{1.0, 0.0};
-  TransientOptions custom;
-  custom.uniformisation_rate = 10.0;  // any rate >= max exit works
-  const std::vector<double> a = transient_distribution(chain, initial, 1.5);
-  const std::vector<double> b = transient_distribution(chain, initial, 1.5, custom);
-  EXPECT_NEAR(a[0], b[0], 1e-9);
-}
-
-TEST(TransientDistribution, RateBelowMaxExitThrows) {
-  const Ctmc chain = flip_flop(2.0, 1.0);
-  const std::vector<double> initial{1.0, 0.0};
-  TransientOptions bad;
-  bad.uniformisation_rate = 1.0;
-  EXPECT_THROW((void)transient_distribution(chain, initial, 1.0, bad), ModelError);
+  const std::vector<double> terminal{1.0, 0.0};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double t : {-1.0, nan, inf})
+    EXPECT_THROW((void)transient_backward(chain, terminal, t), ModelError)
+        << "t=" << t;
+  const std::vector<double> short_vec{1.0};
+  EXPECT_THROW((void)transient_backward(chain, short_vec, 1.0), ModelError);
+  StateSet target(2);
+  target.insert(0);
+  const std::vector<double> times{1.0, -1.0};
+  EXPECT_THROW((void)transient_reach_batch(chain, target, times), ModelError);
 }
 
 TEST(TransientDistribution, SteadyStateDetectionMatchesPlainSeries) {
-  // Long horizon: detection should kick in and still give the right answer.
+  // Long horizon: detection should kick in and still give the right
+  // answer, b/(a+b) from either start state.
   const double a = 2.0, b = 0.5;
   const Ctmc chain = flip_flop(a, b);
-  const std::vector<double> initial{1.0, 0.0};
+  StateSet target(2);
+  target.insert(0);
   TransientOptions with;
   with.steady_state_detection = true;
   TransientOptions without;
   without.steady_state_detection = false;
   const double t = 400.0;
-  const std::vector<double> pi_with = transient_distribution(chain, initial, t, with);
-  const std::vector<double> pi_without =
-      transient_distribution(chain, initial, t, without);
-  EXPECT_NEAR(pi_with[0], pi_without[0], 1e-8);
-  EXPECT_NEAR(pi_with[0], b / (a + b), 1e-8);
+  const std::vector<double> u_with = transient_reach(chain, target, t, with);
+  const std::vector<double> u_without =
+      transient_reach(chain, target, t, without);
+  for (std::size_t s = 0; s < 2; ++s) {
+    EXPECT_NEAR(u_with[s], u_without[s], 1e-8) << "s=" << s;
+    EXPECT_NEAR(u_with[s], b / (a + b), 1e-8) << "s=" << s;
+  }
 }
 
 TEST(TransientReach, MatchesClosedFormForAllStartStates) {

@@ -5,6 +5,7 @@
 #include "core/checker.hpp"
 #include "logic/parser.hpp"
 #include "models/synthetic.hpp"
+#include "pure_death_mrm.hpp"
 #include "util/error.hpp"
 
 namespace csrl {

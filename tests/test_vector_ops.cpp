@@ -35,7 +35,6 @@ TEST(VectorOps, Scale) {
 TEST(VectorOps, SumsAndNorms) {
   std::vector<double> x{1.0, -2.0, 3.0};
   EXPECT_DOUBLE_EQ(sum(x), 2.0);
-  EXPECT_DOUBLE_EQ(norm1(x), 6.0);
   EXPECT_DOUBLE_EQ(norm_inf(x), 3.0);
 }
 
@@ -55,22 +54,6 @@ TEST(VectorOps, NormaliseL1) {
 TEST(VectorOps, NormaliseZeroVectorThrows) {
   std::vector<double> x{0.0, 0.0};
   EXPECT_THROW(normalise_l1(x), NumericalError);
-}
-
-TEST(VectorOps, Hadamard) {
-  std::vector<double> a{1.0, 2.0};
-  std::vector<double> b{3.0, 4.0};
-  std::vector<double> out(2, 0.0);
-  hadamard(a, b, out);
-  EXPECT_EQ(out, (std::vector<double>{3.0, 8.0}));
-}
-
-TEST(VectorOps, SumAt) {
-  std::vector<double> x{1.0, 2.0, 4.0};
-  std::vector<std::size_t> idx{0, 2};
-  EXPECT_DOUBLE_EQ(sum_at(x, idx), 5.0);
-  std::vector<std::size_t> bad{3};
-  EXPECT_THROW((void)sum_at(x, bad), ModelError);
 }
 
 TEST(VectorOps, Zeros) {

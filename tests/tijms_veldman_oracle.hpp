@@ -9,7 +9,8 @@
 // to run state by state).  The engine's adjoint recursion sums the same
 // terms in a different order, so the all-starts forms agree to rounding
 // (<= 1e-12).  Trivial (t, r) pairs resolve exactly, through
-// joint_distribution_trivial_case below.
+// joint_distribution_trivial_case below, whose transient distributions
+// come from one backward run per final state (final_state_oracle.hpp).
 #pragma once
 
 #include <algorithm>
@@ -18,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "ctmc/uniformisation.hpp"
+#include "final_state_oracle.hpp"
 #include "logic/formula.hpp"
 #include "mrm/mrm.hpp"
 #include "util/error.hpp"
@@ -65,8 +66,7 @@ inline bool joint_distribution_trivial_case(const Mrm& model, double t,
   // Without impulses Y_t <= max_reward * t on every path, so a reward
   // bound at or above that level never binds: plain transient analysis.
   if (!model.has_impulse_rewards() && r >= model.max_reward() * t) {
-    out = transient_distribution(model.chain(), model.initial_distribution(),
-                                 t);
+    out = per_final_state(model.chain(), model.initial_distribution(), t);
     return true;
   }
 
@@ -88,7 +88,7 @@ inline bool joint_distribution_trivial_case(const Mrm& model, double t,
     const Ctmc frozen(rates.build());
     std::vector<double> initial = model.initial_distribution();
     initial.push_back(0.0);
-    out = transient_distribution(frozen, initial, t);
+    out = per_final_state(frozen, initial, t);
     out.pop_back();  // the sink collects the mass that broke the bound
     for (std::size_t s = 0; s < n; ++s)
       if (model.reward(s) > 0.0) out[s] = 0.0;
