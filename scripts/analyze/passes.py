@@ -42,7 +42,7 @@ Graph-based (new in this framework):
                  hot set.
 
 The hot set is rooted at the kernel entry points by name (multiply,
-multiply_left, multiply_fused, multiply_active, the phase-lane
+multiply_left, multiply_fused, the phase-lane
 multiply_phase_fused and the CSR lane product multiply_lanes_row,
 accumulate_series, the solver sweeps, run_batch,
 all_starts_points) and closed over calls to
@@ -430,7 +430,6 @@ def layer_pass(contexts):
 HOT_ROOT_PATTERNS = [
     re.compile(p) for p in (
         r"^multiply(_left|_fused)?$",
-        r"^multiply_active$",
         r"^multiply_lanes_row$",
         r"^multiply_phase_fused$",
         r"^accumulate_series$",

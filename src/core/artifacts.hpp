@@ -11,7 +11,7 @@
 // model registration (service/registry.hpp) — and handed to any number of
 // concurrent Checkers, which then construct in O(states).  The artifact
 // owns the model (shared_ptr), so checkers built from it never dangle;
-// the lazily-built CSR caches (row chunks, transposes, support masks)
+// the lazily-built CSR caches (row chunks, transposes)
 // live inside the shared CsrMatrix and are therefore warmed once per
 // artifact rather than once per checker.
 #pragma once

@@ -31,8 +31,7 @@
 // flush read only the n phase-0 lanes.  The lattice is bit for bit the
 // one uniformisation on the explicit (n*k + 1)-state CSR chain yields
 // (tests/erlang_expansion_oracle.hpp keeps that expansion as the test
-// oracle).  The run is dense: TransientOptions::active_support has no
-// effect here.
+// oracle).
 //
 // As the paper notes, the uniformisation rate of the expanded chain grows
 // additively by max_s rho(s) * k / r, so large k slows the transient

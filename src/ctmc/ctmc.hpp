@@ -32,8 +32,6 @@ class Ctmc {
   /// Total rate E(s) of leaving state s (including any self-loop rate).
   double exit_rate(std::size_t s) const { return exit_rates_[s]; }
 
-  const std::vector<double>& exit_rates() const { return exit_rates_; }
-
   /// max_s E(s); the minimum admissible uniformisation rate.
   double max_exit_rate() const { return max_exit_rate_; }
 

@@ -7,7 +7,7 @@
 
 #include "ctmc/foxglynn.hpp"
 #include "ctmc/phase_chain.hpp"
-#include "matrix/support.hpp"
+#include "matrix/fused_step.hpp"
 #include "obs/obs.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
@@ -24,21 +24,9 @@ namespace {
   return true;
 }
 
-/// Frontier density (fraction of states) above which the active-support
-/// mode hands over to the dense kernel.
-constexpr double kSupportCrossover = 0.25;
-
-/// The active-support mode engages only for non-negative start vectors.
-/// Together with the strictly positive stored entries of the uniformised
-/// DTMC this rules out signed zeros anywhere in the iteration, which is
-/// what makes "skip an off-support term" bit-identical to "add its exact
-/// +0.0" in the dense kernel.  (A NaN entry fails v >= 0 and falls back
-/// to the dense path too.)
-bool eligible_for_active(std::span<const double> start) {
-  for (double v : start)
-    if (!(v >= 0.0)) return false;
-  return true;
-}
+/// Steady-state detection fires once no entry of the iterate moves by
+/// more than this in one step (TransientOptions::steady_state_detection).
+constexpr double kSteadyStateTolerance = 1e-14;
 
 /// One step's latency sample for the "latency/uniformisation_step"
 /// histogram.  Dormant-safe: when recording is off the constructor does
@@ -57,75 +45,29 @@ struct StepLatencySample {
   std::int64_t t0;
 };
 
-/// Step operator of the series loop over a CSR matrix: the fused dense
-/// kernel y = P x, or — while the start vector is non-negative and its
-/// support is below the crossover density — the active-support kernel,
-/// which visits only the rows that see the frontier and keeps the result
-/// bit-identical to the dense path.
+/// Step operator of the series loop over a CSR matrix: the fused kernel
+/// y = P x.  Its row partition is built here, before the loop, so the
+/// loop performs no heap allocation.
 class CsrStep {
  public:
-  CsrStep(CsrMatrix p, bool active_support)
-      : p_(std::move(p)), active_support_(active_support) {}
+  explicit CsrStep(CsrMatrix p) : p_(std::move(p)) {
+    p_.warm_kernel_caches();
+  }
 
   /// Readouts sit at every position: results are full vectors.
   std::size_t stride() const { return 1; }
 
-  /// Enter the loop with the start iterate; `scratch` is the other
-  /// buffer of the pair.
-  void begin(std::span<const double> iterate, std::vector<double>& scratch) {
-    const std::size_t n = iterate.size();
-    active_ = active_support_ && n > 0 && eligible_for_active(iterate);
-    if (active_) {
-      std::size_t support = 0;
-      for (double v : iterate)
-        if (v != 0.0) ++support;
-      active_ = static_cast<double>(support) <=
-                kSupportCrossover * static_cast<double>(n);
-    }
-    if (active_) {
-      mask_in_ = SupportMask(n);
-      mask_in_.reset_to_support(iterate);
-      mask_out_ = SupportMask(n);
-      // The stale mask of scratch is empty, so scratch must be exactly
-      // zero everywhere on entry to the first active step.
-      std::fill(scratch.begin(), scratch.end(), 0.0);
-    }
-    p_.warm_kernel_caches(active_);
-  }
-
   /// y = one fused step from x; returns the convergence verdict.
   bool step(std::span<const double> x, std::vector<double>& y,
             std::span<const FusedAxpy> pendings, double tolerance) {
-    if (active_)
-      return p_.multiply_active(x, y, mask_in_, mask_out_, pendings,
-                                tolerance);
     // One iterate in flight: batched horizons already ride the fused
     // pendings.
     // lint:allow spmm-blocking (single power iterate per step)
     return p_.multiply_fused(x, y, pendings, tolerance);
   }
 
-  /// The iterate buffers were swapped.  The out-mask now names the
-  /// support of the new iterate and the in-mask the stale non-zeros of
-  /// the new scratch — exactly the entry invariant of the next step.
-  /// Hand over to the dense kernels once the frontier stops being
-  /// sparse; they overwrite scratch in full, so the masks simply retire.
-  /// The handover never changes bits, only traversal order of identical
-  /// per-element operations.
-  void swapped() {
-    if (!active_) return;
-    std::swap(mask_in_, mask_out_);
-    if (static_cast<double>(mask_in_.size()) >
-        kSupportCrossover * static_cast<double>(p_.rows()))
-      active_ = false;
-  }
-
  private:
   CsrMatrix p_;
-  bool active_support_;
-  bool active_ = false;
-  SupportMask mask_in_;
-  SupportMask mask_out_;
 };
 
 /// Step operator of the series loop over a phase chain: the fused phase
@@ -136,14 +78,11 @@ class PhaseStep {
   explicit PhaseStep(PhaseOperator op) : op_(std::move(op)) {}
 
   std::size_t stride() const { return op_.phases(); }
-  void begin(std::span<const double>, std::vector<double>&) {}
 
   bool step(std::span<const double> x, std::vector<double>& y,
             std::span<const FusedAxpy> pendings, double tolerance) {
     return op_.multiply_phase_fused(x, y, pendings, tolerance);
   }
-
-  void swapped() {}
 
  private:
   PhaseOperator op_;
@@ -194,19 +133,16 @@ void accumulate_series(Step& op, std::vector<double>& iterate,
       pendings.push_back({windows[i].weights[0], results[i]->data()});
 
   const double tolerance = options.steady_state_detection
-                               ? options.steady_state_tolerance
+                               ? kSteadyStateTolerance
                                : kNoConvergenceScan;
-  op.begin(iterate, scratch);
   bool cutoff = false;
   for (std::size_t n = 1; n <= max_right; ++n) {
     CSRL_COUNT("uniformisation/steps", 1);
     const StepLatencySample step_latency;
     const bool converged = op.step(iterate, scratch, pendings, tolerance);
     pendings.clear();
-    // The verdict covers the *full* vector (serial or parallel alike,
-    // and the active kernels account for positions entering or leaving
-    // the frontier), so convergence decisions are identical at any
-    // thread count and in either mode.
+    // The verdict covers the *full* vector, serial or parallel alike,
+    // so convergence decisions are identical at any thread count.
     if (converged) {
       // The iterate has converged: every further power of P yields the
       // same vector, so the rest of each still-running window's Poisson
@@ -228,7 +164,6 @@ void accumulate_series(Step& op, std::vector<double>& iterate,
       break;
     }
     iterate.swap(scratch);
-    op.swapped();
     for (std::size_t i = 0; i < num_windows; ++i)
       if (n >= windows[i].left && n <= windows[i].right)
         // lint:allow hot-alloc (append into capacity reserved to num_windows at setup; at most one pending per window, never reallocates)
@@ -309,8 +244,7 @@ std::vector<std::vector<double>> run_chain(const Ctmc& chain,
     throw ModelError(std::string(what) + ": vector size mismatch");
   return run_batch(start, 1, chain.max_exit_rate(), times, options, what,
                    [&](double lambda) {
-                     return CsrStep(chain.uniformised_dtmc(lambda),
-                                    options.active_support);
+                     return CsrStep(chain.uniformised_dtmc(lambda));
                    });
 }
 

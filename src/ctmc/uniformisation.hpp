@@ -25,17 +25,10 @@ class PhaseChain;
 struct TransientOptions {
   /// Bound on the truncation error of the Poisson series (L1, a priori).
   double epsilon = 1e-10;
-  /// Stop iterating powers of P early once the iterate is stationary to
-  /// within steady_state_tolerance and attribute the remaining Poisson
+  /// Stop iterating powers of P early once no entry of the iterate moves
+  /// by more than 1e-14 in a step and attribute the remaining Poisson
   /// mass to that iterate.
   bool steady_state_detection = true;
-  double steady_state_tolerance = 1e-14;
-  /// Iterate over the active frontier only while it is sparse
-  /// (matrix/support.hpp), switching to the dense fused kernel once it
-  /// covers a quarter of the state space.  Engages only for non-negative
-  /// start vectors (all library uses); results are bitwise identical to
-  /// the dense path.  Runs on a phase chain are always dense.
-  bool active_support = true;
 };
 
 /// Backward transient analysis with an arbitrary terminal value vector v:
@@ -84,7 +77,6 @@ std::vector<std::vector<double>> transient_reach_batch(
 /// accumulators, the steady-state fold and the final flush read only
 /// the n phase-0 lanes; the convergence predicate still covers every
 /// lane.
-/// Dense always: active_support has no effect.
 std::vector<std::vector<double>> transient_reach_batch(
     const PhaseChain& chain, const StateSet& target,
     std::span<const double> times, const TransientOptions& options = {});

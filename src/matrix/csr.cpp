@@ -42,20 +42,6 @@ inline void charge_epilogue_cost([[maybe_unused]] std::uint64_t positions,
   CSRL_COUNT("cost/epilogue/bytes", 16 * positions * lanes);
 }
 
-/// The convergence verdict of an active step.  Off both masks x and y
-/// are exact zeros; an entry that left the frontier (in `in`, not in
-/// `out`) has y = 0 and moved by |x|.
-bool active_converged(std::span<const double> x, std::span<const double> y,
-                      const SupportMask& in, const SupportMask& out,
-                      double tolerance) {
-  if (!(tolerance >= 0.0)) return false;
-  for (std::size_t r : out.members())
-    if (!(std::abs(y[r] - x[r]) <= tolerance)) return false;
-  for (std::size_t i : in.members())
-    if (!out.contains(i) && !(std::abs(x[i]) <= tolerance)) return false;
-  return true;
-}
-
 }  // namespace
 
 CsrBuilder::CsrBuilder(std::size_t rows, std::size_t cols)
@@ -356,55 +342,10 @@ bool CsrMatrix::multiply_fused(std::span<const double> x,
                          });
 }
 
-bool CsrMatrix::multiply_active(std::span<const double> x,
-                                std::span<double> y, const SupportMask& in,
-                                SupportMask& out,
-                                std::span<const FusedAxpy> pendings,
-                                double tolerance) const {
-  if (rows_ != cols_ || x.size() != cols_ || y.size() != rows_ ||
-      in.universe() != rows_ || out.universe() != rows_)
-    throw ModelError("CsrMatrix::multiply_active: dimension mismatch");
-  CSRL_COUNT("spmv/multiply", 1);
-
-  // Clear the stale support of y, then find the rows that can see the
-  // frontier: exactly the rows holding an entry in an `in` column, i.e.
-  // the transpose rows of the `in` members.
-  for (std::size_t i : out.members()) y[i] = 0.0;
-  out.clear();
-  const CsrMatrix& t = cached_transpose();
-  for (std::size_t c : in.members())
-    for (const CsrEntry& e : t.row_unchecked(c)) out.insert(e.col);
-  out.sort();
-  CSRL_COUNT("matrix/spmv/rows_active", out.size());
-  if (CSRL_OBS_ACTIVE()) {
-    // Touched-nnz sum only when recording: the active path's whole point
-    // is skipping rows, so its cost charge must count what it touched.
-    std::uint64_t touched = 0;
-    for (std::size_t r : out.members())
-      touched += row_ptr_[r + 1] - row_ptr_[r];
-    charge_spmv_cost(touched, out.size());
-    charge_epilogue_cost(in.size(), pendings.size());
-  }
-
-  // Full-row gathers for the touched rows: off-frontier columns hold an
-  // exact +0.0, so every skipped term of the dense kernel contributes an
-  // exact +0.0 there too — identical bits, a fraction of the traffic.
-  for (std::size_t r : out.members()) {
-    double acc = 0.0;
-    for (std::size_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i)
-      acc += entries_[i].value * x[entries_[i].col];
-    y[r] = acc;
-  }
-  for (const FusedAxpy& p : pendings)
-    for (std::size_t i : in.members()) p.out[i] += p.weight * x[i];
-  return active_converged(x, y, in, out, tolerance);
-}
-
-void CsrMatrix::warm_kernel_caches(bool transpose) const {
+void CsrMatrix::warm_kernel_caches() const {
   const ThreadPool& pool = ThreadPool::global();
   if (pool.num_threads() > 1 && nnz() >= kParallelNnzThreshold)
     row_chunks(pool.num_threads() * kChunksPerThread);
-  if (transpose) (void)cached_transpose();
 }
 
 std::vector<double> CsrMatrix::row_sums() const {
@@ -433,12 +374,6 @@ CsrMatrix CsrMatrix::scaled(double factor) const {
   CsrMatrix m = *this;
   for (auto& e : m.entries_) e.value *= factor;
   return m;
-}
-
-double CsrMatrix::max_abs() const {
-  double best = 0.0;
-  for (const auto& e : entries_) best = std::max(best, std::abs(e.value));
-  return best;
 }
 
 }  // namespace csrl

@@ -15,7 +15,7 @@
 #include <span>
 #include <vector>
 
-#include "matrix/support.hpp"
+#include "matrix/fused_step.hpp"
 #include "util/annotations.hpp"
 #include "util/mutex.hpp"
 
@@ -93,12 +93,11 @@ class CsrMatrix {
   std::span<const CsrEntry> row(std::size_t r) const;
 
   /// row() without the range check.  Precondition: r < rows().  This is
-  /// the form the kernels use from their inner loops, whose indices come
-  /// from row_ptr_ / cached masks and are in range by construction — the
-  /// analyzer's hot-path pass statically rejects reachable throws there
-  /// (scripts/analyze, rule hot-throw), and a bounds check per gathered
-  /// entry is measurable on the SpMV/SpMM paths anyway.  External callers
-  /// go through row().
+  /// the form the kernels use from their inner loops, whose indices are
+  /// in range by construction — the analyzer's hot-path pass statically
+  /// rejects reachable throws there (scripts/analyze, rule hot-throw), and
+  /// a bounds check per gathered entry is measurable on the SpMV/SpMM
+  /// paths anyway.  External callers go through row().
   std::span<const CsrEntry> row_unchecked(std::size_t r) const noexcept {
     return {entries_.data() + row_ptr_[r], row_ptr_[r + 1] - row_ptr_[r]};
   }
@@ -164,31 +163,10 @@ class CsrMatrix {
   /// once per product.
   void charge_lane_product(std::size_t width) const;
 
-  // -- Active-support kernel (matrix/support.hpp) --------------------------
-  //
-  // Masked form of the fused kernel for iterates whose support is a
-  // sparse frontier.  `in` must mask every non-zero of x (sorted — the
-  // kernel keeps masks sorted); off-mask entries of x must be exactly
-  // +0.0.  On entry `out` must mask every position where y may hold a
-  // stale non-zero (the kernel zeroes those); on return it masks the new
-  // support of y, sorted.  With non-negative x and pending targets the
-  // result vector, the pending updates and the returned verdict are all
-  // bit-identical to the dense fused kernel: skipped positions would
-  // only ever add exact +0.0 terms.  Serial (the frontier regime is
-  // dispatch-bound, not bandwidth-bound); zero heap allocations.
-
-  /// Active y = A x: visits only the rows that can see the frontier
-  /// (predecessors of `in`, via the cached transpose — call
-  /// warm_kernel_caches first so the loop stays allocation-free).
-  bool multiply_active(std::span<const double> x, std::span<double> y,
-                       const SupportMask& in, SupportMask& out,
-                       std::span<const FusedAxpy> pendings,
-                       double tolerance) const;
-
-  /// Pre-build the lazy caches (row partition and, when `transpose`, the
-  /// cached transpose) that the step kernels create on first use, so
-  /// iteration loops that follow perform zero heap allocations.
-  void warm_kernel_caches(bool transpose) const;
+  /// Pre-build the row partition that a pooled multiply_fused creates on
+  /// first use, so the series loop that follows performs zero heap
+  /// allocations.
+  void warm_kernel_caches() const;
 
   /// Sum of the stored entries of each row (exit rates of a rate matrix).
   std::vector<double> row_sums() const;
@@ -202,9 +180,6 @@ class CsrMatrix {
   /// Copy with every value multiplied by `factor`.
   CsrMatrix scaled(double factor) const;
 
-  /// Maximum of the absolute values of all stored entries (0 for empty).
-  double max_abs() const;
-
   /// nnz-balanced row partition into at most `target_chunks` chunks:
   /// boundaries b_0 = 0 < b_1 < ... < b_c = rows() such that each
   /// [b_i, b_{i+1}) holds roughly nnz()/target_chunks stored entries.
@@ -217,8 +192,8 @@ class CsrMatrix {
  private:
   friend class CsrBuilder;
 
-  /// The cached transpose used by the parallel left product and the
-  /// active kernel's frontier rows (built on first use, under lock).
+  /// The cached transpose used by the parallel left product (built on
+  /// first use, under lock).
   const CsrMatrix& cached_transpose() const;
 
   std::size_t rows_ = 0;

@@ -35,8 +35,8 @@
 #include <utility>
 #include <vector>
 
+#include "matrix/fused_step.hpp"
 #include "matrix/simd.hpp"
-#include "matrix/support.hpp"
 
 namespace csrl {
 

@@ -63,8 +63,6 @@ inline LanePair load_pair(const double* p) {
   std::memcpy(&v, p, sizeof v);
   return v;
 }
-
-inline void store_pair(double* p, LanePair v) { std::memcpy(p, &v, sizeof v); }
 #endif
 
 #if defined(CSRL_LANE_AVX2)

@@ -92,9 +92,6 @@ class Srn {
   std::size_t num_places() const { return places_.size(); }
   std::size_t num_transitions() const { return transitions_.size(); }
   const std::string& place_name(PlaceId p) const { return places_[p.index].name; }
-  const std::string& transition_name(TransitionId t) const {
-    return transitions_[t.index].name;
-  }
   Marking initial_marking() const;
 
   /// Is `transition` enabled in `marking` (input arcs, inhibitors, guard)?

@@ -92,11 +92,6 @@ inline void set_level(ValidationLevel l) {
                                  std::memory_order_relaxed);
 }
 
-/// Drop the programmatic override, falling back to CSRL_VALIDATE.
-inline void clear_level() {
-  detail::override_level().store(-1, std::memory_order_relaxed);
-}
-
 inline bool enabled() { return level() >= ValidationLevel::kBasic; }
 inline bool paranoid() { return level() >= ValidationLevel::kParanoid; }
 

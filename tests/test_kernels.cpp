@@ -1,16 +1,16 @@
-// The active-support SpMV hot path (matrix/support.hpp + the frontier
-// mode of backward uniformisation): differential tests against the dense
-// fused kernel and the convergence predicate every step kernel returns
-// (multiply_fused, multiply_active, multiply_phase_fused).
+// The dense backward uniformisation series (ctmc/uniformisation.hpp):
+// bitwise equal at 1 and 4 threads on a chain large enough for the pooled
+// fused step, and between single and batched runs across a steady-state
+// cutoff; and the convergence predicate every fused step kernel returns
+// (multiply_fused, multiply_phase_fused).
 //
-// Labelled `tsan` in tests/CMakeLists.txt: the differential sweep and the
+// Labelled `tsan` in tests/CMakeLists.txt: the thread sweep and the
 // predicate tests run every kernel at 1 and 4 threads, so under
 // -DCSRL_SANITIZE=thread they double as race-detection workloads for the
-// frontier path and the row chunks' shared verdict flag.
+// row chunks and their shared verdict flag.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -19,6 +19,7 @@
 
 #include "ctmc/uniformisation.hpp"
 #include "matrix/csr.hpp"
+#include "matrix/kernel_tuning.hpp"
 #include "matrix/phase_operator.hpp"
 #include "models/synthetic.hpp"
 #include "obs/obs.hpp"
@@ -33,65 +34,39 @@ void expect_bitwise_equal(const std::vector<double>& a,
                           const std::vector<double>& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
-      << what << ": active-support result differs from dense";
+      << what << ": results differ";
 }
 
-StateSet last_states(const Mrm& model, std::size_t count) {
+// -- Thread count: the pooled fused step reproduces the serial one --------
+
+TEST(BackwardSeries, BitwiseAcrossThreads) {
+  const Mrm model = random_mrm(7, 3000, 0.003);
+  const Ctmc& chain = model.chain();
+  // The row chunks of multiply_fused run on the pool only above this
+  // many stored entries.
+  ASSERT_GE(chain.uniformised_dtmc(chain.max_exit_rate()).nnz(),
+            kernel_tuning::kParallelNnzThreshold);
   StateSet target(model.num_states());
-  for (std::size_t s = model.num_states() - count; s < model.num_states(); ++s)
-    target.insert(s);
-  return target;
-}
+  for (std::size_t s = 0; s < model.num_states(); s += 97) target.insert(s);
+  const std::vector<double> times{0.1, 0.25};
 
-TransientOptions dense_options() {
-  TransientOptions options;
-  options.active_support = false;
-  return options;
-}
-
-TransientOptions active_options() {
-  TransientOptions options;
-  options.active_support = true;
-  return options;
-}
-
-// -- Differential: the active path reproduces the dense path bit for bit --
-
-TEST(ActiveSupport, BitwiseIdenticalToDenseAcrossSeedsAndThreads) {
-  const std::vector<double> times{0.4, 1.1};
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const Mrm model = random_mrm(seed, 96, 0.03);
-    const Ctmc& chain = model.chain();
-    const StateSet target = last_states(model, 5);
-    // A single target state: the frontier the active path walks from.
-    StateSet point(model.num_states());
-    point.insert(model.initial_state());
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      ThreadPool::set_global_threads(threads);
-      for (double t : times) {
-        expect_bitwise_equal(
-            transient_reach(chain, point, t, dense_options()),
-            transient_reach(chain, point, t, active_options()),
-            "backward from a point");
-        expect_bitwise_equal(
-            transient_reach(chain, target, t, dense_options()),
-            transient_reach(chain, target, t, active_options()), "backward");
-      }
-      const auto dense_bwd =
-          transient_reach_batch(chain, target, times, dense_options());
-      const auto active_bwd =
-          transient_reach_batch(chain, target, times, active_options());
-      ASSERT_EQ(dense_bwd.size(), active_bwd.size());
-      for (std::size_t i = 0; i < times.size(); ++i)
-        expect_bitwise_equal(dense_bwd[i], active_bwd[i], "backward batch");
-    }
-    ThreadPool::set_global_threads(1);
-  }
+  ThreadPool::set_global_threads(1);
+  const std::vector<double> serial = transient_reach(chain, target, 0.25);
+  const auto serial_batch = transient_reach_batch(chain, target, times);
+  ThreadPool::set_global_threads(4);
+  expect_bitwise_equal(serial, transient_reach(chain, target, 0.25),
+                       "single run at 1 vs 4 threads");
+  const auto pooled_batch = transient_reach_batch(chain, target, times);
+  ASSERT_EQ(serial_batch.size(), pooled_batch.size());
+  for (std::size_t i = 0; i < times.size(); ++i)
+    expect_bitwise_equal(serial_batch[i], pooled_batch[i],
+                         "batch at 1 vs 4 threads");
+  ThreadPool::set_global_threads(1);
 }
 
 // -- Steady-state cutoff: single and batched runs stay bit-identical ------
 
-TEST(ActiveSupport, SteadyStateCutoffMatchesBetweenSingleAndBatch) {
+TEST(BackwardSeries, SteadyStateCutoffMatchesBetweenSingleAndBatch) {
   // A long horizon on a small well-mixed chain triggers the cutoff; the
   // batched run must fold the remaining Poisson mass exactly as the
   // single-horizon run does.
@@ -105,8 +80,7 @@ TEST(ActiveSupport, SteadyStateCutoffMatchesBetweenSingleAndBatch) {
   obs::ScopedRecording recording;
   const obs::MetricsSnapshot before = obs::snapshot_metrics();
 #endif
-  const auto batch =
-      transient_reach_batch(chain, target, times, active_options());
+  const auto batch = transient_reach_batch(chain, target, times);
 #ifndef CSRL_OBS_DISABLED
   EXPECT_GT(obs::metrics_delta(before, obs::snapshot_metrics())
                 .counter("uniformisation/steady_state_cutoffs"),
@@ -114,9 +88,8 @@ TEST(ActiveSupport, SteadyStateCutoffMatchesBetweenSingleAndBatch) {
       << "horizons too short to exercise the steady-state epilogue";
 #endif
   for (std::size_t i = 0; i < times.size(); ++i)
-    expect_bitwise_equal(
-        transient_reach(chain, target, times[i], active_options()), batch[i],
-        "steady-state epilogue single vs batch");
+    expect_bitwise_equal(transient_reach(chain, target, times[i]), batch[i],
+                         "steady-state epilogue single vs batch");
 }
 
 // -- Convergence predicate: early-exit verdicts equal a full scan ---------
@@ -149,7 +122,7 @@ struct PredicateFixture {
         builder.add(r, 1 + rng.next_below(kStates - 2),
                     rng.next_double(0.05, 0.2));
     p = builder.build();
-    // A sparse non-negative iterate, as the active kernels require.
+    // A sparse non-negative iterate, like a backward series' start.
     for (int i = 0; i < 200; ++i)
       x[1 + rng.next_below(kStates - 2)] = rng.next_double(0.1, 1.0);
 
@@ -173,17 +146,11 @@ struct PredicateFixture {
       lanes[i] = rng.next_double(0.1, 1.0);
   }
 
-  StepKernel csr(bool active) const {
-    return [this, active](const std::vector<double>& in_x,
-                          std::vector<double>& y, std::vector<double>& acc,
-                          double tolerance) {
+  StepKernel csr() const {
+    return [this](const std::vector<double>& in_x, std::vector<double>& y,
+                  std::vector<double>& acc, double tolerance) {
       const FusedAxpy pending[1] = {{0.5, acc.data()}};
-      if (!active) return p.multiply_fused(in_x, y, pending, tolerance);
-      // y is all zero, so the stale out-mask is empty.
-      SupportMask in(kStates);
-      SupportMask out(kStates);
-      in.reset_to_support(in_x);
-      return p.multiply_active(in_x, y, in, out, pending, tolerance);
+      return p.multiply_fused(in_x, y, pending, tolerance);
     };
   }
 
@@ -257,8 +224,7 @@ TEST(ConvergencePredicate, VerdictMatchesFullScanForEveryKernel) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ThreadPool::set_global_threads(threads);
     const std::string at = " at " + std::to_string(threads) + " threads";
-    expect_verdicts(f.csr(false), f.x, n, {0, n - 1}, "multiply_fused" + at);
-    expect_verdicts(f.csr(true), f.x, n, {0, n - 1}, "multiply_active" + at);
+    expect_verdicts(f.csr(), f.x, n, {0, n - 1}, "multiply_fused" + at);
     // First and last lane of the first and the last state.
     expect_verdicts(f.phase(), f.lanes, states,
                     {0, k - 1, (states - 1) * k, states * k - 1},
@@ -281,10 +247,8 @@ TEST(ConvergencePredicate, NanNeverConverges) {
     for (std::size_t i : {std::size_t{0}, n / 2, n - 1}) {
       std::vector<double> x = f.x;
       x[i] = nan;
-      expect_verdict(f.csr(false), x, n, inf, false,
+      expect_verdict(f.csr(), x, n, inf, false,
                      "multiply_fused, NaN at " + std::to_string(i) + at);
-      expect_verdict(f.csr(true), x, n, inf, false,
-                     "multiply_active, NaN at " + std::to_string(i) + at);
     }
     for (std::size_t i : {std::size_t{0}, lanes / 2, lanes - 1}) {
       std::vector<double> x = f.lanes;
@@ -295,38 +259,6 @@ TEST(ConvergencePredicate, NanNeverConverges) {
   }
   ThreadPool::set_global_threads(1);
 }
-
-#ifndef CSRL_OBS_DISABLED
-
-// -- Rows-active accounting: the frontier path touches far fewer rows -----
-
-TEST(ActiveSupport, FrontierReducesRowsTouched) {
-  const Mrm model = birth_death_mrm(512, 2.0, 3.0);
-  const Ctmc& chain = model.chain();
-  StateSet target(model.num_states());
-  target.insert(0);
-  const double t = 1.0;
-
-  obs::ScopedRecording recording;
-  const obs::MetricsSnapshot before_dense = obs::snapshot_metrics();
-  const auto dense = transient_reach(chain, target, t, dense_options());
-  const std::uint64_t rows_dense =
-      obs::metrics_delta(before_dense, obs::snapshot_metrics())
-          .counter("matrix/spmv/rows_active");
-
-  const obs::MetricsSnapshot before_active = obs::snapshot_metrics();
-  const auto active = transient_reach(chain, target, t, active_options());
-  const std::uint64_t rows_active =
-      obs::metrics_delta(before_active, obs::snapshot_metrics())
-          .counter("matrix/spmv/rows_active");
-
-  expect_bitwise_equal(dense, active, "rows-active accounting run");
-  ASSERT_GT(rows_active, 0u);
-  EXPECT_GE(rows_dense, 3 * rows_active)
-      << "frontier iteration no longer reduces rows touched by >= 3x";
-}
-
-#endif  // CSRL_OBS_DISABLED
 
 }  // namespace
 }  // namespace csrl

@@ -338,10 +338,10 @@ TEST(ObsReport, CheckerCheckAttachesRunReport) {
             report.cost_model.spmv_bytes + report.cost_model.spmm_bytes +
                 report.cost_model.epilogue_bytes +
                 report.cost_model.solver_bytes);
-  // Every SpMV charges 2 flops per touched stored entry; the
-  // active-support kernels touch at most the full matrix, so the call
-  // counter bounds the flop total from above (2 * nnz per call) and
-  // every charge is a whole number of entry-pairs.
+  // Every SpMV charges 2 flops per touched stored entry and touches at
+  // most the full matrix, so the call counter bounds the flop total from
+  // above (2 * nnz per call) and every charge is a whole number of
+  // entry-pairs.
   EXPECT_LE(report.cost_model.spmv_flops, 2u * 3u * report.spmv_count);
   EXPECT_EQ(report.cost_model.spmv_flops % 2u, 0u);
 
